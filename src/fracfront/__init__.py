@@ -43,7 +43,6 @@ from .subordination import (
     total_mass,
 )
 from .fourier1d import (
-    SeriesState,
     a0_lower_bound,
     a1_upper_bound,
     a_coefficient,

@@ -18,6 +18,7 @@ import tempfile
 from .errors import DomainError, FracFrontError
 from .invasion import (
     ExperimentConfig,
+    Method,
     ProfileKind,
     SpeedProfile,
     run_experiment,
@@ -84,7 +85,7 @@ def _build_parser() -> _Parser:
     p_sol.add_argument("--r", type=float, required=True)
     p_sol.add_argument(
         "--method",
-        choices=["subordination", "fourier1d", "envelope"],
+        choices=[m.value for m in Method],
         default="subordination",
     )
 
@@ -101,7 +102,7 @@ def _build_parser() -> _Parser:
     p_inv.add_argument("--n-samples", type=int, default=24)
     p_inv.add_argument(
         "--method",
-        choices=["subordination", "fourier1d", "envelope"],
+        choices=[m.value for m in Method],
         default="subordination",
     )
     p_inv.add_argument("--output", default="")

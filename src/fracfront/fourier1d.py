@@ -13,7 +13,6 @@ a_1 upper bounds and the divergence comparator they feed.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import rgamma as _rgamma
@@ -21,16 +20,6 @@ from scipy.special import rgamma as _rgamma
 from .errors import DomainError, NonConvergence, QuadratureFailure
 from .logvalue import LogValue, signed_log_sum
 from .specfun import EvalResult, Regime, dottie, log_mittag_leffler, mittag_leffler
-
-
-@dataclass(frozen=True)
-class SeriesState:
-    """Progress of the alternating sum: value, last term and Leibniz bound."""
-
-    partial_sum: float
-    last_term: float
-    terms: int
-    remainder_bound: float
 
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(32)

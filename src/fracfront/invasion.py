@@ -37,8 +37,7 @@ class ProfileKind(Enum):
 class Method(Enum):
     SUBORDINATION = "subordination"
     FOURIER1D = "fourier1d"
-    ENVELOPE_LOWER = "envelope-lower"
-    ENVELOPE_UPPER = "envelope-upper"
+    ENVELOPE = "envelope"
 
 
 class Verdict(Enum):
@@ -124,11 +123,11 @@ def thresholds(alpha: float, rho: float, d: int) -> ThresholdReport:
 def _point_log_u(
     params: FracParams, t: float, x: float, method: Method, spec: QuadratureSpec
 ) -> LogValue:
+    # Envelopes reach here only with c1 = c2 = 1, where both sides coincide,
+    # so the lower side stands for the value.
     if params.alpha == 1.0:
         value = classical_solution(params, t, x)
-        if isinstance(value, LogValue):
-            return value
-        return value.lower if method is Method.ENVELOPE_LOWER else value.upper
+        return value if isinstance(value, LogValue) else value.lower
     if method is Method.SUBORDINATION:
         return subordinate(params, t, x, spec)
     if method is Method.FOURIER1D:
@@ -144,8 +143,9 @@ def _point_log_u(
             params.alpha, params.rho, t, x, tol
         )
         return value
-    env = subordinate_envelope(params.alpha, params.rho, params.dim, t, x, spec)
-    return env.lower if method is Method.ENVELOPE_LOWER else env.upper
+    return subordinate_envelope(
+        params.alpha, params.rho, params.dim, t, x, spec
+    ).lower
 
 
 def trajectory(
@@ -163,7 +163,7 @@ def trajectory(
     ts = [float(t) for t in t_grid]
     if any(b <= a for a, b in zip(ts, ts[1:])):
         raise DomainError("t_grid must be strictly increasing")
-    if method in (Method.ENVELOPE_LOWER, Method.ENVELOPE_UPPER):
+    if method is Method.ENVELOPE:
         if not 0.0 < params.rho < 1.0:
             raise Unsupported("envelope route requires rho in (0,1)")
     if method is Method.FOURIER1D and params.dim != 1:
@@ -280,6 +280,9 @@ class ExperimentConfig:
             raise DomainError("n_samples must be >= 4")
         if self.format not in ("csv", "json"):
             raise DomainError(f"format must be csv or json, got {self.format!r}")
+        methods = [m.value for m in Method]
+        if self.method not in methods:
+            raise DomainError(f"method must be one of {methods}, got {self.method!r}")
 
 
 @dataclass(frozen=True)
@@ -297,55 +300,31 @@ def run_experiment(
 ) -> ExperimentReport:
     """Run one cell end to end: trajectory, classification, prediction check.
 
-    agreement is None when the cell sits in an analytic gap (or no analytic
-    result applies), True/False otherwise.  For the envelope method the verdict is
-    one-sided: divergence is read off the lower envelope and vanishing off
-    the upper, anything else is Inconclusive.
+    Every route, the envelope route included, samples one trajectory and
+    classifies its slope.  agreement is None when the cell sits in an
+    analytic gap (or no analytic result applies), True/False otherwise.
     """
+    params = config.params
     t_grid = np.geomspace(config.t_start, config.t_end, config.n_samples)
-    report = thresholds(
-        config.params.alpha if config.params.alpha < 1.0 else 0.5,
-        config.params.rho,
-        config.params.dim,
-    ) if config.params.alpha < 1.0 else None
-    if report is None:
+    if params.alpha < 1.0:
+        report = thresholds(params.alpha, params.rho, params.dim)
+    else:
         # Classical cells still get the rho-dependent exponential thresholds.
-        g = 0.0
+        exp_threshold = 1.0 / (params.dim + 2.0 * params.rho)
         report = ThresholdReport(
-            gamma_alpha=g,
+            gamma_alpha=0.0,
             m_alpha=2,
             power_lower=2.0,
             power_upper=2.0,
-            exp_lower=1.0 / (config.params.dim + 2.0 * config.params.rho),
-            exp_upper=1.0 / (config.params.dim + 2.0 * config.params.rho),
+            exp_lower=exp_threshold,
+            exp_upper=exp_threshold,
         )
+    samples = trajectory(
+        params, config.profile, t_grid, Method(config.method), spec
+    )
+    cls = classify(samples)
 
-    if config.method == "envelope":
-        lower = trajectory(
-            config.params, config.profile, t_grid, Method.ENVELOPE_LOWER, spec
-        )
-        upper = trajectory(
-            config.params, config.profile, t_grid, Method.ENVELOPE_UPPER, spec
-        )
-        cls_lower = classify(lower)
-        cls_upper = classify(upper)
-        if cls_lower.verdict is Verdict.DIVERGING:
-            cls = cls_lower
-            samples = lower
-        elif cls_upper.verdict is Verdict.VANISHING:
-            cls = cls_upper
-            samples = upper
-        else:
-            cls = Classification(
-                Verdict.INCONCLUSIVE, cls_upper.slope, cls_upper.window
-            )
-            samples = upper
-    else:
-        method = Method(config.method)
-        samples = trajectory(config.params, config.profile, t_grid, method, spec)
-        cls = classify(samples)
-
-    predicted = predicted_verdict(config.params, config.profile, report)
+    predicted = predicted_verdict(params, config.profile, report)
     if predicted in ("gap", "none"):
         agreement = None
     else:

@@ -55,7 +55,6 @@ class EvalResult:
 class EvalPolicy:
     """Switch points and budgets for the series/asymptotic/bridge regimes."""
 
-    series_cutoff: float = 10.0
     asym_cutoff: float = 25.0
     # The positive-axis series needs ~ z^{1/a}/a terms before the Gamma in
     # the denominator wins, which is thousands near the overflow boundary.
@@ -63,8 +62,6 @@ class EvalPolicy:
     target_tol: float = 1e-10
 
     def __post_init__(self):
-        if self.series_cutoff > self.asym_cutoff:
-            raise ValueError("series_cutoff must not exceed asym_cutoff")
         if self.target_tol <= 0:
             raise ValueError("target_tol must be positive")
 
@@ -386,19 +383,6 @@ def _log_wright(nu: float, mu: float, x: float, tol: float = 1e-9) -> tuple[LogV
     raise NonConvergence(
         f"no trustworthy regime for W_(-{nu},{mu})(-{x}): Y = {y:.3g}"
     )
-
-
-def _log_wright_batch(nu, mu, xs, tol=1e-9):
-    """Vectorized wrapper; fast path for the nu = 1/2 closed form."""
-    xs = np.asarray(xs, dtype=float)
-    if nu == 0.5 and mu == 0.5:
-        out = np.where(
-            xs == 0.0,
-            math.log(_rgamma(0.5)),
-            -0.25 * xs * xs - 0.5 * math.log(math.pi),
-        )
-        return [LogValue(1, float(v)) for v in out]
-    return [_log_wright(nu, mu, float(x), tol)[0] for x in xs]
 
 
 def wright_neg(

@@ -18,7 +18,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import QuadratureFailure, Unsupported
+from .errors import DomainError, QuadratureFailure, Unsupported
 from .kernels import FracParams, BoundEnvelope, classical_solution, stable_envelope
 from .logvalue import LogValue, signed_log_sum
 from .specfun import _log_wright
@@ -211,26 +211,27 @@ def subordinate_envelope(
     c1: float = 1.0,
     c2: float = 1.0,
 ) -> BoundEnvelope:
-    """Subordinated two-sided bounds for rho in (0,1) without an exact kernel."""
+    """Subordinated two-sided bounds for rho in (0,1) without an exact kernel.
+
+    Both sides of the stable envelope share the shape
+    t / (r^2 + t^{1/rho})^{(d+2 rho)/2} and differ only by the constants
+    c1 <= c2, so one integral of the c-free shape serves both: the bounds
+    are that integral plus log c1 and plus log c2.
+    """
     if not 0.0 < rho < 1.0:
         raise Unsupported(f"envelope route requires rho in (0,1), got {rho}")
+    if c1 <= 0.0 or c2 < c1:
+        raise DomainError("require 0 < c1 <= c2")
     ta = t ** alpha
 
-    def make_integrand(side: str) -> Callable[[float], LogValue]:
-        def integrand(s: float) -> LogValue:
-            env = stable_envelope(rho, s, r, d, c1, c2)
-            kern = env.lower if side == "lower" else env.upper
-            w = _wright_factor(alpha, s / ta, spec)
-            if w.sign == 0:
-                return w
-            return LogValue(1, kern.log_abs + s + w.log_abs)
+    def integrand(s: float) -> LogValue:
+        shape = stable_envelope(rho, s, r, d).lower
+        w = _wright_factor(alpha, s / ta, spec)
+        if w.sign == 0:
+            return w
+        return LogValue(1, shape.log_abs + s + w.log_abs)
 
-        return integrand
-
-    shift = -alpha * math.log(t)
-    lower = _integrate_log(make_integrand("lower"), t, spec)
-    upper = _integrate_log(make_integrand("upper"), t, spec)
+    base = _integrate_log(integrand, t, spec).log_abs - alpha * math.log(t)
     return BoundEnvelope(
-        LogValue(1, lower.log_abs + shift),
-        LogValue(1, upper.log_abs + shift),
+        LogValue(1, base + math.log(c1)), LogValue(1, base + math.log(c2))
     )

@@ -135,7 +135,7 @@ class TestTrajectory:
         profile = SpeedProfile(ProfileKind.POWER, 1.0, 0.5)
         with raises(Unsupported):
             trajectory(
-                FracParams(0.5, 1.0, 1), profile, [1.0, 2.0], Method.ENVELOPE_LOWER
+                FracParams(0.5, 1.0, 1), profile, [1.0, 2.0], Method.ENVELOPE
             )
         with raises(Unsupported):
             trajectory(
@@ -153,6 +153,8 @@ class TestExperimentConfig:
             ExperimentConfig(params, profile, n_samples=3)
         with raises(DomainError):
             ExperimentConfig(params, profile, format="yaml")
+        with raises(DomainError):
+            ExperimentConfig(params, profile, method="bogus")
 
 
 class TestRunExperiment:
@@ -180,3 +182,17 @@ class TestRunExperiment:
         report = run_experiment(config)
         assert report.predicted == "gap"
         assert report.agreement is None
+
+    def test_envelope_route_heavy_tail_diverges(self):
+        config = ExperimentConfig(
+            params=FracParams(0.65, 0.3, 2),
+            profile=SpeedProfile(ProfileKind.POWER, 1.0, 0.5),
+            t_start=5.0,
+            t_end=20.0,
+            n_samples=4,
+            method="envelope",
+        )
+        report = run_experiment(config)
+        assert report.classification.verdict is Verdict.DIVERGING
+        assert report.agreement is True
+        assert all(s.method is Method.ENVELOPE for s in report.samples)

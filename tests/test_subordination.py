@@ -2,7 +2,7 @@ import math
 
 from pytest import approx, mark, raises
 
-from fracfront.errors import Unsupported
+from fracfront.errors import DomainError, Unsupported
 from fracfront.kernels import FracParams, classical_solution
 from fracfront.logvalue import LogValue
 from fracfront.specfun import log_mittag_leffler
@@ -86,10 +86,19 @@ class TestSubordinateEnvelope:
         exact = subordinate(FracParams(0.5, 0.5, 1), 1.0, 2.0)
         env = subordinate_envelope(0.5, 0.5, 1, 1.0, 2.0, c1=0.31, c2=0.33)
         assert env.lower <= exact <= env.upper
+        assert env.upper.log_abs - env.lower.log_abs == approx(
+            math.log(0.33 / 0.31), abs=1e-12
+        )
 
     def test_rejects_rho_at_least_one(self):
         with raises(Unsupported):
             subordinate_envelope(0.5, 1.0, 1, 1.0, 1.0)
+
+    def test_rejects_misordered_constants(self):
+        with raises(DomainError):
+            subordinate_envelope(0.5, 0.7, 1, 1.0, 2.0, c1=0.5, c2=0.4)
+        with raises(DomainError):
+            subordinate_envelope(0.5, 0.7, 1, 1.0, 2.0, c1=0.0)
 
 
 class TestLogDomainReach:
