@@ -11,6 +11,7 @@ inside an analytic gap carry no prediction and are never failures.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -276,6 +277,9 @@ class ExperimentConfig:
     def __post_init__(self):
         if not 0.0 < self.t_start < self.t_end:
             raise DomainError("require 0 < t_start < t_end")
+        # A JSON config can carry any number here; bool is an int subclass.
+        if isinstance(self.n_samples, bool) or not isinstance(self.n_samples, numbers.Integral):
+            raise DomainError(f"n_samples must be an integer, got {self.n_samples!r}")
         if self.n_samples < 4:
             raise DomainError("n_samples must be >= 4")
         if self.format not in ("csv", "json"):

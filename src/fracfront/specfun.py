@@ -15,6 +15,16 @@ W_{-nu,mu}(-x) gets the same treatment: series, then a saddle-type tail
 Y^{1/2-mu} e^{-Y} A0 with Y = (1-nu)(nu^nu x)^{1/(1-nu)}.  The internal
 evaluator additionally owns a high-precision fallback for the mid zone where
 the double series cancels catastrophically but the tail is not yet accurate.
+
+On the negative axis both series are gated before the first term is summed.
+Their rounding loss is known up front: the largest Taylor term of E_{a,b}(z)
+comes from a few lgamma calls near n ~ |z|^{1/a}/a, and the Wright series
+loses at least e^{1.8 Y}.  A series whose error estimate cannot meet the
+tolerance is skipped and the next regime runs at once.  The gates only
+reject series that the a-posteriori test would also reject (a lower bound on
+that test's error estimate already exceeds the tolerance), so every result,
+regime and term count is the one the series-first order gives; the
+a-posteriori test still runs on every series that is summed.
 """
 
 from __future__ import annotations
@@ -32,6 +42,31 @@ from .errors import DomainError, NonConvergence
 from .logvalue import LogValue
 
 _EPS = 2.0 ** -52
+
+# exp() overflows past this exponent; a series term this large is reported
+# as inf, which ends the summation unconverged.
+_LOG_TERM_MAX = 709.0
+
+# Largest tolerance the series gates act on; the bridge asks for 1e-2 at its
+# deepest-tail nodes.  Far above it a sum that is pure rounding noise can
+# pass the a-posteriori test (the Wright estimate saturates near 0.3), so
+# the gates leave such requests to the series-first order.
+_GATE_MAX_TOL = 1e-2
+
+# The Wright series on W_{-nu,mu}(-x) peaks near e^{Y} while the value is
+# near e^{-Y}.  Its own relative error estimate was measured never to fall
+# below _EPS e^{1.8 Y} where it meets a tolerance <= _GATE_MAX_TOL: on a
+# grid of nu in [0.001, 0.999], mu in [-1, 3] and Y in (0, 20] the smallest
+# margin was e^{1.84}, at nu = 0.006, mu = 0.02, Y = 3.5.  Beyond Y ~ 17
+# the estimate saturates near 0.3.
+_WRIGHT_LOSS_RATE = 1.8
+
+# Safety factor of the Mittag-Leffler gate over its bound max(1, |E|): the
+# a-posteriori test compares with max(1, |s|), and the sum s may exceed the
+# true value by its own rounding error.  Measured over alpha in [0.02, 1],
+# beta in {alpha, 1, 1.5} and |z| in [1e-3, 60]: the smallest tolerance each
+# series passed was at least 300x the tolerance below which the gate skips.
+_ML_GATE_MARGIN = 100.0
 
 
 class Regime(Enum):
@@ -127,7 +162,7 @@ def _ml_terms(alpha, beta, z, max_terms):
     for n in range(max_terms + 1):
         e = n * la - math.lgamma(alpha * n + beta)
         # Out-of-range terms surface as inf so the summator can give up.
-        yield sgn * (math.exp(e) if e < 709.0 else math.inf)
+        yield sgn * (math.exp(e) if e < _LOG_TERM_MAX else math.inf)
         sgn *= sign
 
 
@@ -307,12 +342,33 @@ def _wright_talbot(nu: float, mu: float, x: float) -> tuple[LogValue, float]:
     return LogValue(sign, math.log(abs(full)) - y), est
 
 
+def _wright_series_hopeless(y: float, tol: float) -> bool:
+    """True when the double Wright series at saddle variable ``y`` cannot
+    reach relative error ``tol``: its estimate is at least _EPS e^{1.8 y}."""
+    return tol <= _GATE_MAX_TOL and _WRIGHT_LOSS_RATE * y > math.log(tol / _EPS)
+
+
+def _wright_series(nu: float, mu: float, x: float, tol: float) -> tuple[LogValue, float] | None:
+    """W_{-nu,mu}(-x) by the double series, or None if its estimate exceeds ``tol``."""
+    s, n, max_abs, last_abs, converged = _kahan_series(
+        _wright_terms(nu, mu, -x, 4000), 4000
+    )
+    if converged and s != 0.0:
+        rel = _series_error(max_abs, last_abs, converged, n) / abs(s)
+        if rel <= tol:
+            return LogValue.from_float(s), rel
+    return None
+
+
 def _log_wright(nu: float, mu: float, x: float, tol: float = 1e-9) -> tuple[LogValue, float]:
     """Signed log of W_{-nu,mu}(-x) for x >= 0, with a relative-error estimate.
 
     The workhorse behind the subordination quadrature and the
-    Mittag-Leffler bridge; picks series / corrected tail / high precision
-    per point so the estimate stays below ``tol`` whenever achievable.
+    Mittag-Leffler bridge; picks series / Talbot contour / corrected tail /
+    high precision per point so the estimate stays below ``tol`` whenever
+    achievable.  The series is only summed when its rounding loss, known
+    from Y before any term, leaves ``tol`` within reach; the skipped series
+    would have failed its own a-posteriori test, so the result is the same.
     """
     if x < 0:
         raise DomainError("_log_wright expects x >= 0")
@@ -325,15 +381,12 @@ def _log_wright(nu: float, mu: float, x: float, tol: float = 1e-9) -> tuple[LogV
     if nu == 0.5 and mu == 0.0:
         return LogValue(1, math.log(0.5 * x) - 0.25 * x * x - 0.5 * math.log(math.pi)), _EPS
 
-    s, n, max_abs, last_abs, converged = _kahan_series(
-        _wright_terms(nu, mu, -x, 4000), 4000
-    )
-    if converged and s != 0.0:
-        rel = _series_error(max_abs, last_abs, converged, n) / abs(s)
-        if rel <= tol:
-            return LogValue.from_float(s), rel
-
     y = _wright_big_y(nu, x)
+    if not _wright_series_hopeless(y, tol):
+        hit = _wright_series(nu, mu, x, tol)
+        if hit is not None:
+            return hit
+
     # Above Y ~ 1e5 the contour peak outgrows the Talbot node cap, and the
     # corrected tail below is already at ~3e-10 relative there.
     if 4.0 <= y <= 1e5:
@@ -464,10 +517,66 @@ def _ml_bridge(alpha: float, beta: float, z: float, tol: float) -> tuple[float, 
     return fine, err
 
 
+def _ml_peak_log_term(alpha: float, beta: float, z: float, max_terms: int) -> tuple[int, float]:
+    """Index and log-size of the largest of the first ``max_terms`` Taylor terms.
+
+    Each log-size is formed exactly as ``_ml_terms`` forms it.  It is
+    concave in n (lgamma is convex), so a short uphill walk from the
+    stationary point a psi(a n + b) = ln|z|, with psi^{-1}(y) ~ e^y + 1/2,
+    finds the peak in a few lgamma calls.
+    """
+    la = math.log(abs(z))
+    guess = (math.exp(min(la / alpha, _LOG_TERM_MAX)) + 0.5 - beta) / alpha
+    n = int(min(guess, max_terms - 1)) if guess > 0.0 else 0
+    e = n * la - math.lgamma(alpha * n + beta)
+    for step in (1, -1):
+        while 0 <= n + step < max_terms:
+            e_next = (n + step) * la - math.lgamma(alpha * (n + step) + beta)
+            # Written so that a nan z stops the walk at once.
+            if not e_next > e:
+                break
+            n, e = n + step, e_next
+    return n, e
+
+
+def _ml_series_hopeless(alpha: float, beta: float, z: float, policy: EvalPolicy) -> bool:
+    """True when the Taylor series at z < 0 cannot pass its a-posteriori test."""
+    n, log_peak = _ml_peak_log_term(alpha, beta, z, policy.max_terms)
+    if log_peak >= _LOG_TERM_MAX:
+        # The series reaches this term and stops on its inf.
+        return True
+    if beta < alpha or policy.target_tol > _GATE_MAX_TOL:
+        return False
+    # Summing through term n gives an estimate of at least _EPS T (4 + 2(n+1)).
+    # For beta >= alpha, E_{a,b}(-x) is completely monotone, so
+    # 0 < E <= 1/Gamma(b) bounds the max(1, |s|) the test scales by.
+    floor = _EPS * math.exp(log_peak) * (6.0 + 2.0 * n)
+    return floor > _ML_GATE_MARGIN * policy.target_tol * max(1.0, float(_rgamma(beta)))
+
+
+def _ml_series(alpha: float, beta: float, z: float, policy: EvalPolicy) -> EvalResult | None:
+    """E_{a,b}(z), z < 0, by the Taylor series, or None if cancellation made it
+    miss ``policy.target_tol``."""
+    s, n, max_abs, last_abs, converged = _kahan_series(
+        _ml_terms(alpha, beta, z, policy.max_terms), policy.max_terms
+    )
+    err = _series_error(max_abs, last_abs, converged, n)
+    if converged and err <= policy.target_tol * max(1.0, abs(s)):
+        return EvalResult(s, err, n, Regime.TAYLOR_SERIES)
+    return None
+
+
 def mittag_leffler(
     alpha: float, beta: float, z: float, policy: EvalPolicy = DEFAULT_POLICY
 ) -> EvalResult:
-    """Two-parameter Mittag-Leffler function E_{a,b}(z) on the real line."""
+    """Two-parameter Mittag-Leffler function E_{a,b}(z) on the real line.
+
+    On the negative axis the Taylor series runs only when its largest term,
+    found before summing, leaves the tolerance within reach; otherwise the
+    asymptotic expansion (z <= -asym_cutoff) or the bridge answers at once.
+    A skipped series would have failed its own a-posteriori test, so the
+    value, regime and term count are those of the series-first order.
+    """
     if not 0.0 < alpha <= 1.0:
         raise DomainError(f"alpha must be in (0,1], got {alpha}")
     if beta <= 0.0:
@@ -502,13 +611,11 @@ def mittag_leffler(
         ) + 4.0 * _EPS * lead
         return EvalResult(lead + corr, err, 0, Regime.ASYMPTOTIC_POS)
 
-    # z < 0: try the series, watching cancellation.
-    s, n, max_abs, last_abs, converged = _kahan_series(
-        _ml_terms(alpha, beta, z, policy.max_terms), policy.max_terms
-    )
-    err = _series_error(max_abs, last_abs, converged, n)
-    if converged and err <= policy.target_tol * max(1.0, abs(s)):
-        return EvalResult(s, err, n, Regime.TAYLOR_SERIES)
+    # z < 0: the series, unless cancellation is known to defeat it.
+    if not _ml_series_hopeless(alpha, beta, z, policy):
+        hit = _ml_series(alpha, beta, z, policy)
+        if hit is not None:
+            return hit
 
     if z <= -policy.asym_cutoff:
         value = -math.fsum(

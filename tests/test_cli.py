@@ -145,6 +145,15 @@ class TestInvade:
         assert proc.returncode == 1
         assert "usage error" in proc.stderr
 
+    def test_fractional_n_samples_in_config_is_usage_error(self, tmp_path):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({"params": {"alpha": 0.5, "rho": 1.0, "dim": 1},
+                                    "profile": {"kind": "power", "m": 1.0, "beta": 0.5},
+                                    "n_samples": 4.5}))
+        proc = run_cli("invade", "--config", str(path))
+        assert proc.returncode == 1
+        assert "usage error" in proc.stderr
+
     def test_missing_flags_listed(self):
         proc = run_cli("invade", "--alpha", "0.5")
         assert proc.returncode == 1

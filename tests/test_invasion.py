@@ -155,6 +155,9 @@ class TestExperimentConfig:
             ExperimentConfig(params, profile, format="yaml")
         with raises(DomainError):
             ExperimentConfig(params, profile, method="bogus")
+        for bad in (4.5, True):
+            with raises(DomainError):
+                ExperimentConfig(params, profile, n_samples=bad)
 
 
 class TestRunExperiment:

@@ -2,13 +2,15 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 from pytest import approx, mark, raises
 from scipy.special import erfcx, gamma as sp_gamma
 
+from fracfront import specfun
 from fracfront.errors import DomainError
 from fracfront.specfun import (
+    EvalPolicy,
     Regime,
     dottie,
     gamma_alpha,
@@ -175,6 +177,61 @@ class TestLogWrightTail:
             log_wright_tail(0.5, 0.5, 1.0)
         with raises(DomainError):
             log_wright_tail(1.5, 0.5, -10.0)
+
+
+def _x_at_saddle(nu: float, y: float) -> float:
+    """The x at which W_{-nu,mu}(-x) has saddle variable Y = y."""
+    return (y / (1.0 - nu)) ** (1.0 - nu) / nu ** nu
+
+
+class TestSeriesGates:
+    """The negative-axis series run only when they can meet their tolerance."""
+
+    def test_gated_points_sum_no_series(self, monkeypatch):
+        nu, mu = 0.6, 0.4
+        x = _x_at_saddle(nu, 30.0)
+        talbot = specfun._wright_talbot(nu, mu, x)
+
+        def no_series(*args, **kwargs):
+            raise AssertionError("a series was summed at a point its gate rejects")
+
+        monkeypatch.setattr(specfun, "_kahan_series", no_series)
+        assert specfun._log_wright(nu, mu, x) == talbot
+        res = mittag_leffler(0.7, 1.0, -40.0)
+        assert res.regime is Regime.ASYMPTOTIC_NEG
+        assert 0.0 < res.value < 1.0
+
+    # Every point a gate rejects must be one its series would have failed:
+    # that is what keeps values, regimes and term counts unchanged.
+    @seed(3)
+    @settings(max_examples=500, deadline=None, database=None)
+    @given(
+        nu=st.floats(0.1, 0.95, exclude_min=True, exclude_max=True),
+        mu=st.floats(0.0, 1.0),
+        y=st.floats(0.0, 60.0, exclude_min=True),
+        log10_tol=st.floats(-11.0, -2.0),
+    )
+    def test_wright_gate_is_conservative(self, nu, mu, y, log10_tol):
+        tol = 10.0 ** log10_tol
+        x = _x_at_saddle(nu, y)
+        if specfun._wright_series_hopeless(specfun._wright_big_y(nu, x), tol):
+            assert specfun._wright_series(nu, mu, x, tol) is None
+
+    @seed(3)
+    @settings(max_examples=500, deadline=None, database=None)
+    @given(
+        alpha=st.floats(0.1, 1.0, exclude_min=True, exclude_max=True),
+        beta_choice=st.sampled_from(["one", "alpha", "three-halves"]),
+        log_abs_z=st.floats(math.log(1e-3), math.log(60.0)),
+        log10_tol=st.floats(-11.0, -2.0),
+    )
+    def test_ml_gate_is_conservative(self, alpha, beta_choice, log_abs_z, log10_tol):
+        # z in [-60, 0), log-uniform: the gate's edge lies at |z| ~ 1-30.
+        z = -math.exp(log_abs_z)
+        beta = {"one": 1.0, "alpha": alpha, "three-halves": 1.5}[beta_choice]
+        policy = EvalPolicy(target_tol=10.0 ** log10_tol)
+        if specfun._ml_series_hopeless(alpha, beta, z, policy):
+            assert specfun._ml_series(alpha, beta, z, policy) is None
 
 
 class TestScalarConstants:
