@@ -239,6 +239,8 @@ def _report_json(report) -> str:
 
 
 def _cmd_eval(args) -> int:
+    if not math.isfinite(args.z):
+        raise _UsageError(f"z must be finite, got {args.z}")
     if args.function == "ml":
         if not 0.0 < args.alpha <= 1.0 or args.beta <= 0.0:
             raise _UsageError("require 0 < alpha <= 1 and beta > 0")

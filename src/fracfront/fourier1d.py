@@ -24,17 +24,6 @@ from .specfun import EvalResult, Regime, dottie, log_mittag_leffler, mittag_leff
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(32)
 
-# Above this argument the Mittag-Leffler factor is evaluated through its
-# log-domain leading term; below, the linear-space value is exact enough.
-_LOG_SWITCH = 25.0
-
-
-def _log_ml_factor(alpha: float, z: float) -> LogValue:
-    if z >= _LOG_SWITCH:
-        return log_mittag_leffler(alpha, z)
-    return LogValue.from_float(mittag_leffler(alpha, 1.0, z).value)
-
-
 def _segment_integral_log(
     alpha: float, rho: float, t: float, x: float, a: float, b: float,
     rel_tol: float = 1e-9, max_doublings: int = 12,
@@ -52,7 +41,7 @@ def _segment_integral_log(
                 c = math.cos(x * xi)
                 if c == 0.0:
                     continue
-                ml = _log_ml_factor(alpha, ta * (1.0 - xi ** (2.0 * rho)))
+                ml = log_mittag_leffler(alpha, ta * (1.0 - xi ** (2.0 * rho)))
                 pieces.append(
                     LogValue(
                         ml.sign * (1 if c > 0 else -1),

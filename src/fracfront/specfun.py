@@ -11,10 +11,11 @@ Regime layout for E_{a,b}(z) on the real line:
 * the bridge in between integrates e^{z s} W_{-a,b-a}(-s) ds, which is also
   how the two function families are cross-checked against each other.
 
-W_{-nu,mu}(-x) gets the same treatment: series, then a saddle-type tail
-Y^{1/2-mu} e^{-Y} A0 with Y = (1-nu)(nu^nu x)^{1/(1-nu)}.  The internal
-evaluator additionally owns a high-precision fallback for the mid zone where
-the double series cancels catastrophically but the tail is not yet accurate.
+W_{-nu,mu}(-x) has one evaluator, ``_log_wright``: series, Talbot contour,
+saddle-point tail A0(nu, mu) Y^{1/2-mu} e^{-Y} with Y = (1-nu)(nu^nu x)^{1/(1-nu)}
+and fitted 1/Y corrections, and a high-precision series for the mid zone where
+the double series cancels but the tail is not yet accurate.  ``wright_neg``
+and ``log_wright_tail`` (the leading tail term alone) are views of it.
 
 On the negative axis both series are gated before the first term is summed.
 Their rounding loss is known up front: the largest Taylor term of E_{a,b}(z)
@@ -207,13 +208,6 @@ def _wright_big_y(nu: float, x: float) -> float:
     return (1.0 - nu) * math.exp(exponent)
 
 
-def _wright_a0(nu: float) -> float:
-    # Leading-order constant of the documented tail expansion.  It agrees
-    # with the saddle-point constant only at nu = 1/2; ``log_wright_tail``
-    # keeps it because that op is leading-order by contract.
-    return 1.0 / (math.sqrt(2.0 * math.pi) * (1.0 - nu) ** nu * nu ** (2.0 * nu - 1.0))
-
-
 def _wright_a0_exact(nu: float, mu: float) -> float:
     """Saddle-point constant of W_{-nu,mu}(-x) ~ A0 Y^{1/2-mu} e^{-Y}.
 
@@ -224,25 +218,32 @@ def _wright_a0_exact(nu: float, mu: float) -> float:
     return (nu / (1.0 - nu)) ** (0.5 - mu) / math.sqrt(2.0 * math.pi * (1.0 - nu))
 
 
+def _log_wright_lead(nu: float, mu: float, y: float) -> float:
+    """log of the leading tail term A0(nu, mu) Y^{1/2-mu} e^{-Y}."""
+    return (0.5 - mu) * math.log(y) - y + math.log(_wright_a0_exact(nu, mu))
+
+
 def log_wright_tail(nu: float, mu: float, z: float) -> LogValue:
     """Leading tail term of W_{-nu,mu}(z) for large negative z.
 
-    Returns the positive value Y^{1/2-mu} e^{-Y} A0(nu) in log form.  Raises
-    DomainError when Y <= 1, where the expansion is not trusted.
+    Returns the positive value A0(nu, mu) Y^{1/2-mu} e^{-Y} in log form, with
+    the saddle-point constant A0(nu, mu) = (nu/(1-nu))^{1/2-mu} /
+    sqrt(2 pi (1-nu)); the relative error is O(1/Y).  Raises DomainError
+    when Y <= 1, where the expansion is not trusted.
     """
     if not 0.0 < nu < 1.0:
         raise DomainError(f"nu must be in (0,1), got {nu}")
-    if z >= 0.0:
-        raise DomainError("log_wright_tail requires z < 0")
+    if not -math.inf < z < 0.0:
+        raise DomainError(f"log_wright_tail requires finite z < 0, got {z}")
     y = _wright_big_y(nu, -z)
     if y <= 1.0:
         raise DomainError(f"tail expansion not trusted at Y = {y:.3g} <= 1")
-    log_abs = (0.5 - mu) * math.log(y) - y + math.log(_wright_a0(nu))
-    return LogValue(1, log_abs)
+    return LogValue(1, _log_wright_lead(nu, mu, y))
 
 
-def _wright_mp(nu: float, mu: float, x: float, dps: int) -> mpmath.mpf:
-    """W_{-nu,mu}(-x) by the defining series at ``dps`` working digits."""
+def _wright_mp(nu: float, mu: float, x: float, dps: int) -> tuple[mpmath.mpf, int]:
+    """W_{-nu,mu}(-x) by the defining series at ``dps`` working digits,
+    with the number of terms summed."""
     with mpmath.workdps(dps):
         # The gamma argument must be formed in working precision: building
         # -nu*n + mu in doubles injects O(1e-14) argument noise that the
@@ -270,7 +271,7 @@ def _wright_mp(nu: float, mu: float, x: float, dps: int) -> mpmath.mpf:
                 break
             if n > 100000:  # pragma: no cover - safety stop
                 break
-        return +s
+        return +s, n
 
 
 # Fit abscissas for the tail-correction coefficients; their product bounds
@@ -292,9 +293,8 @@ def _wright_tail_correction(nu: float, mu: float) -> tuple[float, float, float]:
     for y in ys:
         x = (y / (1.0 - nu)) ** (1.0 - nu) / nu ** nu
         dps = 30 + int(y)
-        w = float(_wright_mp(nu, mu, x, dps))
-        lead = (0.5 - mu) * math.log(y) - y + math.log(_wright_a0_exact(nu, mu))
-        rs.append(w / math.exp(lead) - 1.0)
+        w = float(_wright_mp(nu, mu, x, dps)[0])
+        rs.append(w / math.exp(_log_wright_lead(nu, mu, y)) - 1.0)
     vander = np.vstack([1.0 / ys, 1.0 / ys ** 2, 1.0 / ys ** 3]).T
     a1, a2, a3 = np.linalg.solve(vander, np.array(rs))
     return float(a1), float(a2), float(a3)
@@ -319,7 +319,8 @@ def _wright_talbot(nu: float, mu: float, x: float) -> tuple[LogValue, float]:
     sigma(theta) = r theta(cot theta + i), with the radius matched to the
     saddle so e^{-Y} factors out analytically and the quadrature works in
     doubles for any Y.  The error estimate is the half-node-count
-    difference; the node count grows with the saddle sharpness sqrt(Y).
+    difference plus the rounding of the phase; the node count grows with the
+    saddle sharpness sqrt(Y).
     """
     y = _wright_big_y(nu, x)
     r = max(nu * y / (1.0 - nu), 1e-2)
@@ -334,6 +335,10 @@ def _wright_talbot(nu: float, mu: float, x: float) -> tuple[LogValue, float]:
         if est < 1e-11 or n >= 3072:
             break
         n *= 2
+    # Near the saddle sigma ~ r and x sigma^nu ~ r/nu cancel in the phase
+    # down to O(1); their rounding is an absolute error in the phase, so a
+    # relative one in the value, which no node count removes.
+    est += _EPS * (r + x * r ** nu + y)
     if full == 0.0:
         # The function is not zero anywhere on (0, inf); an exactly zero
         # sum means every node missed the saddle peak.
@@ -348,7 +353,9 @@ def _wright_series_hopeless(y: float, tol: float) -> bool:
     return tol <= _GATE_MAX_TOL and _WRIGHT_LOSS_RATE * y > math.log(tol / _EPS)
 
 
-def _wright_series(nu: float, mu: float, x: float, tol: float) -> tuple[LogValue, float] | None:
+def _wright_series(
+    nu: float, mu: float, x: float, tol: float
+) -> tuple[LogValue, float, Regime, int] | None:
     """W_{-nu,mu}(-x) by the double series, or None if its estimate exceeds ``tol``."""
     s, n, max_abs, last_abs, converged = _kahan_series(
         _wright_terms(nu, mu, -x, 4000), 4000
@@ -356,30 +363,36 @@ def _wright_series(nu: float, mu: float, x: float, tol: float) -> tuple[LogValue
     if converged and s != 0.0:
         rel = _series_error(max_abs, last_abs, converged, n) / abs(s)
         if rel <= tol:
-            return LogValue.from_float(s), rel
+            return LogValue.from_float(s), rel, Regime.TAYLOR_SERIES, n
     return None
 
 
-def _log_wright(nu: float, mu: float, x: float, tol: float = 1e-9) -> tuple[LogValue, float]:
+def _log_wright(
+    nu: float, mu: float, x: float, tol: float = 1e-9
+) -> tuple[LogValue, float, Regime, int]:
     """Signed log of W_{-nu,mu}(-x) for x >= 0, with a relative-error estimate.
 
-    The workhorse behind the subordination quadrature and the
-    Mittag-Leffler bridge; picks series / Talbot contour / corrected tail /
-    high precision per point so the estimate stays below ``tol`` whenever
-    achievable.  The series is only summed when its rounding loss, known
-    from Y before any term, leaves ``tol`` within reach; the skipped series
-    would have failed its own a-posteriori test, so the result is the same.
+    The one Wright evaluator, behind the subordination quadrature, the
+    Mittag-Leffler bridge and ``wright_neg``; picks series / Talbot contour /
+    corrected tail / high precision per point so the estimate stays below
+    ``tol`` whenever achievable.  The series is only summed when its
+    rounding loss, known from Y before any term, leaves ``tol`` within
+    reach; the skipped series would have failed its own a-posteriori test,
+    so the result is the same.  Returns (signed log, estimate, regime,
+    series terms summed); the closed forms count as series with no terms.
     """
     if x < 0:
         raise DomainError("_log_wright expects x >= 0")
     if x == 0.0:
-        return LogValue.from_float(_rgamma(mu)), _EPS
+        return LogValue.from_float(_rgamma(mu)), _EPS, Regime.TAYLOR_SERIES, 1
     # nu = 1/2 closed forms (the subordination density and its antiderivative
     # slot); exact, and the reason the large-t experiments stay cheap.
     if nu == 0.5 and mu == 0.5:
-        return LogValue(1, -0.25 * x * x - 0.5 * math.log(math.pi)), _EPS
+        return (LogValue(1, -0.25 * x * x - 0.5 * math.log(math.pi)), _EPS,
+                Regime.TAYLOR_SERIES, 0)
     if nu == 0.5 and mu == 0.0:
-        return LogValue(1, math.log(0.5 * x) - 0.25 * x * x - 0.5 * math.log(math.pi)), _EPS
+        return (LogValue(1, math.log(0.5 * x) - 0.25 * x * x - 0.5 * math.log(math.pi)),
+                _EPS, Regime.TAYLOR_SERIES, 0)
 
     y = _wright_big_y(nu, x)
     if not _wright_series_hopeless(y, tol):
@@ -392,7 +405,7 @@ def _log_wright(nu: float, mu: float, x: float, tol: float = 1e-9) -> tuple[LogV
     if 4.0 <= y <= 1e5:
         lv, est = _wright_talbot(nu, mu, x)
         if est <= max(tol, 1e-9):
-            return lv, est
+            return lv, est, Regime.QUADRATURE, 0
 
     tail = None
     if y >= 12.0:
@@ -400,7 +413,7 @@ def _log_wright(nu: float, mu: float, x: float, tol: float = 1e-9) -> tuple[LogV
             # e^{-Y} is unrepresentably far below double underflow (nu near
             # 1 sends Y astronomical already at moderate x); the value is an
             # exact zero at working precision.
-            return LogValue.zero(), 1e-14
+            return LogValue.zero(), 1e-14, Regime.ASYMPTOTIC_NEG, 0
         a1, a2, a3 = _wright_tail_correction(nu, mu)
         # First term: the neglected a4/Y^4 tail order.  Second term: the
         # same neglected order leaks into the fitted a1 by roughly
@@ -411,11 +424,8 @@ def _log_wright(nu: float, mu: float, x: float, tol: float = 1e-9) -> tuple[LogV
         est = max((1.0 + 3.0 * abs(a3)) * (1.0 / (y * y * y * y) + leak / y), 1e-14)
         corr = 1.0 + a1 / y + a2 / (y * y) + a3 / (y * y * y)
         if corr > 0.0:
-            log_abs = (
-                (0.5 - mu) * math.log(y) - y
-                + math.log(_wright_a0_exact(nu, mu)) + math.log(corr)
-            )
-            tail = (LogValue(1, log_abs), est)
+            log_abs = _log_wright_lead(nu, mu, y) + math.log(corr)
+            tail = (LogValue(1, log_abs), est, Regime.ASYMPTOTIC_NEG, 0)
             if est <= tol:
                 return tail
 
@@ -425,12 +435,12 @@ def _log_wright(nu: float, mu: float, x: float, tol: float = 1e-9) -> tuple[LogV
     dps = 20 + int(y)
     if dps <= 220:
         with mpmath.workdps(dps):
-            w = _wright_mp(nu, mu, x, dps)
+            w, n = _wright_mp(nu, mu, x, dps)
             if w == 0:
-                return LogValue.zero(), 0.0
+                return LogValue.zero(), 0.0, Regime.TAYLOR_SERIES, n
             sign = 1 if w > 0 else -1
             log_abs = float(mpmath.log(abs(w)))
-        return LogValue(sign, log_abs), 1e-12
+        return LogValue(sign, log_abs), 1e-12, Regime.TAYLOR_SERIES, n
     if tail is not None:
         return tail
     raise NonConvergence(
@@ -441,36 +451,23 @@ def _log_wright(nu: float, mu: float, x: float, tol: float = 1e-9) -> tuple[LogV
 def wright_neg(
     nu: float, mu: float, z: float, policy: EvalPolicy = DEFAULT_POLICY
 ) -> EvalResult:
-    """W_{-nu,mu}(z) for z <= 0 by series, falling back to the tail expansion.
+    """W_{-nu,mu}(z) for z <= 0, from ``_log_wright`` at ``policy.target_tol``.
 
     For mu = 1 - nu and z < 0 the value is the (strictly positive)
-    subordination density.
+    subordination density.  The bound is |W| times the evaluator's estimate
+    plus the rounding exp() adds to log|W|, and at least the smallest
+    subnormal; the far tail uses the constant A0(nu, mu) with 1/Y corrections.
     """
     if not 0.0 < nu < 1.0:
         raise DomainError(f"nu must be in (0,1), got {nu}")
+    if not math.isfinite(z):
+        raise DomainError(f"wright_neg requires finite z, got {z}")
     if z > 0.0:
         raise DomainError("wright_neg requires z <= 0")
-    if z == 0.0:
-        return EvalResult(_rgamma(mu), _EPS, 1, Regime.TAYLOR_SERIES)
-
-    s, n, max_abs, last_abs, converged = _kahan_series(
-        _wright_terms(nu, mu, z, policy.max_terms), policy.max_terms
-    )
-    err = _series_error(max_abs, last_abs, converged, n)
-    if converged and err <= policy.target_tol * max(1.0, abs(s)):
-        return EvalResult(s, err, n, Regime.TAYLOR_SERIES)
-
-    y = _wright_big_y(nu, -z)
-    if y > 1.0:
-        lv = log_wright_tail(nu, mu, z)
-        value = lv.to_float()
-        return EvalResult(value, abs(value) * min(0.5, 2.0 / y), 0, Regime.ASYMPTOTIC_NEG)
-    if not converged:
-        raise NonConvergence(
-            f"Wright series exhausted {policy.max_terms} terms at z = {z}"
-        )
-    # Series converged but above target tolerance and no usable tail.
-    return EvalResult(s, err, n, Regime.TAYLOR_SERIES)
+    lv, est, regime, terms = _log_wright(nu, mu, -z, tol=policy.target_tol)
+    value = lv.to_float()
+    rounding = abs(lv.log_abs) * _EPS if lv.sign != 0 else 0.0
+    return EvalResult(value, max(abs(value) * (est + rounding), math.ulp(0.0)), terms, regime)
 
 
 # ---------------------------------------------------------------------------
@@ -501,8 +498,7 @@ def _bridge_rule(alpha: float, mu: float):
             # Deep-tail nodes are e^{-Y} down in relative weight, so their
             # own tolerance can relax accordingly.
             tol = min(1e-2, 1e-9 * math.exp(min(y, 40.0)))
-            lv, _ = _log_wright(alpha, mu, float(s), tol=max(tol, 1e-11))
-            wvals[i] = lv.to_float()
+            wvals[i] = _log_wright(alpha, mu, float(s), tol=max(tol, 1e-11))[0].to_float()
         return ss, ww * wvals
 
     return build(64), build(32)
@@ -515,6 +511,20 @@ def _ml_bridge(alpha: float, beta: float, z: float, tol: float) -> tuple[float, 
     coarse = float(np.dot(f_coarse, np.exp(z * s_coarse)))
     err = abs(fine - coarse) + 1e-12 * abs(fine) + 1e-24
     return fine, err
+
+
+def _ml_inverse_powers(alpha: float, beta: float, z: float) -> tuple[float, float]:
+    """-sum_{k=1}^{6} z^{-k}/Gamma(b - a k) and its first omitted term.
+
+    The algebraic part of both large-|z| expansions of E_{a,b}(z).
+    """
+    value = -math.fsum(
+        z ** (-k) * _rgamma(beta - alpha * k) for k in range(1, _NEG_ASYM_TERMS + 1)
+    )
+    omitted = abs(z) ** -(_NEG_ASYM_TERMS + 1) * abs(
+        _rgamma(beta - alpha * (_NEG_ASYM_TERMS + 1))
+    )
+    return value, omitted
 
 
 def _ml_peak_log_term(alpha: float, beta: float, z: float, max_terms: int) -> tuple[int, float]:
@@ -581,6 +591,8 @@ def mittag_leffler(
         raise DomainError(f"alpha must be in (0,1], got {alpha}")
     if beta <= 0.0:
         raise DomainError(f"beta must be positive, got {beta}")
+    if not math.isfinite(z):
+        raise DomainError(f"mittag_leffler requires finite z, got {z}")
     if z == 0.0:
         return EvalResult(_rgamma(beta), _EPS, 1, Regime.TAYLOR_SERIES)
     if alpha == 1.0 and beta == 1.0:
@@ -603,13 +615,9 @@ def mittag_leffler(
             return EvalResult(s, _series_error(max_abs, last_abs, True, n), n,
                               Regime.TAYLOR_SERIES)
         lead = math.exp(expo) * z ** ((1.0 - beta) / alpha) / alpha
-        corr = -math.fsum(
-            z ** (-k) * _rgamma(beta - alpha * k) for k in range(1, _NEG_ASYM_TERMS + 1)
-        )
-        err = abs(z) ** -(_NEG_ASYM_TERMS + 1) * abs(
-            _rgamma(beta - alpha * (_NEG_ASYM_TERMS + 1))
-        ) + 4.0 * _EPS * lead
-        return EvalResult(lead + corr, err, 0, Regime.ASYMPTOTIC_POS)
+        corr, omitted = _ml_inverse_powers(alpha, beta, z)
+        return EvalResult(lead + corr, omitted + 4.0 * _EPS * lead, 0,
+                          Regime.ASYMPTOTIC_POS)
 
     # z < 0: the series, unless cancellation is known to defeat it.
     if not _ml_series_hopeless(alpha, beta, z, policy):
@@ -618,13 +626,8 @@ def mittag_leffler(
             return hit
 
     if z <= -policy.asym_cutoff:
-        value = -math.fsum(
-            z ** (-k) * _rgamma(beta - alpha * k) for k in range(1, _NEG_ASYM_TERMS + 1)
-        )
-        err = abs(z) ** -(_NEG_ASYM_TERMS + 1) * abs(
-            _rgamma(beta - alpha * (_NEG_ASYM_TERMS + 1))
-        )
-        return EvalResult(value, err, 0, Regime.ASYMPTOTIC_NEG)
+        value, omitted = _ml_inverse_powers(alpha, beta, z)
+        return EvalResult(value, omitted, 0, Regime.ASYMPTOTIC_NEG)
 
     value, qerr = _ml_bridge(alpha, beta, z, policy.target_tol)
     return EvalResult(value, qerr, 0, Regime.QUADRATURE)

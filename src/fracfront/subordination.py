@@ -149,8 +149,7 @@ def _integrate_log(
 
 
 def _wright_factor(alpha: float, x: float, spec: QuadratureSpec) -> LogValue:
-    lv, _ = _log_wright(alpha, 1.0 - alpha, x, tol=spec.rel_tol / 4.0)
-    return lv
+    return _log_wright(alpha, 1.0 - alpha, x, tol=spec.rel_tol / 4.0)[0]
 
 
 def subordinate(

@@ -43,6 +43,15 @@ class TestEval:
         proc = run_cli("eval", "wright", "--nu", "0.5", "--mu", "0.5", "--z", "1")
         assert proc.returncode == 1
 
+    def test_usage_error_on_non_finite_argument(self):
+        for function in (["ml", "--alpha", "0.5", "--beta", "1"],
+                         ["wright", "--nu", "0.5", "--mu", "0.5"]):
+            for z in ("--z=nan", "--z=-inf"):
+                err = io.StringIO()
+                with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+                    assert main(["eval", *function, z]) == 1
+                assert "usage error" in err.getvalue()
+
 
 class TestKernelAndThresholds:
     def test_gaussian_kernel(self):

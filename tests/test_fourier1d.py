@@ -4,6 +4,7 @@ from pytest import approx, mark, raises
 
 from fracfront.errors import DomainError
 from fracfront.fourier1d import (
+    _segment_integral_log,
     a0_lower_bound,
     a1_upper_bound,
     a_coefficient,
@@ -24,6 +25,14 @@ class TestCoefficients:
         # half-width segment and only satisfies 2 a_0 > a_1.
         assert all(b < c for c, b in zip(a[1:], a[2:]))
         assert 2.0 * a[0] > a[1]
+
+    def test_factor_beyond_double_range(self):
+        # At t = 800, alpha = 0.3 the factor E_a(t^a (1 - xi^2)) passes
+        # e^{690} while its argument is still below 25; the segment stays
+        # in log space.
+        seg = _segment_integral_log(0.3, 2.0, 800.0, 1.0, 0.0, 0.01)
+        assert seg.sign == 1
+        assert seg.log_abs == approx(796.60, abs=0.01)
 
     def test_domain_errors(self):
         with raises(DomainError):

@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, seed, settings
@@ -8,7 +9,7 @@ from pytest import approx, mark, raises
 from scipy.special import erfcx, gamma as sp_gamma
 
 from fracfront import specfun
-from fracfront.errors import DomainError
+from fracfront.errors import DomainError, FracFrontError
 from fracfront.specfun import (
     EvalPolicy,
     Regime,
@@ -75,6 +76,11 @@ class TestMittagLeffler:
     def test_domain_errors(self, alpha, beta):
         with raises(DomainError):
             mittag_leffler(alpha, beta, 1.0)
+
+    @mark.parametrize("z", [math.nan, math.inf, -math.inf])
+    def test_non_finite_argument(self, z):
+        with raises(DomainError):
+            mittag_leffler(0.5, 1.0, z)
 
     @mark.parametrize("alpha", [0.3, 0.5, 0.7, 0.9])
     def test_positive_and_increasing_on_real_line(self, alpha):
@@ -159,6 +165,66 @@ class TestWright:
             wright_neg(1.2, 0.5, -1.0)
         with raises(DomainError):
             wright_neg(0.5, 0.5, 1.0)
+        for z in (math.nan, -math.inf):
+            with raises(DomainError):
+                wright_neg(0.5, 0.5, z)
+
+
+def _x_at_saddle(nu: float, y: float) -> float:
+    """The x at which W_{-nu,mu}(-x) has saddle variable Y = y."""
+    return (y / (1.0 - nu)) ** (1.0 - nu) / nu ** nu
+
+
+def _wright_reference(nu: float, mu: float, x: float) -> mpmath.mpf:
+    """W_{-nu,mu}(-x) by its defining series at 30 + Y digits.
+
+    The series cancels down from terms near e^{Y} to a value near e^{-Y},
+    so Y extra digits keep about 30 of them.
+    """
+    y = (1.0 - nu) * (nu ** nu * x) ** (1.0 / (1.0 - nu))
+    with mpmath.workdps(30 + int(y)):
+        nu, mu, x = mpmath.mpf(nu), mpmath.mpf(mu), mpmath.mpf(x)
+        total, power, n, small = mpmath.mpf(0), mpmath.mpf(1), 0, 0
+        # Stop after three terms in a row below working precision; a single
+        # one can be a zero of 1/Gamma.
+        while small < 3:
+            term = power * mpmath.rgamma(mu - nu * n)
+            total += term
+            small = small + 1 if n > 8 and abs(term) < mpmath.eps * abs(total) else 0
+            n += 1
+            power *= -x / n
+        return +total
+
+
+def _wright_probe_points():
+    rng = np.random.default_rng(2008)
+    points = []
+    for _ in range(135):
+        nu, mu = rng.uniform(0.1, 0.95), rng.uniform(0.0, 1.5)
+        y = math.exp(rng.uniform(math.log(0.1), math.log(60.0)))
+        points.append((float(nu), float(mu), _x_at_saddle(nu, y)))
+    # Slow-converging series near nu = 1 at Y < 1, where the double series
+    # runs out of terms and no tail applies.
+    points.append((0.933, 0.986, 1.27))
+    return points
+
+
+class TestWrightDifferential:
+    """wright_neg against an mpmath reference over its documented domain."""
+
+    def test_bound_covers_error(self):
+        failures = []
+        for nu, mu, x in _wright_probe_points():
+            try:
+                res = wright_neg(nu, mu, -x)
+            except FracFrontError as exc:
+                failures.append((nu, mu, x, exc))
+                continue
+            ref = _wright_reference(nu, mu, x)
+            err = float(abs(mpmath.mpf(res.value) - ref))
+            if not (res.abs_error_bound > 0.0 and err <= res.abs_error_bound):
+                failures.append((nu, mu, x, res, err))
+        assert failures == []
 
 
 class TestLogWrightTail:
@@ -170,6 +236,16 @@ class TestLogWrightTail:
         want = wright_neg(0.5, 0.5, z).value
         assert lv.to_float() == approx(want, rel=0.05)
 
+    @mark.parametrize("nu,mu", [(0.3, 0.7), (0.7, 0.3), (0.8, 1.0)])
+    def test_leading_term_off_half_order(self, nu, mu):
+        # The saddle-point constant A0(nu, mu) holds for every nu, so at
+        # Y = 40 only the O(1/Y) correction separates the term from W.
+        x = _x_at_saddle(nu, 40.0)
+        want = _wright_reference(nu, mu, x)
+        got = log_wright_tail(nu, mu, -x).to_float()
+        # abs=0: approx would otherwise accept any difference below 1e-12.
+        assert got == approx(float(want), rel=0.05, abs=0.0)
+
     def test_rejects_small_saddle(self):
         with raises(DomainError):
             log_wright_tail(0.5, 0.5, -0.1)
@@ -177,11 +253,9 @@ class TestLogWrightTail:
             log_wright_tail(0.5, 0.5, 1.0)
         with raises(DomainError):
             log_wright_tail(1.5, 0.5, -10.0)
-
-
-def _x_at_saddle(nu: float, y: float) -> float:
-    """The x at which W_{-nu,mu}(-x) has saddle variable Y = y."""
-    return (y / (1.0 - nu)) ** (1.0 - nu) / nu ** nu
+        for z in (math.nan, -math.inf):
+            with raises(DomainError):
+                log_wright_tail(0.5, 0.5, z)
 
 
 class TestSeriesGates:
@@ -196,7 +270,9 @@ class TestSeriesGates:
             raise AssertionError("a series was summed at a point its gate rejects")
 
         monkeypatch.setattr(specfun, "_kahan_series", no_series)
-        assert specfun._log_wright(nu, mu, x) == talbot
+        lv, est, regime, _ = specfun._log_wright(nu, mu, x)
+        assert (lv, est) == talbot
+        assert regime is Regime.QUADRATURE
         res = mittag_leffler(0.7, 1.0, -40.0)
         assert res.regime is Regime.ASYMPTOTIC_NEG
         assert 0.0 < res.value < 1.0
