@@ -9,6 +9,7 @@ failure.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import os
@@ -126,11 +127,7 @@ def _build_parser() -> _Parser:
 def _config_from_file(path: str) -> ExperimentConfig:
     with open(path) as fh:
         raw = json.load(fh)
-    allowed = {
-        "params", "profile", "t_start", "t_end", "n_samples",
-        "method", "output_path", "format",
-    }
-    unknown = set(raw) - allowed
+    unknown = set(raw) - {f.name for f in dataclasses.fields(ExperimentConfig)}
     if unknown:
         raise _UsageError(f"unknown config keys: {sorted(unknown)}")
     params_raw = raw.get("params", {})
@@ -148,16 +145,9 @@ def _config_from_file(path: str) -> ExperimentConfig:
             profile_raw["m"],
             profile_raw["beta"],
         )
-        return ExperimentConfig(
-            params=params,
-            profile=profile,
-            t_start=raw.get("t_start", 5.0),
-            t_end=raw.get("t_end", 60.0),
-            n_samples=raw.get("n_samples", 24),
-            method=raw.get("method", "subordination"),
-            output_path=raw.get("output_path", ""),
-            format=raw.get("format", "csv"),
-        )
+        # Keys left out take the dataclass defaults.
+        rest = {k: v for k, v in raw.items() if k not in ("params", "profile")}
+        return ExperimentConfig(params=params, profile=profile, **rest)
     except (KeyError, ValueError, TypeError, DomainError) as exc:
         raise _UsageError(f"bad config: {exc}") from exc
 

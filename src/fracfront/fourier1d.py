@@ -6,8 +6,10 @@ u_{a,rho}(t, x) = (1/pi) sum_k (-1)^k a_k(t, x) with
     a_k = (-1)^k integral over [(2k-1) pi/2x, (2k+1) pi/2x] of the same,
 
 an alternating series with positive decreasing terms (k >= 1), so the first
-omitted term bounds the remainder.  Also houses the analytic a_0 lower /
-a_1 upper bounds and the divergence comparator they feed.
+omitted term bounds the remainder.  Each segment is one call of
+``logvalue.panel_integral_log``, the log-domain panel quadrature of the
+subordination integral too.  Also houses the analytic a_0 lower / a_1 upper
+bounds and the divergence comparator they feed.
 """
 
 from __future__ import annotations
@@ -17,57 +19,29 @@ import math
 import numpy as np
 from scipy.special import rgamma as _rgamma
 
-from .errors import DomainError, NonConvergence, QuadratureFailure
-from .logvalue import LogValue, signed_log_sum
+from .errors import DomainError, NonConvergence
+from .logvalue import (
+    GL_NODES, GL_WEIGHTS, LogValue, panel_integral_log, signed_log_sum,
+)
 from .specfun import EvalResult, Regime, dottie, log_mittag_leffler, mittag_leffler
 
 
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(32)
-
 def _segment_integral_log(
-    alpha: float, rho: float, t: float, x: float, a: float, b: float,
-    rel_tol: float = 1e-9, max_doublings: int = 12,
+    alpha: float, rho: float, t: float, x: float, a: float, b: float
 ) -> LogValue:
-    """Signed log of integral_a^b E_a(t^a (1 - xi^{2 rho})) cos(x xi) d xi."""
+    """Signed log of integral_a^b E_a(t^a (1 - xi^{2 rho})) cos(x xi) d xi.
+
+    Nodes where the cosine vanishes cost no Mittag-Leffler call."""
     ta = t ** alpha
 
-    def panels(n: int) -> LogValue:
-        edges = np.linspace(a, b, n + 1)
-        pieces = []
-        for lo, hi in zip(edges[:-1], edges[1:]):
-            mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
-            for node, weight in zip(_GL_NODES, _GL_WEIGHTS):
-                xi = float(mid + half * node)
-                c = math.cos(x * xi)
-                if c == 0.0:
-                    continue
-                ml = log_mittag_leffler(alpha, ta * (1.0 - xi ** (2.0 * rho)))
-                pieces.append(
-                    LogValue(
-                        ml.sign * (1 if c > 0 else -1),
-                        ml.log_abs + math.log(abs(c)) + math.log(half * weight),
-                    )
-                )
-        total, _ = signed_log_sum(pieces)
-        return total
+    def integrand(xi: float) -> tuple[int, float]:
+        c = math.cos(x * xi)
+        if c == 0.0:
+            return 0, -math.inf
+        ml = log_mittag_leffler(alpha, ta * (1.0 - xi ** (2.0 * rho)))
+        return ml.sign * (1 if c > 0 else -1), ml.log_abs + math.log(abs(c))
 
-    n = 1
-    prev = panels(n)
-    for _ in range(max_doublings):
-        n *= 2
-        cur = panels(n)
-        if (
-            cur.sign == prev.sign
-            and cur.sign != 0
-            and abs(cur.log_abs - prev.log_abs) <= rel_tol
-        ):
-            return cur
-        if cur.sign == 0 and prev.sign == 0:
-            return cur
-        prev = cur
-    raise QuadratureFailure(
-        f"segment [{a:.4g}, {b:.4g}] did not converge after {n} panels"
-    )
+    return panel_integral_log(integrand, a, b, 1, 1e-9)
 
 
 def _a_coefficient_log(
@@ -97,9 +71,11 @@ def a_coefficient(k: int, alpha: float, rho: float, t: float, x: float) -> float
     return _a_coefficient_log(k, alpha, rho, t, x).to_float()
 
 
+_MAX_TERMS = 100000  # of the alternating series
+
+
 def _solution_series_log(
-    alpha: float, rho: float, t: float, x: float, tol: float,
-    max_terms: int = 100000,
+    alpha: float, rho: float, t: float, x: float, tol: float
 ) -> tuple[LogValue, LogValue, int, float]:
     """(value, remainder bound, terms, cancellation) of (1/pi) sum (-1)^k a_k."""
     log_tol_pi = math.log(tol * math.pi) if tol > 0 else -math.inf
@@ -113,21 +89,20 @@ def _solution_series_log(
             bound = LogValue.from_log(ak.log_abs)
             break
         if k >= 1 and ak.log_abs < log_tol_pi:
-            bound = LogValue.from_log(ak.log_abs) if ak.sign != 0 else LogValue.zero()
+            bound = LogValue.from_log(ak.log_abs)
             break
-        terms.append(LogValue(1 if k % 2 == 0 else -1, ak.log_abs)
-                     if ak.sign != 0 else LogValue.zero())
+        terms.append(LogValue.from_log(ak.log_abs, 1 if k % 2 == 0 else -1))
         k += 1
-        if k >= max_terms:
-            raise NonConvergence(f"alternating series used {max_terms} terms")
-    total, cancellation = signed_log_sum([v for v in terms if v.sign != 0])
+        if k >= _MAX_TERMS:
+            raise NonConvergence(f"alternating series used {_MAX_TERMS} terms")
+    total, cancellation = signed_log_sum(terms)
     if cancellation > 1e12:
         raise NonConvergence(
             f"alternating sum cancels {math.log10(cancellation):.1f} digits"
         )
     log_pi = math.log(math.pi)
     value = LogValue(total.sign, total.log_abs - log_pi) if total.sign != 0 else total
-    bound = LogValue.from_log(bound.log_abs - log_pi) if bound.sign != 0 else bound
+    bound = LogValue.from_log(bound.log_abs - log_pi)
     return value, bound, len(terms), cancellation
 
 
@@ -176,7 +151,7 @@ def solution_at_origin(alpha: float, rho: float, t: float) -> EvalResult:
             pieces.append(half * float(np.dot(weights, vals)))
         return math.fsum(pieces) / math.pi
 
-    fine = quad(_GL_NODES, _GL_WEIGHTS)
+    fine = quad(GL_NODES, GL_WEIGHTS)
     coarse_nodes, coarse_weights = np.polynomial.legendre.leggauss(16)
     coarse = quad(coarse_nodes, coarse_weights)
     # Algebraic tail beyond the last edge, C/xi^{2 rho - 1} at xi = 1e6.
@@ -191,8 +166,8 @@ def _check_bound_inputs(n: int, alpha: float, rho: float, t: float) -> None:
         raise DomainError(f"alpha = {alpha} outside [1/{n}, 1)")
     if rho < 1.0:
         raise DomainError(f"rho must be >= 1, got {rho}")
-    if t <= 0.0:
-        raise DomainError(f"t must be positive, got {t}")
+    if not 0.0 < t < math.inf:
+        raise DomainError(f"t must be positive and finite, got {t}")
 
 
 def a0_lower_bound(

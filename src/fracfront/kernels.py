@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, QuadratureFailure, Unsupported
-from .logvalue import LogValue
+from .logvalue import GL_NODES, GL_WEIGHTS, LogValue
 
 
 @dataclass(frozen=True)
@@ -93,9 +93,6 @@ def stable_envelope(
     )
 
 
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(32)
-
-
 def _f_transform(rho: float, y: float, abs_tol: float = 1e-10) -> float:
     """F(y) = (1/pi) * integral_0^inf exp(-s^{2 rho}) cos(s y) ds.
 
@@ -108,9 +105,9 @@ def _f_transform(rho: float, y: float, abs_tol: float = 1e-10) -> float:
 
     def integrate(a: float, b: float) -> float:
         mid, half = 0.5 * (a + b), 0.5 * (b - a)
-        ss = mid + half * _GL_NODES
+        ss = mid + half * GL_NODES
         vals = np.exp(-(ss ** (2.0 * rho))) * np.cos(ss * y)
-        return half * float(np.dot(_GL_WEIGHTS, vals))
+        return half * float(np.dot(GL_WEIGHTS, vals))
 
     if y * s_max < math.pi:
         # Less than half an oscillation in range; split only for resolution.

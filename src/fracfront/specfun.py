@@ -5,11 +5,14 @@ Regime layout for E_{a,b}(z) on the real line:
 * Taylor series with Kahan compensation wherever cancellation stays benign
   (always for z >= 0, and on the negative axis only while the largest
   intermediate term does not swamp the requested tolerance);
-* for z <= -asym_cutoff the standard negative-axis expansion
+* for z <= -_ASYM_CUTOFF (25) the standard negative-axis expansion
   -sum_k z^{-k}/Gamma(b - a k);
-* for z >= asym_cutoff the exponential expansion (1/a) z^{(1-b)/a} e^{z^{1/a}};
+* for z >= _ASYM_CUTOFF the exponential expansion (1/a) z^{(1-b)/a} e^{z^{1/a}};
+  ``log_mittag_leffler`` switches to its leading term at the same point;
 * the bridge in between integrates e^{z s} W_{-a,b-a}(-s) ds, which is also
-  how the two function families are cross-checked against each other.
+  how the two function families are cross-checked against each other;
+* at a = 1 the negative axis past the series' reach takes the closed form
+  E_{1,b}(z) = 1F1(1; b; z)/Gamma(b) in place of both.
 
 W_{-nu,mu}(-x) has one evaluator, ``_log_wright``: series, Talbot contour,
 saddle-point tail A0(nu, mu) Y^{1/2-mu} e^{-Y} with Y = (1-nu)(nu^nu x)^{1/(1-nu)}
@@ -40,7 +43,7 @@ import numpy as np
 from scipy.special import rgamma as _rgamma
 
 from .errors import DomainError, NonConvergence
-from .logvalue import LogValue
+from .logvalue import LogValue, gl_panels
 
 _EPS = 2.0 ** -52
 
@@ -89,12 +92,8 @@ class EvalResult:
 
 @dataclass(frozen=True)
 class EvalPolicy:
-    """Switch points and budgets for the series/asymptotic/bridge regimes."""
+    """The tolerance the Mittag-Leffler and Wright evaluations aim for."""
 
-    asym_cutoff: float = 25.0
-    # The positive-axis series needs ~ z^{1/a}/a terms before the Gamma in
-    # the denominator wins, which is thousands near the overflow boundary.
-    max_terms: int = 20000
     target_tol: float = 1e-10
 
     def __post_init__(self):
@@ -103,6 +102,14 @@ class EvalPolicy:
 
 
 DEFAULT_POLICY = EvalPolicy()
+
+# |z| from which the large-argument expansions of E_{a,b}(z) answer.
+_ASYM_CUTOFF = 25.0
+
+# Term budget of the Mittag-Leffler series.  The positive-axis series needs
+# ~ z^{1/a}/a terms before the Gamma in the denominator wins, which is
+# thousands near the overflow boundary.
+_MAX_TERMS = 20000
 
 # Depth of the negative-axis expansion; the error bound is the first
 # omitted term, which is all the O(z^-2) statement gives us to work with.
@@ -120,11 +127,11 @@ def reciprocal_gamma(x: float) -> float:
 # series engines
 
 
-def _kahan_series(terms, max_terms, stop_floor_factor=2.0 ** -60):
+def _kahan_series(terms, max_terms):
     """Sum a term generator with compensation.
 
-    Stops once |term| has dropped below ``stop_floor_factor`` times the largest
-    term seen (i.e. the series has given all it can in double precision).
+    Stops once |term| has dropped below 2^-60 times the largest term seen
+    (i.e. the series has given all it can in double precision).
     Returns (sum, n_terms, max_abs_term, last_abs_term, converged).
     """
     s = 0.0
@@ -145,7 +152,7 @@ def _kahan_series(terms, max_terms, stop_floor_factor=2.0 ** -60):
         n += 1
         # Reciprocal-gamma poles make isolated terms exactly zero, so only a
         # run of tiny terms counts as the series having decayed for good.
-        small_streak = small_streak + 1 if last_abs <= stop_floor_factor * max_abs else 0
+        small_streak = small_streak + 1 if last_abs <= 2.0 ** -60 * max_abs else 0
         if n >= 4 and small_streak >= 3:
             return s, n, max_abs, last_abs, True
         if n >= max_terms:
@@ -484,14 +491,9 @@ def _bridge_rule(alpha: float, mu: float):
     (a fine and a coarse rule, whose difference is the error estimate).
     """
     s_end = (50.0 / (1.0 - alpha)) ** (1.0 - alpha) / alpha ** alpha
-    nodes, weights = np.polynomial.legendre.leggauss(32)
 
     def build(n_panels):
-        edges = np.linspace(0.0, s_end, n_panels + 1)
-        mids = 0.5 * (edges[:-1] + edges[1:])
-        halves = 0.5 * (edges[1:] - edges[:-1])
-        ss = (mids[:, None] + halves[:, None] * nodes[None, :]).ravel()
-        ww = (halves[:, None] * weights[None, :]).ravel()
+        ss, ww = gl_panels(np.linspace(0.0, s_end, n_panels + 1))
         wvals = np.empty_like(ss)
         for i, s in enumerate(ss):
             y = _wright_big_y(alpha, float(s)) if s > 0 else 0.0
@@ -504,7 +506,7 @@ def _bridge_rule(alpha: float, mu: float):
     return build(64), build(32)
 
 
-def _ml_bridge(alpha: float, beta: float, z: float, tol: float) -> tuple[float, float]:
+def _ml_bridge(alpha: float, beta: float, z: float) -> tuple[float, float]:
     """E_{a,b}(z) for moderately negative z via the Laplace-Wright integral."""
     (s_fine, f_fine), (s_coarse, f_coarse) = _bridge_rule(alpha, beta - alpha)
     fine = float(np.dot(f_fine, np.exp(z * s_fine)))
@@ -527,8 +529,8 @@ def _ml_inverse_powers(alpha: float, beta: float, z: float) -> tuple[float, floa
     return value, omitted
 
 
-def _ml_peak_log_term(alpha: float, beta: float, z: float, max_terms: int) -> tuple[int, float]:
-    """Index and log-size of the largest of the first ``max_terms`` Taylor terms.
+def _ml_peak_log_term(alpha: float, beta: float, z: float) -> tuple[int, float]:
+    """Index and log-size of the largest of the first _MAX_TERMS Taylor terms.
 
     Each log-size is formed exactly as ``_ml_terms`` forms it.  It is
     concave in n (lgamma is convex), so a short uphill walk from the
@@ -537,10 +539,10 @@ def _ml_peak_log_term(alpha: float, beta: float, z: float, max_terms: int) -> tu
     """
     la = math.log(abs(z))
     guess = (math.exp(min(la / alpha, _LOG_TERM_MAX)) + 0.5 - beta) / alpha
-    n = int(min(guess, max_terms - 1)) if guess > 0.0 else 0
+    n = int(min(guess, _MAX_TERMS - 1)) if guess > 0.0 else 0
     e = n * la - math.lgamma(alpha * n + beta)
     for step in (1, -1):
-        while 0 <= n + step < max_terms:
+        while 0 <= n + step < _MAX_TERMS:
             e_next = (n + step) * la - math.lgamma(alpha * (n + step) + beta)
             # Written so that a nan z stops the walk at once.
             if not e_next > e:
@@ -551,7 +553,7 @@ def _ml_peak_log_term(alpha: float, beta: float, z: float, max_terms: int) -> tu
 
 def _ml_series_hopeless(alpha: float, beta: float, z: float, policy: EvalPolicy) -> bool:
     """True when the Taylor series at z < 0 cannot pass its a-posteriori test."""
-    n, log_peak = _ml_peak_log_term(alpha, beta, z, policy.max_terms)
+    n, log_peak = _ml_peak_log_term(alpha, beta, z)
     if log_peak >= _LOG_TERM_MAX:
         # The series reaches this term and stops on its inf.
         return True
@@ -568,7 +570,7 @@ def _ml_series(alpha: float, beta: float, z: float, policy: EvalPolicy) -> EvalR
     """E_{a,b}(z), z < 0, by the Taylor series, or None if cancellation made it
     miss ``policy.target_tol``."""
     s, n, max_abs, last_abs, converged = _kahan_series(
-        _ml_terms(alpha, beta, z, policy.max_terms), policy.max_terms
+        _ml_terms(alpha, beta, z, _MAX_TERMS), _MAX_TERMS
     )
     err = _series_error(max_abs, last_abs, converged, n)
     if converged and err <= policy.target_tol * max(1.0, abs(s)):
@@ -583,7 +585,8 @@ def mittag_leffler(
 
     On the negative axis the Taylor series runs only when its largest term,
     found before summing, leaves the tolerance within reach; otherwise the
-    asymptotic expansion (z <= -asym_cutoff) or the bridge answers at once.
+    asymptotic expansion (z <= -_ASYM_CUTOFF) or the bridge answers at once
+    (at alpha = 1 the closed form 1F1(1; b; z)/Gamma(b) answers for both).
     A skipped series would have failed its own a-posteriori test, so the
     value, regime and term count are those of the series-first order.
     """
@@ -604,13 +607,13 @@ def mittag_leffler(
         if expo > 700.0:
             # Out of double range; log_mittag_leffler is the log-domain route.
             return EvalResult(math.inf, math.inf, 0, Regime.ASYMPTOTIC_POS)
-        if z <= policy.asym_cutoff:
+        if z <= _ASYM_CUTOFF:
             s, n, max_abs, last_abs, converged = _kahan_series(
-                _ml_terms(alpha, beta, z, policy.max_terms), policy.max_terms
+                _ml_terms(alpha, beta, z, _MAX_TERMS), _MAX_TERMS
             )
             if not converged:
                 raise NonConvergence(
-                    f"Mittag-Leffler series exhausted {policy.max_terms} terms at z = {z}"
+                    f"Mittag-Leffler series exhausted {_MAX_TERMS} terms at z = {z}"
                 )
             return EvalResult(s, _series_error(max_abs, last_abs, True, n), n,
                               Regime.TAYLOR_SERIES)
@@ -625,11 +628,21 @@ def mittag_leffler(
         if hit is not None:
             return hit
 
-    if z <= -policy.asym_cutoff:
+    if alpha == 1.0:
+        # E_{1,b}(z) = 1F1(1; b; z)/Gamma(b).  The bridge rule divides by
+        # 1 - a, and the inverse-power sum drops the e^z z^{1-b} term (its
+        # omitted term is 0 at integer b).  At 30 digits the double is
+        # correctly rounded, so 4 ulps bound it.
+        with mpmath.workdps(30):
+            value = float(mpmath.hyp1f1(1, beta, z) * mpmath.rgamma(beta))
+        return EvalResult(value, 4.0 * _EPS * abs(value) + math.ulp(0.0), 0,
+                          Regime.TAYLOR_SERIES)
+
+    if z <= -_ASYM_CUTOFF:
         value, omitted = _ml_inverse_powers(alpha, beta, z)
         return EvalResult(value, omitted, 0, Regime.ASYMPTOTIC_NEG)
 
-    value, qerr = _ml_bridge(alpha, beta, z, policy.target_tol)
+    value, qerr = _ml_bridge(alpha, beta, z)
     return EvalResult(value, qerr, 0, Regime.QUADRATURE)
 
 
@@ -647,13 +660,17 @@ def mittag_leffler_deriv(
 
 
 def log_mittag_leffler(alpha: float, z: float) -> LogValue:
-    """log E_a(z) as a LogValue; switches to the exponential leading term
-    once the value leaves (or is about to leave) double range."""
+    """log E_a(z) as a LogValue for finite z.
+
+    Switches to the exponential leading term where ``mittag_leffler`` does
+    (z >= _ASYM_CUTOFF) or once the value is about to leave double range."""
     if not 0.0 < alpha <= 1.0:
         raise DomainError(f"alpha must be in (0,1], got {alpha}")
+    if not math.isfinite(z):
+        raise DomainError(f"log_mittag_leffler requires finite z, got {z}")
     if alpha == 1.0:
         return LogValue(1, z)
-    if z > 0.0 and (z >= DEFAULT_POLICY.asym_cutoff or z ** (1.0 / alpha) > 690.0):
+    if z > 0.0 and (z >= _ASYM_CUTOFF or z ** (1.0 / alpha) > 690.0):
         return LogValue(1, z ** (1.0 / alpha) - math.log(alpha))
     value = mittag_leffler(alpha, 1.0, z).value
     if value <= 0.0:  # numerically impossible for a in (0,1]; keep honest

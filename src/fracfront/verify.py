@@ -9,7 +9,7 @@ are data in the report, never exceptions.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 
 import numpy as np
@@ -18,6 +18,7 @@ from scipy.special import rgamma as _rgamma
 from . import fourier1d, specfun, subordination
 from .errors import FracFrontError
 from .kernels import FracParams
+from .logvalue import GL_NODES, gl_panels
 from .specfun import _bridge_rule, _log_wright, _wright_mp
 
 
@@ -124,28 +125,22 @@ def _suite_wright_identities(tol: float) -> list[_Case]:
             direct = specfun.wright_neg(alpha, 1.0 - alpha, z).value
             cases.append(_Case(f"wright-deriv alpha={alpha} z={z}", _rel(fd, direct), tol))
     # Moments: integral W_{-a,1-a}(-r) r^nu dr = Gamma(nu+1)/Gamma(nu a + 1).
-    nodes, weights = np.polynomial.legendre.leggauss(32)
     for alpha in (0.3, 0.5, 0.8):
         r_end = (45.0 / (1.0 - alpha)) ** (1.0 - alpha) / alpha ** alpha
         w_end = math.sqrt(r_end)
-        edges = np.linspace(0.0, w_end, 49)
         # Wright values are shared by every moment order, so evaluate the
         # density once per node (substitution r = w^2 flattens the origin).
-        panel_w = []
-        panel_density = []
-        for lo, hi in zip(edges[:-1], edges[1:]):
-            mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
-            ws = mid + half * nodes
-            dens = np.array(
-                [_log_wright(alpha, 1.0 - alpha, float(w) ** 2, tol=1e-9)[0].to_float()
-                 for w in ws]
-            )
-            panel_w.append(ws)
-            panel_density.append((half * weights, dens))
+        ws, hw = gl_panels(np.linspace(0.0, w_end, 49))
+        dens = np.array(
+            [_log_wright(alpha, 1.0 - alpha, w ** 2, tol=1e-9)[0].to_float()
+             for w in ws.tolist()]
+        )
         for nu in (0.0, 0.5, 1.0, 2.0, 3.5):
+            vals = 2.0 * dens * ws ** (2.0 * nu + 1.0)
+            k = len(GL_NODES)
             pieces = [
-                float(np.dot(hw, 2.0 * dens * ws ** (2.0 * nu + 1.0)))
-                for ws, (hw, dens) in zip(panel_w, panel_density)
+                float(np.dot(h, v))
+                for h, v in zip(hw.reshape(-1, k), vals.reshape(-1, k))
             ]
             got = math.fsum(pieces)
             want = math.gamma(nu + 1.0) * _rgamma(nu * alpha + 1.0)
@@ -279,12 +274,7 @@ def _suite_subordination(tol: float) -> list[_Case]:
                 _Case(f"positive rho={rho} r={r}", 0.0 if lv.sign > 0 else 1.0, 0.0)
             )
     # Truncation self-test: a deeper tail cut must not move the result.
-    deep = subordination.QuadratureSpec(
-        rel_tol=spec.rel_tol,
-        max_panels=spec.max_panels,
-        peak_search_iters=spec.peak_search_iters,
-        tail_cut_log=2.0 * spec.tail_cut_log,
-    )
+    deep = replace(spec, tail_cut_log=2.0 * spec.tail_cut_log)
     base = subordination.subordinate(FracParams(0.5, 1.0, 1), 2.0, 1.0, spec)
     moved = subordination.subordinate(FracParams(0.5, 1.0, 1), 2.0, 1.0, deep)
     cases.append(

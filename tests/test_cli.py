@@ -30,6 +30,13 @@ class TestEval:
         assert proc.returncode == 0
         assert "value=0.4393912895" in proc.stdout
 
+    def test_ml_point_at_alpha_one(self):
+        # E_{1,2}(-20) = (e^{-20} - 1)/(-20): past the series' reach, where
+        # the bridge cannot run at alpha = 1.
+        proc = run_cli("eval", "ml", "--alpha", "1", "--beta", "2", "--z", "-20")
+        assert proc.returncode == 0
+        assert f"value={math.expm1(-20.0) / -20.0:.10g}" in proc.stdout
+
     def test_usage_error_on_bad_alpha(self):
         proc = run_cli("eval", "ml", "--alpha", "2", "--beta", "1", "--z", "1")
         assert proc.returncode == 1

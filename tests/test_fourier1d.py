@@ -108,6 +108,11 @@ class TestComparator:
         assert all(v.sign == 1 for v in vals)
         assert all(b.log_abs > a.log_abs for a, b in zip(vals, vals[1:]))
 
+    @mark.parametrize("t", [math.inf, math.nan])
+    def test_non_finite_time(self, t):
+        with raises(DomainError):
+            theorem17_comparator(2, 0.5, 1.5, 1.0, 0.25, t)
+
     def test_beta_range_enforced(self):
         with raises(DomainError):
             theorem17_comparator(2, 0.5, 1.5, 1.0, 0.5, 10.0)

@@ -4,7 +4,15 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from fracfront.logvalue import LogValue, signed_log_sum
+from fracfront.errors import QuadratureFailure
+from fracfront.logvalue import (
+    GL_NODES,
+    MAX_PANELS,
+    LogValue,
+    gl_panels,
+    panel_integral_log,
+    signed_log_sum,
+)
 
 
 def test_zero_invariant():
@@ -66,3 +74,58 @@ def test_scaled():
     lv = LogValue.from_float(2.0).scaled(3.0)
     assert lv.to_float() == pytest.approx(6.0, rel=1e-15)
     assert LogValue.zero().scaled(5.0).sign == 0
+
+
+def test_gl_panels_is_panel_major():
+    nodes, weights = gl_panels([0.0, 1.0, 3.0])
+    k = len(GL_NODES)
+    assert nodes.shape == weights.shape == (2 * k,)
+    assert 0.0 < nodes[:k].min() and nodes[:k].max() < 1.0
+    assert 1.0 < nodes[k:].min() and nodes[k:].max() < 3.0
+    assert math.fsum(weights[:k]) == pytest.approx(1.0, rel=1e-14)
+    assert math.fsum(weights[k:]) == pytest.approx(2.0, rel=1e-14)
+
+
+def _exp_cos(shift):
+    """e^{x + shift} cos x as a (sign, log|value|) pair."""
+
+    def f(x):
+        c = math.cos(x)
+        if c == 0.0:
+            return 0, -math.inf
+        return (1 if c > 0 else -1), x + shift + math.log(abs(c))
+
+    return f
+
+
+@pytest.mark.parametrize("shift", [0.0, 2000.0])
+def test_panel_integral_sign_changing(shift):
+    # integral_0^{3 pi} e^x cos x dx = -(e^{3 pi} + 1)/2; the shifted
+    # integrand is e^{2000} times larger, far outside double range.
+    got = panel_integral_log(_exp_cos(shift), 0.0, 3.0 * math.pi, 1, 1e-12)
+    assert got.sign == -1
+    want = shift + math.log((math.exp(3.0 * math.pi) + 1.0) / 2.0)
+    assert got.log_abs == pytest.approx(want, rel=1e-12, abs=0)
+
+
+def test_panel_integral_all_zero():
+    calls = []
+
+    def f(x):
+        calls.append(x)
+        return 0, -math.inf
+
+    got = panel_integral_log(f, -1.0, 2.0, 4, 1e-9)
+    assert got == LogValue.zero()
+    # Two successive zero sums: 4 panels, then 8.
+    assert len(calls) == (4 + 8) * len(GL_NODES)
+
+
+def test_panel_integral_exhausts_budget():
+    # A jump at 1/3 never lands on a panel edge, so each doubling still moves
+    # the sum by ~1/n and a 1e-12 tolerance cannot be met.
+    def step(x):
+        return 1, (0.0 if x < 1.0 / 3.0 else math.log(2.0))
+
+    with pytest.raises(QuadratureFailure, match=rf"\[0, 1\].*{MAX_PANELS} panels"):
+        panel_integral_log(step, 0.0, 1.0, 1, 1e-12)

@@ -81,6 +81,31 @@ class TestMittagLeffler:
     def test_non_finite_argument(self, z):
         with raises(DomainError):
             mittag_leffler(0.5, 1.0, z)
+        for alpha in (0.5, 1.0):
+            with raises(DomainError):
+                log_mittag_leffler(alpha, z)
+
+    @mark.parametrize("z", [-20.0, -24.9, -12.0, -30.0, -1e4])
+    def test_alpha_one_closed_form(self, z):
+        # E_{1,2}(z) = (e^z - 1)/z.  Past the Taylor series' reach neither
+        # the bridge (its Wright weight degenerates at alpha = 1) nor the
+        # inverse-power sum (1/|z| here, missing e^z/z) can answer.
+        res = mittag_leffler(1.0, 2.0, z)
+        assert math.isfinite(res.value)
+        assert 0.0 < res.abs_error_bound
+        assert abs(res.value - math.expm1(z) / z) <= res.abs_error_bound
+
+    @mark.parametrize("z", [-20.0, -24.9, -12.0, -30.0])
+    def test_alpha_one_against_reference(self, z):
+        # The defining series sum z^n / Gamma(n + 1/2) at 50 digits; its
+        # largest term is ~e^{|z|}, far inside that precision.
+        res = mittag_leffler(1.0, 0.5, z)
+        with mpmath.workdps(50):
+            want = mpmath.fsum(
+                mpmath.mpf(z) ** n * mpmath.rgamma(n + mpmath.mpf(0.5))
+                for n in range(200)
+            )
+            assert abs(mpmath.mpf(res.value) - want) <= res.abs_error_bound
 
     @mark.parametrize("alpha", [0.3, 0.5, 0.7, 0.9])
     def test_positive_and_increasing_on_real_line(self, alpha):
@@ -229,12 +254,13 @@ class TestWrightDifferential:
 
 class TestLogWrightTail:
     def test_leading_term_within_five_percent(self):
-        # nu = 1/2 is where the leading constant is exact; at z = -10 the
-        # first correction term is ~1/Y ~ 2%.
+        # At nu = mu = 1/2 the leading term is W itself: both are
+        # e^{-x^2/4}/sqrt(pi), so only rounding separates them.
         z = -10.0
         lv = log_wright_tail(0.5, 0.5, z)
         want = wright_neg(0.5, 0.5, z).value
-        assert lv.to_float() == approx(want, rel=0.05)
+        # abs=0: approx would otherwise accept any difference below 1e-12.
+        assert lv.to_float() == approx(want, rel=1e-12, abs=0)
 
     @mark.parametrize("nu,mu", [(0.3, 0.7), (0.7, 0.3), (0.8, 1.0)])
     def test_leading_term_off_half_order(self, nu, mu):
