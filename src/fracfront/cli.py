@@ -90,24 +90,22 @@ def _build_parser() -> _Parser:
         default="subordination",
     )
 
+    # No defaults here: a flag left out takes the FracParams or
+    # ExperimentConfig default.
     p_inv = sub.add_parser("invade", help="invasion-speed experiment")
     p_inv.add_argument("--config", help="JSON file with ExperimentConfig fields")
     p_inv.add_argument("--alpha", type=float)
     p_inv.add_argument("--rho", type=float)
-    p_inv.add_argument("--dim", type=int, default=1)
+    p_inv.add_argument("--dim", type=int)
     p_inv.add_argument("--profile", choices=["power", "exponential"])
     p_inv.add_argument("--m", type=float)
     p_inv.add_argument("--beta", type=float)
-    p_inv.add_argument("--t-start", type=float, default=5.0)
-    p_inv.add_argument("--t-end", type=float, default=60.0)
-    p_inv.add_argument("--n-samples", type=int, default=24)
-    p_inv.add_argument(
-        "--method",
-        choices=[m.value for m in Method],
-        default="subordination",
-    )
-    p_inv.add_argument("--output", default="")
-    p_inv.add_argument("--format", choices=["csv", "json"], default="csv")
+    p_inv.add_argument("--t-start", type=float)
+    p_inv.add_argument("--t-end", type=float)
+    p_inv.add_argument("--n-samples", type=int)
+    p_inv.add_argument("--method", choices=[m.value for m in Method])
+    p_inv.add_argument("--output")
+    p_inv.add_argument("--format", choices=["csv", "json"])
 
     p_thr = sub.add_parser("thresholds", help="analytic invasion thresholds")
     p_thr.add_argument("--alpha", type=float, required=True)
@@ -312,16 +310,24 @@ def _cmd_invade(args) -> int:
         ]
         if missing:
             raise _UsageError(f"missing required flags: {' '.join(missing)}")
+        dim = {} if args.dim is None else {"dim": args.dim}
+        given = {
+            name: value
+            for name, value in (
+                ("t_start", args.t_start),
+                ("t_end", args.t_end),
+                ("n_samples", args.n_samples),
+                ("method", args.method),
+                ("output_path", args.output),
+                ("format", args.format),
+            )
+            if value is not None
+        }
         try:
             config = ExperimentConfig(
-                params=FracParams(args.alpha, args.rho, args.dim),
+                params=FracParams(args.alpha, args.rho, **dim),
                 profile=SpeedProfile(ProfileKind(args.profile), args.m, args.beta),
-                t_start=args.t_start,
-                t_end=args.t_end,
-                n_samples=args.n_samples,
-                method=args.method,
-                output_path=args.output,
-                format=args.format,
+                **given,
             )
         except DomainError as exc:
             raise _UsageError(str(exc)) from exc

@@ -24,7 +24,7 @@ class FracParams:
 
     alpha: float
     rho: float
-    dim: int
+    dim: int = 1
 
     def __post_init__(self):
         if not 0.0 < self.alpha <= 1.0:

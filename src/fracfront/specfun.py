@@ -2,17 +2,20 @@
 
 Regime layout for E_{a,b}(z) on the real line:
 
-* Taylor series with Kahan compensation wherever cancellation stays benign
-  (always for z >= 0, and on the negative axis only while the largest
-  intermediate term does not swamp the requested tolerance);
-* for z <= -_ASYM_CUTOFF (25) the standard negative-axis expansion
-  -sum_k z^{-k}/Gamma(b - a k);
-* for z >= _ASYM_CUTOFF the exponential expansion (1/a) z^{(1-b)/a} e^{z^{1/a}};
+* for a < 1 and z < 0 one fixed contour rule: the inverse Laplace transform
+  of s^{a-b}/(s^a - z) at t = 1 by the trapezoid rule on a hyperbola, 17
+  complex nodes built once at import (``_ml_contour``);
+* for 0 < z <= _ASYM_CUTOFF (25) the Taylor series with Kahan compensation,
+  whose terms are all positive;
+* for z > _ASYM_CUTOFF the exponential expansion (1/a) z^{(1-b)/a} e^{z^{1/a}}
+  plus the inverse powers -sum_k z^{-k}/Gamma(b - a k);
   ``log_mittag_leffler`` switches to its leading term at the same point;
-* the bridge in between integrates e^{z s} W_{-a,b-a}(-s) ds, which is also
-  how the two function families are cross-checked against each other;
-* at a = 1 the negative axis past the series' reach takes the closed form
-  E_{1,b}(z) = 1F1(1; b; z)/Gamma(b) in place of both.
+* at a = 1 the closed forms e^z (b = 1) and, on the negative axis,
+  E_{1,b}(z) = 1F1(1; b; z)/Gamma(b).
+
+The Laplace-Wright integral of e^{z s} W_{-a,b-a}(-s) ds (``_bridge_rule``)
+is not on any of these paths; verify keeps it to cross-check the two
+function families against each other.
 
 W_{-nu,mu}(-x) has one evaluator, ``_log_wright``: series, Talbot contour,
 saddle-point tail A0(nu, mu) Y^{1/2-mu} e^{-Y} with Y = (1-nu)(nu^nu x)^{1/(1-nu)}
@@ -20,15 +23,14 @@ and fitted 1/Y corrections, and a high-precision series for the mid zone where
 the double series cancels but the tail is not yet accurate.  ``wright_neg``
 and ``log_wright_tail`` (the leading tail term alone) are views of it.
 
-On the negative axis both series are gated before the first term is summed.
-Their rounding loss is known up front: the largest Taylor term of E_{a,b}(z)
-comes from a few lgamma calls near n ~ |z|^{1/a}/a, and the Wright series
-loses at least e^{1.8 Y}.  A series whose error estimate cannot meet the
-tolerance is skipped and the next regime runs at once.  The gates only
-reject series that the a-posteriori test would also reject (a lower bound on
-that test's error estimate already exceeds the tolerance), so every result,
-regime and term count is the one the series-first order gives; the
-a-posteriori test still runs on every series that is summed.
+The Wright series is gated before the first term is summed.  Its rounding
+loss is known up front: it loses at least e^{1.8 Y}.  A series whose error
+estimate cannot meet the tolerance is skipped and the next regime runs at
+once.  The gate only rejects series that the a-posteriori test would also
+reject (a lower bound on that test's error estimate already exceeds the
+tolerance), so every result, regime and term count is the one the
+series-first order gives; the a-posteriori test still runs on every series
+that is summed.
 """
 
 from __future__ import annotations
@@ -51,10 +53,10 @@ _EPS = 2.0 ** -52
 # as inf, which ends the summation unconverged.
 _LOG_TERM_MAX = 709.0
 
-# Largest tolerance the series gates act on; the bridge asks for 1e-2 at its
-# deepest-tail nodes.  Far above it a sum that is pure rounding noise can
-# pass the a-posteriori test (the Wright estimate saturates near 0.3), so
-# the gates leave such requests to the series-first order.
+# Largest tolerance the Wright series gate acts on; the bridge asks for 1e-2
+# at its deepest-tail nodes.  Far above it a sum that is pure rounding noise
+# can pass the a-posteriori test (the estimate saturates near 0.3), so the
+# gate leaves such requests to the series-first order.
 _GATE_MAX_TOL = 1e-2
 
 # The Wright series on W_{-nu,mu}(-x) peaks near e^{Y} while the value is
@@ -64,13 +66,6 @@ _GATE_MAX_TOL = 1e-2
 # margin was e^{1.84}, at nu = 0.006, mu = 0.02, Y = 3.5.  Beyond Y ~ 17
 # the estimate saturates near 0.3.
 _WRIGHT_LOSS_RATE = 1.8
-
-# Safety factor of the Mittag-Leffler gate over its bound max(1, |E|): the
-# a-posteriori test compares with max(1, |s|), and the sum s may exceed the
-# true value by its own rounding error.  Measured over alpha in [0.02, 1],
-# beta in {alpha, 1, 1.5} and |z| in [1e-3, 60]: the smallest tolerance each
-# series passed was at least 300x the tolerance below which the gate skips.
-_ML_GATE_MARGIN = 100.0
 
 
 class Regime(Enum):
@@ -92,7 +87,7 @@ class EvalResult:
 
 @dataclass(frozen=True)
 class EvalPolicy:
-    """The tolerance the Mittag-Leffler and Wright evaluations aim for."""
+    """The tolerance ``wright_neg`` aims for."""
 
     target_tol: float = 1e-10
 
@@ -103,17 +98,17 @@ class EvalPolicy:
 
 DEFAULT_POLICY = EvalPolicy()
 
-# |z| from which the large-argument expansions of E_{a,b}(z) answer.
+# z from which the exponential expansion of E_{a,b}(z) answers.
 _ASYM_CUTOFF = 25.0
 
-# Term budget of the Mittag-Leffler series.  The positive-axis series needs
-# ~ z^{1/a}/a terms before the Gamma in the denominator wins, which is
-# thousands near the overflow boundary.
+# Term budget of the Mittag-Leffler series.  It needs ~ z^{1/a}/a terms
+# before the Gamma in the denominator wins, which is thousands near the
+# overflow boundary.
 _MAX_TERMS = 20000
 
-# Depth of the negative-axis expansion; the error bound is the first
+# Depth of the inverse-power expansion; the error bound is the first
 # omitted term, which is all the O(z^-2) statement gives us to work with.
-_NEG_ASYM_TERMS = 6
+_INV_POWER_TERMS = 6
 
 
 def reciprocal_gamma(x: float) -> float:
@@ -161,17 +156,15 @@ def _kahan_series(terms, max_terms):
 
 
 def _ml_terms(alpha, beta, z, max_terms):
-    # Terms formed as exp(n ln|z| - lgamma(a n + b)): the bare power z^n
-    # overflows long before the gamma decay kicks in for small alpha, while
-    # the combined exponent is bounded by the peak ~ z^{1/alpha}.
-    la = math.log(abs(z))
-    sign = 1.0 if z > 0.0 else -1.0
-    sgn = 1.0
+    # Terms of E_{a,b}(z), z > 0, formed as exp(n ln z - lgamma(a n + b)):
+    # the bare power z^n overflows long before the gamma decay kicks in for
+    # small alpha, while the combined exponent is bounded by the peak
+    # ~ z^{1/alpha}.
+    la = math.log(z)
     for n in range(max_terms + 1):
         e = n * la - math.lgamma(alpha * n + beta)
         # Out-of-range terms surface as inf so the summator can give up.
-        yield sgn * (math.exp(e) if e < _LOG_TERM_MAX else math.inf)
-        sgn *= sign
+        yield math.exp(e) if e < _LOG_TERM_MAX else math.inf
 
 
 def _wright_terms(nu, mu, z, max_terms):
@@ -380,9 +373,9 @@ def _log_wright(
     """Signed log of W_{-nu,mu}(-x) for x >= 0, with a relative-error estimate.
 
     The one Wright evaluator, behind the subordination quadrature, the
-    Mittag-Leffler bridge and ``wright_neg``; picks series / Talbot contour /
-    corrected tail / high precision per point so the estimate stays below
-    ``tol`` whenever achievable.  The series is only summed when its
+    Laplace-Wright rule ``_bridge_rule`` and ``wright_neg``; picks series /
+    Talbot contour / corrected tail / high precision per point so the
+    estimate stays below ``tol`` whenever achievable.  The series is only summed when its
     rounding loss, known from Y before any term, leaves ``tol`` within
     reach; the skipped series would have failed its own a-posteriori test,
     so the result is the same.  Returns (signed log, estimate, regime,
@@ -483,12 +476,14 @@ def wright_neg(
 
 @functools.lru_cache(maxsize=64)
 def _bridge_rule(alpha: float, mu: float):
-    """Precomputed quadrature data for integral_0^inf e^{z s} W_{-a,mu}(-s) ds.
+    """Quadrature data for integral_0^inf e^{z s} W_{-a,mu}(-s) ds.
 
-    The Wright factor does not depend on z, so nodes, weights and Wright
-    values over [0, S] (with Y(S) = 50, i.e. W below e^{-50}) are built once
-    per (alpha, mu) and each bridge evaluation reduces to two dot products
-    (a fine and a coarse rule, whose difference is the error estimate).
+    The Laplace-Wright integral of E_{a,mu+a}(z): verify's cross-check of
+    the Mittag-Leffler evaluation against the Wright evaluator, kept out of
+    ``mittag_leffler`` itself.  The Wright factor does not depend on z, so
+    nodes, weights and Wright values over [0, S] (with Y(S) = 50, i.e. W
+    below e^{-50}) are built once per (alpha, mu), as a fine and a coarse
+    rule whose difference estimates the error.
     """
     s_end = (50.0 / (1.0 - alpha)) ** (1.0 - alpha) / alpha ** alpha
 
@@ -506,89 +501,80 @@ def _bridge_rule(alpha: float, mu: float):
     return build(64), build(32)
 
 
-def _ml_bridge(alpha: float, beta: float, z: float) -> tuple[float, float]:
-    """E_{a,b}(z) for moderately negative z via the Laplace-Wright integral."""
-    (s_fine, f_fine), (s_coarse, f_coarse) = _bridge_rule(alpha, beta - alpha)
-    fine = float(np.dot(f_fine, np.exp(z * s_fine)))
-    coarse = float(np.dot(f_coarse, np.exp(z * s_coarse)))
-    err = abs(fine - coarse) + 1e-12 * abs(fine) + 1e-24
-    return fine, err
+# The trapezoid rule on the hyperbola s(u) = mu (1 + sin(iu - 1.1721)) with
+# h = 1.0818/N and mu = 4.492 N (Weideman & Trefethen, Math. Comp. 76, 2007;
+# Garrappa, SIAM J. Numer. Anal. 53, 2015 for Mittag-Leffler functions).
+# Nodes at -u are the conjugates of those at u, so u = k h, k = 0..N carry
+# the whole sum.  The N = 16 rule answers; its distance from the N = 12 rule
+# is the discretisation estimate.
+_HYPERBOLA_PHASE = 1.1721
+
+
+def _hyperbola_rule(n: int):
+    """log s at u = k h, k = 0..n, the weights e^{s} s'(u) h/(2 pi i) (doubled
+    for k > 0, whose conjugate node is left out), and |s'(u)|."""
+    h = 1.0818 / n
+    mu = 4.492 * n
+    w = 1j * h * np.arange(n + 1) - _HYPERBOLA_PHASE
+    s = mu * (1.0 + np.sin(w))
+    ds = mu * np.cos(w)
+    weights = np.exp(s) * ds * (h / math.pi)
+    weights[0] *= 0.5
+    return np.log(s), weights, np.abs(ds)
+
+
+# Both rules share one array of log s; row 0 of _ML_WEIGHTS holds the fine
+# weights and row 1 the coarse ones, each with zeros at the other's nodes.
+_ML_FINE, _ML_COARSE = _hyperbola_rule(16), _hyperbola_rule(12)
+_ML_LOG_S = np.concatenate([_ML_FINE[0], _ML_COARSE[0]])
+_ML_WEIGHTS = np.zeros((2, _ML_LOG_S.size), dtype=complex)
+_ML_WEIGHTS[0, : _ML_FINE[0].size] = _ML_FINE[1]
+_ML_WEIGHTS[1, _ML_FINE[0].size :] = _ML_COARSE[1]
+# eps e^{max Re s}: the rounding of the fine sum per unit of max |F s'|.
+_ML_ROUNDING = _EPS * math.exp(4.492 * 16 * (1.0 - math.sin(_HYPERBOLA_PHASE)))
+
+
+def _ml_contour(alpha: float, beta: float, z: float) -> tuple[float, float]:
+    """E_{a,b}(z) for 0 < a < 1 and z < 0, and an absolute error estimate.
+
+    The inverse Laplace transform of F(s) = s^{a-b}/(s^a - z) at t = 1, which
+    has no pole on the principal sheet for a < 1.  The estimate is the
+    distance between the two rules plus eps e^{max Re s} max |F s'|.  At
+    b = a the 1/z terms cancel, so for |z| > 1 the value is taken as
+    E_{a,0}(z)/z, which keeps its relative accuracy.
+    """
+    if beta == alpha and z < -1.0:
+        value, est = _ml_contour(alpha, 0.0, z)
+        return value / z, est / -z
+    f = np.exp((alpha - beta) * _ML_LOG_S) / (np.exp(alpha * _ML_LOG_S) - z)
+    fine, coarse = (_ML_WEIGHTS @ f).real.tolist()
+    abs_ds = _ML_FINE[2]
+    rounding = _ML_ROUNDING * float(np.max(np.abs(f[: abs_ds.size]) * abs_ds))
+    return fine, max(abs(fine - coarse) + rounding, math.ulp(0.0))
 
 
 def _ml_inverse_powers(alpha: float, beta: float, z: float) -> tuple[float, float]:
     """-sum_{k=1}^{6} z^{-k}/Gamma(b - a k) and its first omitted term.
 
-    The algebraic part of both large-|z| expansions of E_{a,b}(z).
+    The algebraic part of the large-z expansion of E_{a,b}(z).
     """
     value = -math.fsum(
-        z ** (-k) * _rgamma(beta - alpha * k) for k in range(1, _NEG_ASYM_TERMS + 1)
+        z ** (-k) * _rgamma(beta - alpha * k) for k in range(1, _INV_POWER_TERMS + 1)
     )
-    omitted = abs(z) ** -(_NEG_ASYM_TERMS + 1) * abs(
-        _rgamma(beta - alpha * (_NEG_ASYM_TERMS + 1))
+    omitted = abs(z) ** -(_INV_POWER_TERMS + 1) * abs(
+        _rgamma(beta - alpha * (_INV_POWER_TERMS + 1))
     )
     return value, omitted
 
 
-def _ml_peak_log_term(alpha: float, beta: float, z: float) -> tuple[int, float]:
-    """Index and log-size of the largest of the first _MAX_TERMS Taylor terms.
-
-    Each log-size is formed exactly as ``_ml_terms`` forms it.  It is
-    concave in n (lgamma is convex), so a short uphill walk from the
-    stationary point a psi(a n + b) = ln|z|, with psi^{-1}(y) ~ e^y + 1/2,
-    finds the peak in a few lgamma calls.
-    """
-    la = math.log(abs(z))
-    guess = (math.exp(min(la / alpha, _LOG_TERM_MAX)) + 0.5 - beta) / alpha
-    n = int(min(guess, _MAX_TERMS - 1)) if guess > 0.0 else 0
-    e = n * la - math.lgamma(alpha * n + beta)
-    for step in (1, -1):
-        while 0 <= n + step < _MAX_TERMS:
-            e_next = (n + step) * la - math.lgamma(alpha * (n + step) + beta)
-            # Written so that a nan z stops the walk at once.
-            if not e_next > e:
-                break
-            n, e = n + step, e_next
-    return n, e
-
-
-def _ml_series_hopeless(alpha: float, beta: float, z: float, policy: EvalPolicy) -> bool:
-    """True when the Taylor series at z < 0 cannot pass its a-posteriori test."""
-    n, log_peak = _ml_peak_log_term(alpha, beta, z)
-    if log_peak >= _LOG_TERM_MAX:
-        # The series reaches this term and stops on its inf.
-        return True
-    if beta < alpha or policy.target_tol > _GATE_MAX_TOL:
-        return False
-    # Summing through term n gives an estimate of at least _EPS T (4 + 2(n+1)).
-    # For beta >= alpha, E_{a,b}(-x) is completely monotone, so
-    # 0 < E <= 1/Gamma(b) bounds the max(1, |s|) the test scales by.
-    floor = _EPS * math.exp(log_peak) * (6.0 + 2.0 * n)
-    return floor > _ML_GATE_MARGIN * policy.target_tol * max(1.0, float(_rgamma(beta)))
-
-
-def _ml_series(alpha: float, beta: float, z: float, policy: EvalPolicy) -> EvalResult | None:
-    """E_{a,b}(z), z < 0, by the Taylor series, or None if cancellation made it
-    miss ``policy.target_tol``."""
-    s, n, max_abs, last_abs, converged = _kahan_series(
-        _ml_terms(alpha, beta, z, _MAX_TERMS), _MAX_TERMS
-    )
-    err = _series_error(max_abs, last_abs, converged, n)
-    if converged and err <= policy.target_tol * max(1.0, abs(s)):
-        return EvalResult(s, err, n, Regime.TAYLOR_SERIES)
-    return None
-
-
-def mittag_leffler(
-    alpha: float, beta: float, z: float, policy: EvalPolicy = DEFAULT_POLICY
-) -> EvalResult:
+def mittag_leffler(alpha: float, beta: float, z: float) -> EvalResult:
     """Two-parameter Mittag-Leffler function E_{a,b}(z) on the real line.
 
-    On the negative axis the Taylor series runs only when its largest term,
-    found before summing, leaves the tolerance within reach; otherwise the
-    asymptotic expansion (z <= -_ASYM_CUTOFF) or the bridge answers at once
-    (at alpha = 1 the closed form 1F1(1; b; z)/Gamma(b) answers for both).
-    A skipped series would have failed its own a-posteriori test, so the
-    value, regime and term count are those of the series-first order.
+    The negative axis takes the hyperbolic contour rule for a < 1 and the
+    closed forms e^z and 1F1(1; b; z)/Gamma(b) at a = 1; the positive axis
+    takes the Taylor series up to z = _ASYM_CUTOFF and the exponential
+    expansion beyond.  Every bound counts the rounding of the value's
+    exponents and is at least the smallest subnormal.
     """
     if not 0.0 < alpha <= 1.0:
         raise DomainError(f"alpha must be in (0,1], got {alpha}")
@@ -598,9 +584,10 @@ def mittag_leffler(
         raise DomainError(f"mittag_leffler requires finite z, got {z}")
     if z == 0.0:
         return EvalResult(_rgamma(beta), _EPS, 1, Regime.TAYLOR_SERIES)
-    if alpha == 1.0 and beta == 1.0:
-        return EvalResult(math.exp(z), 2.0 * _EPS * math.exp(z) if z < 700 else math.inf,
-                          0, Regime.TAYLOR_SERIES)
+    if alpha == 1.0 and beta == 1.0 and z < 700.0:
+        value = math.exp(z)
+        return EvalResult(value, max(2.0 * _EPS * value, math.ulp(0.0)), 0,
+                          Regime.TAYLOR_SERIES)
 
     if z > 0.0:
         expo = z ** (1.0 / alpha)
@@ -615,42 +602,36 @@ def mittag_leffler(
                 raise NonConvergence(
                     f"Mittag-Leffler series exhausted {_MAX_TERMS} terms at z = {z}"
                 )
-            return EvalResult(s, _series_error(max_abs, last_abs, True, n), n,
-                              Regime.TAYLOR_SERIES)
+            # Term k is exp(k ln z - lgamma(a k + b)), whose exponent is
+            # rounded to eps times the size of its parts; every term is
+            # positive, so the sum s carries all of them.  lgamma is convex,
+            # so its end points bound it over the summed range.
+            parts = (n * abs(math.log(z)) + abs(math.lgamma(alpha * n + beta))
+                     + abs(math.lgamma(beta)) + 1.0)
+            err = _series_error(max_abs, last_abs, True, n) + 2.0 * _EPS * parts * s
+            return EvalResult(s, err, n, Regime.TAYLOR_SERIES)
         lead = math.exp(expo) * z ** ((1.0 - beta) / alpha) / alpha
         corr, omitted = _ml_inverse_powers(alpha, beta, z)
-        return EvalResult(lead + corr, omitted + 4.0 * _EPS * lead, 0,
-                          Regime.ASYMPTOTIC_POS)
-
-    # z < 0: the series, unless cancellation is known to defeat it.
-    if not _ml_series_hopeless(alpha, beta, z, policy):
-        hit = _ml_series(alpha, beta, z, policy)
-        if hit is not None:
-            return hit
+        # The exponent z^{1/a} is rounded to about eps z^{1/a} (1 + ln z^{1/a})
+        # through 1/a and pow; exp turns that into a relative error of the lead.
+        rounding = _EPS * lead * (4.0 + (expo + abs(1.0 - beta)) * (1.0 + math.log(expo)))
+        return EvalResult(lead + corr, omitted + rounding, 0, Regime.ASYMPTOTIC_POS)
 
     if alpha == 1.0:
-        # E_{1,b}(z) = 1F1(1; b; z)/Gamma(b).  The bridge rule divides by
-        # 1 - a, and the inverse-power sum drops the e^z z^{1-b} term (its
-        # omitted term is 0 at integer b).  At 30 digits the double is
+        # E_{1,b}(z) = 1F1(1; b; z)/Gamma(b).  At 30 digits the double is
         # correctly rounded, so 4 ulps bound it.
         with mpmath.workdps(30):
             value = float(mpmath.hyp1f1(1, beta, z) * mpmath.rgamma(beta))
         return EvalResult(value, 4.0 * _EPS * abs(value) + math.ulp(0.0), 0,
                           Regime.TAYLOR_SERIES)
 
-    if z <= -_ASYM_CUTOFF:
-        value, omitted = _ml_inverse_powers(alpha, beta, z)
-        return EvalResult(value, omitted, 0, Regime.ASYMPTOTIC_NEG)
-
-    value, qerr = _ml_bridge(alpha, beta, z)
-    return EvalResult(value, qerr, 0, Regime.QUADRATURE)
+    value, est = _ml_contour(alpha, beta, z)
+    return EvalResult(value, est, 0, Regime.QUADRATURE)
 
 
-def mittag_leffler_deriv(
-    alpha: float, z: float, policy: EvalPolicy = DEFAULT_POLICY
-) -> EvalResult:
+def mittag_leffler_deriv(alpha: float, z: float) -> EvalResult:
     """d/dz E_a(z) = (1/a) E_{a,a}(z)."""
-    inner = mittag_leffler(alpha, alpha, z, policy)
+    inner = mittag_leffler(alpha, alpha, z)
     return EvalResult(
         inner.value / alpha,
         inner.abs_error_bound / alpha,

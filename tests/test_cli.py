@@ -1,4 +1,5 @@
 import contextlib
+import dataclasses
 import io
 import json
 import math
@@ -8,6 +9,7 @@ import sys
 from pytest import approx
 
 from fracfront.cli import main
+from fracfront.invasion import ExperimentConfig
 
 
 def run_cli(*args):
@@ -31,8 +33,8 @@ class TestEval:
         assert "value=0.4393912895" in proc.stdout
 
     def test_ml_point_at_alpha_one(self):
-        # E_{1,2}(-20) = (e^{-20} - 1)/(-20): past the series' reach, where
-        # the bridge cannot run at alpha = 1.
+        # E_{1,2}(-20) = (e^{-20} - 1)/(-20): the 1F1 closed form, since the
+        # negative-axis contour rule needs alpha < 1.
         proc = run_cli("eval", "ml", "--alpha", "1", "--beta", "2", "--z", "-20")
         assert proc.returncode == 0
         assert f"value={math.expm1(-20.0) / -20.0:.10g}" in proc.stdout
@@ -169,6 +171,24 @@ class TestInvade:
         proc = run_cli("invade", "--config", str(path))
         assert proc.returncode == 1
         assert "usage error" in proc.stderr
+
+    def test_left_out_flags_take_the_config_defaults(self, tmp_path):
+        # No --dim, --n-samples, --t-end, --method or --format: the values
+        # come from FracParams and ExperimentConfig, not from the parser.
+        defaults = {f.name: f.default for f in dataclasses.fields(ExperimentConfig)}
+        out = tmp_path / "run.csv"
+        with contextlib.redirect_stdout(io.StringIO()):
+            code = main([
+                "invade", "--alpha", "0.5", "--rho", "1", "--profile", "power",
+                "--m", "1", "--beta", "0.5", "--t-start", "40",
+                "--output", str(out),
+            ])
+        assert code == 0
+        lines = out.read_text().splitlines()
+        assert lines[0] == "t,theta,sign,log_u,method"
+        assert len(lines) - 1 == defaults["n_samples"]
+        assert float(lines[-1].split(",")[0]) == approx(defaults["t_end"])
+        assert {line.split(",")[-1] for line in lines[1:]} == {defaults["method"]}
 
     def test_missing_flags_listed(self):
         proc = run_cli("invade", "--alpha", "0.5")

@@ -11,7 +11,6 @@ from scipy.special import erfcx, gamma as sp_gamma
 from fracfront import specfun
 from fracfront.errors import DomainError, FracFrontError
 from fracfront.specfun import (
-    EvalPolicy,
     Regime,
     dottie,
     gamma_alpha,
@@ -59,12 +58,20 @@ class TestMittagLeffler:
         assert res.value == approx(_ml_half_oracle(z), rel=1e-7)
 
     def test_regime_selection(self):
-        assert mittag_leffler(0.5, 1.0, -1.0).regime is Regime.TAYLOR_SERIES
-        assert mittag_leffler(0.5, 1.0, -40.0).regime is Regime.ASYMPTOTIC_NEG
-        assert mittag_leffler(0.5, 1.0, -15.0).regime is Regime.QUADRATURE
+        # One contour rule for the whole negative axis at alpha < 1.
+        for z in (-1.0, -15.0, -40.0):
+            assert mittag_leffler(0.5, 1.0, z).regime is Regime.QUADRATURE
+        assert mittag_leffler(0.5, 1.0, 1.0).regime is Regime.TAYLOR_SERIES
+        assert mittag_leffler(0.5, 1.0, 30.0).regime is Regime.ASYMPTOTIC_POS
 
     def test_overflow_reports_infinity(self):
         res = mittag_leffler(0.3, 1.0, 10.0)
+        assert res.value == math.inf
+        assert res.regime is Regime.ASYMPTOTIC_POS
+
+    def test_exponential_overflow_reports_infinity(self):
+        # e^710 is past double range; math.exp would raise OverflowError.
+        res = mittag_leffler(1.0, 1.0, 710.0)
         assert res.value == math.inf
         assert res.regime is Regime.ASYMPTOTIC_POS
 
@@ -85,11 +92,19 @@ class TestMittagLeffler:
             with raises(DomainError):
                 log_mittag_leffler(alpha, z)
 
+    @mark.parametrize("z", [-1000.0, -1e6])
+    def test_exponential_underflow_keeps_a_bound(self, z):
+        # e^z underflows to 0 here; the bound must still be positive.
+        res = mittag_leffler(1.0, 1.0, z)
+        assert res.value == 0.0
+        assert 0.0 < res.abs_error_bound
+        assert math.exp(z) <= res.abs_error_bound
+
     @mark.parametrize("z", [-20.0, -24.9, -12.0, -30.0, -1e4])
     def test_alpha_one_closed_form(self, z):
-        # E_{1,2}(z) = (e^z - 1)/z.  Past the Taylor series' reach neither
-        # the bridge (its Wright weight degenerates at alpha = 1) nor the
-        # inverse-power sum (1/|z| here, missing e^z/z) can answer.
+        # E_{1,2}(z) = (e^z - 1)/z.  The contour rule needs alpha < 1 (at
+        # alpha = 1 the transform has a pole at s = z), and the inverse-power
+        # sum (1/|z| here) misses e^z/z.
         res = mittag_leffler(1.0, 2.0, z)
         assert math.isfinite(res.value)
         assert 0.0 < res.abs_error_bound
@@ -252,6 +267,81 @@ class TestWrightDifferential:
         assert failures == []
 
 
+def _ml_laplace_reference(alpha: float, beta: float, z: float) -> mpmath.mpf:
+    """E_{a,b}(z), z < 0: Talbot inversion of s^{a-b}/(s^a - z) at t = 1.
+
+    For a < 1 and z < 0 the transform has no pole on the principal sheet,
+    and the Talbot contour encloses the branch cut.
+    """
+    with mpmath.workdps(45):
+        a, b, zz = mpmath.mpf(alpha), mpmath.mpf(beta), mpmath.mpf(z)
+        return mpmath.invertlaplace(
+            lambda s: s ** (a - b) / (s ** a - zz), 1, method="talbot"
+        )
+
+
+def _ml_series_reference(alpha: float, beta: float, z: float) -> mpmath.mpf:
+    """E_{a,b}(z), z > 0, by its defining series.
+
+    Every term is positive, so nothing cancels and 30 digits keep about 30;
+    the summation runs past the peak term near k ~ z^{1/a}/a until three
+    terms in a row fall below 1e-35 of the sum.
+    """
+    with mpmath.workdps(30):
+        a, b, zz = mpmath.mpf(alpha), mpmath.mpf(beta), mpmath.mpf(z)
+        log_z = mpmath.log(zz)
+        total, k, small = mpmath.mpf(0), 0, 0
+        while small < 3:
+            term = mpmath.exp(k * log_z - mpmath.loggamma(a * k + b))
+            total += term
+            small = small + 1 if term < mpmath.mpf(10) ** -35 * total else 0
+            k += 1
+        return total
+
+
+def _ml_probe_points(sign: float, count: int, seed_value: int):
+    """Seeded (alpha, beta, z) with alpha in (0.05, 1), beta cycling through
+    {alpha, 1/2, 1, 3/2} and |z| log-uniform in [1e-3, 1e6]; on the positive
+    axis |z| stops at the overflow edge z^{1/alpha} = 690."""
+    rng = np.random.default_rng(seed_value)
+    points = []
+    for i in range(count):
+        alpha = float(rng.uniform(0.05, 1.0))
+        beta = (alpha, 0.5, 1.0, 1.5)[i % 4]
+        top = 1e6 if sign < 0 else min(1e6, 690.0 ** alpha)
+        z = float(math.exp(rng.uniform(math.log(1e-3), math.log(top))))
+        points.append((alpha, beta, sign * z))
+    return points
+
+
+class TestMittagLefflerDifferential:
+    """mittag_leffler's bound against high-precision references on both axes."""
+
+    @staticmethod
+    def _breaches(points, reference):
+        breaches = []
+        for alpha, beta, z in points:
+            try:
+                res = mittag_leffler(alpha, beta, z)
+            except FracFrontError as exc:
+                breaches.append((alpha, beta, z, exc))
+                continue
+            err = float(abs(mpmath.mpf(res.value) - reference(alpha, beta, z)))
+            if not (0.0 < res.abs_error_bound and err <= res.abs_error_bound):
+                breaches.append((alpha, beta, z, res, err))
+        return breaches
+
+    def test_negative_axis_bound_covers_error(self):
+        # Where the inverse-power expansion used to break its bound.
+        known_bad = [(0.969, 1.0, -30.0), (0.999, 1.0, -80.0)]
+        points = _ml_probe_points(-1.0, 120, 2015) + known_bad
+        assert self._breaches(points, _ml_laplace_reference) == []
+
+    def test_positive_axis_bound_covers_error(self):
+        points = _ml_probe_points(1.0, 120, 2007)
+        assert self._breaches(points, _ml_series_reference) == []
+
+
 class TestLogWrightTail:
     def test_leading_term_within_five_percent(self):
         # At nu = mu = 1/2 the leading term is W itself: both are
@@ -285,7 +375,8 @@ class TestLogWrightTail:
 
 
 class TestSeriesGates:
-    """The negative-axis series run only when they can meet their tolerance."""
+    """The Wright series runs only when it can meet its tolerance, and no
+    series at all is summed for E_{a,b} on the negative axis."""
 
     def test_gated_points_sum_no_series(self, monkeypatch):
         nu, mu = 0.6, 0.4
@@ -300,7 +391,7 @@ class TestSeriesGates:
         assert (lv, est) == talbot
         assert regime is Regime.QUADRATURE
         res = mittag_leffler(0.7, 1.0, -40.0)
-        assert res.regime is Regime.ASYMPTOTIC_NEG
+        assert res.regime is Regime.QUADRATURE
         assert 0.0 < res.value < 1.0
 
     # Every point a gate rejects must be one its series would have failed:
@@ -318,22 +409,6 @@ class TestSeriesGates:
         x = _x_at_saddle(nu, y)
         if specfun._wright_series_hopeless(specfun._wright_big_y(nu, x), tol):
             assert specfun._wright_series(nu, mu, x, tol) is None
-
-    @seed(3)
-    @settings(max_examples=500, deadline=None, database=None)
-    @given(
-        alpha=st.floats(0.1, 1.0, exclude_min=True, exclude_max=True),
-        beta_choice=st.sampled_from(["one", "alpha", "three-halves"]),
-        log_abs_z=st.floats(math.log(1e-3), math.log(60.0)),
-        log10_tol=st.floats(-11.0, -2.0),
-    )
-    def test_ml_gate_is_conservative(self, alpha, beta_choice, log_abs_z, log10_tol):
-        # z in [-60, 0), log-uniform: the gate's edge lies at |z| ~ 1-30.
-        z = -math.exp(log_abs_z)
-        beta = {"one": 1.0, "alpha": alpha, "three-halves": 1.5}[beta_choice]
-        policy = EvalPolicy(target_tol=10.0 ** log10_tol)
-        if specfun._ml_series_hopeless(alpha, beta, z, policy):
-            assert specfun._ml_series(alpha, beta, z, policy) is None
 
 
 class TestScalarConstants:
