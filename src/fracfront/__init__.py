@@ -11,7 +11,6 @@ from .errors import (
 )
 from .logvalue import LogValue, signed_log_sum
 from .specfun import (
-    EvalPolicy,
     EvalResult,
     Regime,
     dottie,

@@ -93,7 +93,7 @@ def stable_envelope(
     )
 
 
-def _f_transform(rho: float, y: float, abs_tol: float = 1e-10) -> float:
+def _f_transform(rho: float, y: float) -> float:
     """F(y) = (1/pi) * integral_0^inf exp(-s^{2 rho}) cos(s y) ds.
 
     Integrated per half-period of the cosine so each segment is single
@@ -130,7 +130,7 @@ def _f_transform(rho: float, y: float, abs_tol: float = 1e-10) -> float:
         if j > 200000:
             raise QuadratureFailure(f"cosine transform did not terminate at y = {y}")
     total = math.fsum(pieces) / math.pi
-    # Alternating tail beyond s_max is below abs_tol by construction.
+    # The tail beyond s_max is below e^{-44} by construction.
     if not math.isfinite(total):
         raise QuadratureFailure(f"cosine transform overflowed at y = {y}")
     return total

@@ -17,20 +17,12 @@ The Laplace-Wright integral of e^{z s} W_{-a,b-a}(-s) ds (``_bridge_rule``)
 is not on any of these paths; verify keeps it to cross-check the two
 function families against each other.
 
-W_{-nu,mu}(-x) has one evaluator, ``_log_wright``: series, Talbot contour,
-saddle-point tail A0(nu, mu) Y^{1/2-mu} e^{-Y} with Y = (1-nu)(nu^nu x)^{1/(1-nu)}
-and fitted 1/Y corrections, and a high-precision series for the mid zone where
-the double series cancels but the tail is not yet accurate.  ``wright_neg``
-and ``log_wright_tail`` (the leading tail term alone) are views of it.
-
-The Wright series is gated before the first term is summed.  Its rounding
-loss is known up front: it loses at least e^{1.8 Y}.  A series whose error
-estimate cannot meet the tolerance is skipped and the next regime runs at
-once.  The gate only rejects series that the a-posteriori test would also
-reject (a lower bound on that test's error estimate already exceeds the
-tolerance), so every result, regime and term count is the one the
-series-first order gives; the a-posteriori test still runs on every series
-that is summed.
+W_{-nu,mu}(-x) has one evaluator, ``_log_wright``: closed forms at x = 0 and
+nu = 1/2, one Talbot contour rule for the Hankel integral at saddle variable
+0 < Y = (1-nu)(nu^nu x)^{1/(1-nu)} <= 1e5, and beyond it the saddle-point
+tail A0(nu, mu) Y^{1/2-mu} e^{-Y} with 1/Y corrections fitted once per
+(nu, mu) in mpmath, its only high-precision work.  ``wright_neg`` and
+``log_wright_tail`` (the leading tail term alone) are views of it.
 """
 
 from __future__ import annotations
@@ -53,20 +45,6 @@ _EPS = 2.0 ** -52
 # as inf, which ends the summation unconverged.
 _LOG_TERM_MAX = 709.0
 
-# Largest tolerance the Wright series gate acts on; the bridge asks for 1e-2
-# at its deepest-tail nodes.  Far above it a sum that is pure rounding noise
-# can pass the a-posteriori test (the estimate saturates near 0.3), so the
-# gate leaves such requests to the series-first order.
-_GATE_MAX_TOL = 1e-2
-
-# The Wright series on W_{-nu,mu}(-x) peaks near e^{Y} while the value is
-# near e^{-Y}.  Its own relative error estimate was measured never to fall
-# below _EPS e^{1.8 Y} where it meets a tolerance <= _GATE_MAX_TOL: on a
-# grid of nu in [0.001, 0.999], mu in [-1, 3] and Y in (0, 20] the smallest
-# margin was e^{1.84}, at nu = 0.006, mu = 0.02, Y = 3.5.  Beyond Y ~ 17
-# the estimate saturates near 0.3.
-_WRIGHT_LOSS_RATE = 1.8
-
 
 class Regime(Enum):
     TAYLOR_SERIES = "taylor-series"
@@ -84,19 +62,6 @@ class EvalResult:
     terms_used: int
     regime: Regime
 
-
-@dataclass(frozen=True)
-class EvalPolicy:
-    """The tolerance ``wright_neg`` aims for."""
-
-    target_tol: float = 1e-10
-
-    def __post_init__(self):
-        if self.target_tol <= 0:
-            raise ValueError("target_tol must be positive")
-
-
-DEFAULT_POLICY = EvalPolicy()
 
 # z from which the exponential expansion of E_{a,b}(z) answers.
 _ASYM_CUTOFF = 25.0
@@ -145,8 +110,7 @@ def _kahan_series(terms, max_terms):
         last_abs = abs(term)
         max_abs = max(max_abs, last_abs)
         n += 1
-        # Reciprocal-gamma poles make isolated terms exactly zero, so only a
-        # run of tiny terms counts as the series having decayed for good.
+        # Only a run of tiny terms counts as the series having decayed for good.
         small_streak = small_streak + 1 if last_abs <= 2.0 ** -60 * max_abs else 0
         if n >= 4 and small_streak >= 3:
             return s, n, max_abs, last_abs, True
@@ -167,27 +131,11 @@ def _ml_terms(alpha, beta, z, max_terms):
         yield math.exp(e) if e < _LOG_TERM_MAX else math.inf
 
 
-def _wright_terms(nu, mu, z, max_terms):
-    # z^n / n! accumulated multiplicatively to avoid factorial overflow.
-    coeff = 1.0
-    for n in range(max_terms + 1):
-        if not math.isfinite(coeff):
-            # inf * (rgamma pole zero) would turn into a silent nan.
-            yield math.inf
-            return
-        yield coeff * float(_rgamma(-nu * n + mu))
-        coeff *= z / (n + 1)
-
-
-def _series_error(max_abs, last_abs, converged, n_terms):
-    # Rounding of the dominant terms plus the first-omitted-term heuristic
-    # for the truncation.  The per-term factor accounts for argument
-    # rounding inside the reciprocal gamma (which grows with the index),
-    # not just the summation itself.
-    err = _EPS * max_abs * (4.0 + 2.0 * n_terms) + last_abs
-    if not converged:
-        err = math.inf
-    return err
+def _series_error(max_abs, last_abs, n_terms):
+    # Rounding of the dominant terms, with a per-term factor for the argument
+    # rounding inside the gamma function (which grows with the index), plus
+    # the first omitted term for the truncation of a converged series.
+    return _EPS * max_abs * (4.0 + 2.0 * n_terms) + last_abs
 
 
 # ---------------------------------------------------------------------------
@@ -208,19 +156,15 @@ def _wright_big_y(nu: float, x: float) -> float:
     return (1.0 - nu) * math.exp(exponent)
 
 
-def _wright_a0_exact(nu: float, mu: float) -> float:
-    """Saddle-point constant of W_{-nu,mu}(-x) ~ A0 Y^{1/2-mu} e^{-Y}.
+def _log_wright_lead(nu: float, mu: float, y: float) -> float:
+    """log of the leading tail term A0(nu, mu) Y^{1/2-mu} e^{-Y}.
 
     From the Hankel representation (1/2 pi i) int s^{-mu} e^{s - x s^nu} ds:
     the saddle sits at s* = nu Y / (1 - nu) with phi''(s*) = (1 - nu)/s*,
     which gives A0 = (nu/(1-nu))^{1/2-mu} / sqrt(2 pi (1-nu)).
     """
-    return (nu / (1.0 - nu)) ** (0.5 - mu) / math.sqrt(2.0 * math.pi * (1.0 - nu))
-
-
-def _log_wright_lead(nu: float, mu: float, y: float) -> float:
-    """log of the leading tail term A0(nu, mu) Y^{1/2-mu} e^{-Y}."""
-    return (0.5 - mu) * math.log(y) - y + math.log(_wright_a0_exact(nu, mu))
+    a0 = (nu / (1.0 - nu)) ** (0.5 - mu) / math.sqrt(2.0 * math.pi * (1.0 - nu))
+    return (0.5 - mu) * math.log(y) - y + math.log(a0)
 
 
 def log_wright_tail(nu: float, mu: float, z: float) -> LogValue:
@@ -249,28 +193,17 @@ def _wright_mp(nu: float, mu: float, x: float, dps: int) -> tuple[mpmath.mpf, in
         # -nu*n + mu in doubles injects O(1e-14) argument noise that the
         # heavily cancelling sum amplifies catastrophically.
         nu_mp, mu_mp, x_mp = mpmath.mpf(nu), mpmath.mpf(mu), mpmath.mpf(x)
-        s = mpmath.mpf(0)
-        coeff = mpmath.mpf(1)
-        max_abs = mpmath.mpf(0)
-        n = 0
-        small_streak = 0
+        s, coeff, max_abs = mpmath.mpf(0), mpmath.mpf(1), mpmath.mpf(1)
         floor = mpmath.mpf(10) ** (-dps - 5)
-        while True:
+        n = small_streak = 0
+        # Pole terms are exactly zero; only a run of tiny terms ends it.
+        while (n <= 8 or small_streak < 3) and n <= 100000:
             term = coeff * mpmath.rgamma(mu_mp - nu_mp * n)
             s += term
             max_abs = max(max_abs, abs(term))
             coeff *= -x_mp / (n + 1)
             n += 1
-            # Pole terms are exactly zero; only a run of tiny terms ends it.
-            small_streak = (
-                small_streak + 1
-                if abs(term) < floor * max(max_abs, mpmath.mpf(1))
-                else 0
-            )
-            if n > 8 and small_streak >= 3:
-                break
-            if n > 100000:  # pragma: no cover - safety stop
-                break
+            small_streak = small_streak + 1 if abs(term) < floor * max_abs else 0
         return +s, n
 
 
@@ -300,71 +233,75 @@ def _wright_tail_correction(nu: float, mu: float) -> tuple[float, float, float]:
     return float(a1), float(a2), float(a3)
 
 
-def _talbot_sum(nu: float, mu: float, x: float, y: float, r: float, n: int) -> float:
-    theta = (np.arange(n) + 0.5) * (math.pi / n)
-    cot = 1.0 / np.tan(theta)
-    sigma = r * theta * (cot + 1j)
-    dsigma = r * (cot - theta / np.sin(theta) ** 2 + 1j)
-    # Phase shifted by +Y so the factor under the sum stays O(1); the
-    # contour passes through the real-axis saddle at theta -> 0.
-    g = sigma - x * sigma ** nu + y
-    vals = np.exp(g) * sigma ** (-mu) * dsigma
-    return float(np.sum(vals.imag)) / n
+_TALBOT_MIN_N, _TALBOT_MAX_N = 64, 4096
+
+# The neglected a4/Y^4 order of the tail leaks into the fitted a1 by about
+# a4/(y1 y2 y3), felt as a 1/Y relative error; this is that factor.
+_TAIL_LEAK = 1.0 / (_TAIL_FIT_YS[0] * _TAIL_FIT_YS[1] * _TAIL_FIT_YS[2])
 
 
-def _wright_talbot(nu: float, mu: float, x: float) -> tuple[LogValue, float]:
-    """W_{-nu,mu}(-x) from the Hankel representation on a Talbot contour.
+@functools.cache
+def _talbot_level(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Radius-1 Talbot nodes s = theta(cot theta + i), log s and ds/dtheta at
+    the theta = k pi/n the n-node trapezoid rule adds to the n/2-node one:
+    every k < n at n = 64, the odd k above.  s(0) = 1 and ds(0) = i, the
+    latter with the end weight 1/2."""
+    k = np.arange(n) if n == _TALBOT_MIN_N else np.arange(1, n, 2)
+    theta = k * (math.pi / n)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        cot = 1.0 / np.tan(theta)
+        s = theta * (cot + 1j)
+        ds = cot - theta / np.sin(theta) ** 2 + 1j
+    if k[0] == 0:
+        s[0], ds[0] = 1.0, 0.5j
+    return s, np.log(s), ds
+
+
+def _wright_talbot(nu: float, mu: float, x: float, y: float, tol: float) -> tuple[LogValue, float]:
+    """W_{-nu,mu}(-x) from its Hankel integral on a Talbot contour.
 
     (1/2 pi i) int sigma^{-mu} e^{sigma - x sigma^nu} d sigma over
-    sigma(theta) = r theta(cot theta + i), with the radius matched to the
-    saddle so e^{-Y} factors out analytically and the quadrature works in
-    doubles for any Y.  The error estimate is the half-node-count
-    difference plus the rounding of the phase; the node count grows with the
-    saddle sharpness sqrt(Y).
+    sigma(theta) = r theta(cot theta + i), by the trapezoid rule in theta.
+    r = nu Y/(1-nu) puts theta = 0 on the real-axis saddle, where the phase
+    is -Y, so e^{-Y} factors out and the sum stays O(1) for any Y.  At small
+    Y, r is floored at the largest of 1/(1-nu), 1/(2(1-nu)), ... where the
+    real-axis phase r - x r^nu + Y is at most 3, and at least 2: as nu -> 1
+    the integrand decays ever more slowly along the contour unless r grows
+    like 1/(1-nu), and the cap bounds the cancellation that brings.  The
+    node count doubles from 64 (and from at least 48 + 8 sqrt(Y), the saddle
+    peak being ~1/sqrt(Y) wide in theta) until the n- and n/2-node sums
+    agree to ``tol`` or n reaches 4096; each doubling adds only the odd nodes.
+
+    The relative estimate is that difference plus eps (n + r + x r^nu + Y)
+    sum|terms|/|sum terms|: the phase of each term is rounded to eps times
+    its parts, which cancel near the saddle, the sum adds eps n, and the
+    cancellation between terms, as near zeros of W, scales both.  A sum
+    that is zero or not finite has an infinite estimate.
     """
-    y = _wright_big_y(nu, x)
-    r = max(nu * y / (1.0 - nu), 1e-2)
-    # The saddle peak has width ~ 1/sqrt(Y) in theta; past the node cap it
-    # cannot be resolved and the estimate below reports the failure.
-    n = min(48 + 8 * int(math.sqrt(y)), 3072)
-    while True:
-        full = _talbot_sum(nu, mu, x, y, r, n)
-        half = _talbot_sum(nu, mu, x, y, r, n // 2)
-        scale = max(abs(full), 1e-300)
-        est = abs(full - half) / scale + 1e-14
-        if est < 1e-11 or n >= 3072:
-            break
-        n *= 2
-    # Near the saddle sigma ~ r and x sigma^nu ~ r/nu cancel in the phase
-    # down to O(1); their rounding is an absolute error in the phase, so a
-    # relative one in the value, which no node count removes.
-    est += _EPS * (r + x * r ** nu + y)
-    if full == 0.0:
-        # The function is not zero anywhere on (0, inf); an exactly zero
-        # sum means every node missed the saddle peak.
-        return LogValue.zero(), math.inf
-    sign = 1 if full > 0.0 else -1
-    return LogValue(sign, math.log(abs(full)) - y), est
-
-
-def _wright_series_hopeless(y: float, tol: float) -> bool:
-    """True when the double Wright series at saddle variable ``y`` cannot
-    reach relative error ``tol``: its estimate is at least _EPS e^{1.8 y}."""
-    return tol <= _GATE_MAX_TOL and _WRIGHT_LOSS_RATE * y > math.log(tol / _EPS)
-
-
-def _wright_series(
-    nu: float, mu: float, x: float, tol: float
-) -> tuple[LogValue, float, Regime, int] | None:
-    """W_{-nu,mu}(-x) by the double series, or None if its estimate exceeds ``tol``."""
-    s, n, max_abs, last_abs, converged = _kahan_series(
-        _wright_terms(nu, mu, -x, 4000), 4000
-    )
-    if converged and s != 0.0:
-        rel = _series_error(max_abs, last_abs, converged, n) / abs(s)
-        if rel <= tol:
-            return LogValue.from_float(s), rel, Regime.TAYLOR_SERIES, n
-    return None
+    r = 1.0 / (1.0 - nu)
+    while r > 2.0 and r - x * r ** nu + y > 3.0:
+        r *= 0.5
+    r = max(nu * y / (1.0 - nu), r, 2.0)
+    xr = x * r ** nu
+    n, total, total_abs = _TALBOT_MIN_N // 2, 0.0, 0.0
+    with np.errstate(over="ignore", invalid="ignore"):
+        while True:
+            n *= 2
+            s, log_s, ds = _talbot_level(n)
+            terms = (np.exp(r * s - xr * np.exp(nu * log_s) - mu * log_s + y) * ds).imag
+            half = (total / (n // 2) if n > _TALBOT_MIN_N
+                    else 2.0 * float(np.sum(terms[::2])) / n)
+            total += float(np.sum(terms))
+            total_abs += float(np.sum(np.abs(terms)))
+            full = total / n
+            if not (math.isfinite(full) and full != 0.0):
+                return LogValue.zero(), math.inf
+            if n >= _TALBOT_MAX_N or (n >= 48.0 + 8.0 * math.sqrt(y)
+                                      and abs(full - half) <= tol * abs(full)):
+                break
+    est = abs(full - half) / abs(full) + _EPS * (n + r + xr + y) * total_abs / abs(total)
+    return LogValue(1 if full > 0.0 else -1,
+                    math.log(abs(full)) + (1.0 - mu) * math.log(r) - y), est
 
 
 def _log_wright(
@@ -372,14 +309,14 @@ def _log_wright(
 ) -> tuple[LogValue, float, Regime, int]:
     """Signed log of W_{-nu,mu}(-x) for x >= 0, with a relative-error estimate.
 
-    The one Wright evaluator, behind the subordination quadrature, the
-    Laplace-Wright rule ``_bridge_rule`` and ``wright_neg``; picks series /
-    Talbot contour / corrected tail / high precision per point so the
-    estimate stays below ``tol`` whenever achievable.  The series is only summed when its
-    rounding loss, known from Y before any term, leaves ``tol`` within
-    reach; the skipped series would have failed its own a-posteriori test,
-    so the result is the same.  Returns (signed log, estimate, regime,
-    series terms summed); the closed forms count as series with no terms.
+    The one Wright evaluator, behind the subordination quadrature,
+    ``_bridge_rule`` and ``wright_neg``: closed forms at x = 0 and nu = 1/2,
+    the Talbot contour rule for 0 < Y <= 1e5 and the corrected tail beyond.
+    Where the contour misses ``tol``, the one of contour and tail (Y >= 12)
+    with the smaller estimate answers with it; an estimate of 1 or more,
+    which leaves not even the sign, does not count.  Returns (signed log,
+    estimate, regime, terms summed): the closed forms are series with no
+    terms, the contour ``QUADRATURE`` and the tail ``ASYMPTOTIC_NEG``.
     """
     if x < 0:
         raise DomainError("_log_wright expects x >= 0")
@@ -395,63 +332,41 @@ def _log_wright(
                 _EPS, Regime.TAYLOR_SERIES, 0)
 
     y = _wright_big_y(nu, x)
-    if not _wright_series_hopeless(y, tol):
-        hit = _wright_series(nu, mu, x, tol)
-        if hit is not None:
-            return hit
-
-    # Above Y ~ 1e5 the contour peak outgrows the Talbot node cap, and the
-    # corrected tail below is already at ~3e-10 relative there.
-    if 4.0 <= y <= 1e5:
-        lv, est = _wright_talbot(nu, mu, x)
-        if est <= max(tol, 1e-9):
-            return lv, est, Regime.QUADRATURE, 0
-
-    tail = None
-    if y >= 12.0:
-        if not y < 1e300:
-            # e^{-Y} is unrepresentably far below double underflow (nu near
-            # 1 sends Y astronomical already at moderate x); the value is an
-            # exact zero at working precision.
-            return LogValue.zero(), 1e-14, Regime.ASYMPTOTIC_NEG, 0
+    if not y < 1e300:
+        # e^{-Y} is unrepresentably far below double underflow (nu near 1
+        # sends Y astronomical already at moderate x); the value is an exact
+        # zero at working precision.
+        return LogValue.zero(), 1e-14, Regime.ASYMPTOTIC_NEG, 0
+    # Above Y ~ 1e5 the contour peak outgrows the node cap, and the
+    # corrected tail is already at ~3e-10 relative there.
+    lv, est = _wright_talbot(nu, mu, x, y, tol) if y <= 1e5 else (None, math.inf)
+    if est <= tol:
+        return lv, est, Regime.QUADRATURE, 0
+    # The tail's fit is skipped where its estimate, at least _TAIL_LEAK/Y,
+    # cannot beat the contour's.
+    if y >= 12.0 and est > _TAIL_LEAK / y:
         a1, a2, a3 = _wright_tail_correction(nu, mu)
-        # First term: the neglected a4/Y^4 tail order.  Second term: the
-        # same neglected order leaks into the fitted a1 by roughly
-        # a4/(y1 y2 y3), felt as a 1/y relative error.  1 + 3|a3| serves
-        # as the proxy for the unknown |a4|.  y^4 may overflow to inf, which
-        # harmlessly zeroes that term.
-        leak = 1.0 / (_TAIL_FIT_YS[0] * _TAIL_FIT_YS[1] * _TAIL_FIT_YS[2])
-        est = max((1.0 + 3.0 * abs(a3)) * (1.0 / (y * y * y * y) + leak / y), 1e-14)
         corr = 1.0 + a1 / y + a2 / (y * y) + a3 / (y * y * y)
-        if corr > 0.0:
-            log_abs = _log_wright_lead(nu, mu, y) + math.log(corr)
-            tail = (LogValue(1, log_abs), est, Regime.ASYMPTOTIC_NEG, 0)
-            if est <= tol:
-                return tail
-
-    # High-precision mid zone: the double series loses ~Y/ln10 digits, so
-    # past the precision cap the result would be pure noise and the
-    # corrected tail (with its honest estimate) is the only usable answer.
-    dps = 20 + int(y)
-    if dps <= 220:
-        with mpmath.workdps(dps):
-            w, n = _wright_mp(nu, mu, x, dps)
-            if w == 0:
-                return LogValue.zero(), 0.0, Regime.TAYLOR_SERIES, n
-            sign = 1 if w > 0 else -1
-            log_abs = float(mpmath.log(abs(w)))
-        return LogValue(sign, log_abs), 1e-12, Regime.TAYLOR_SERIES, n
-    if tail is not None:
-        return tail
+        # The neglected a4/Y^4 order and its leak into a1, with 1 + 3|a3| as
+        # the proxy for the unknown |a4|.  y^4 may overflow to inf, which
+        # harmlessly zeroes that term.
+        tail_est = max((1.0 + 3.0 * abs(a3)) * (1.0 / (y * y * y * y) + _TAIL_LEAK / y), 1e-14)
+        if corr > 0.0 and tail_est < min(est, 1.0):
+            return (LogValue(1, _log_wright_lead(nu, mu, y) + math.log(corr)), tail_est,
+                    Regime.ASYMPTOTIC_NEG, 0)
+    if est < 1.0:
+        return lv, est, Regime.QUADRATURE, 0
     raise NonConvergence(
         f"no trustworthy regime for W_(-{nu},{mu})(-{x}): Y = {y:.3g}"
     )
 
 
-def wright_neg(
-    nu: float, mu: float, z: float, policy: EvalPolicy = DEFAULT_POLICY
-) -> EvalResult:
-    """W_{-nu,mu}(z) for z <= 0, from ``_log_wright`` at ``policy.target_tol``.
+# The relative tolerance ``wright_neg`` asks of ``_log_wright``.
+_WRIGHT_NEG_TOL = 1e-10
+
+
+def wright_neg(nu: float, mu: float, z: float) -> EvalResult:
+    """W_{-nu,mu}(z) for z <= 0, from ``_log_wright`` at tolerance 1e-10.
 
     For mu = 1 - nu and z < 0 the value is the (strictly positive)
     subordination density.  The bound is |W| times the evaluator's estimate
@@ -464,7 +379,7 @@ def wright_neg(
         raise DomainError(f"wright_neg requires finite z, got {z}")
     if z > 0.0:
         raise DomainError("wright_neg requires z <= 0")
-    lv, est, regime, terms = _log_wright(nu, mu, -z, tol=policy.target_tol)
+    lv, est, regime, terms = _log_wright(nu, mu, -z, tol=_WRIGHT_NEG_TOL)
     value = lv.to_float()
     rounding = abs(lv.log_abs) * _EPS if lv.sign != 0 else 0.0
     return EvalResult(value, max(abs(value) * (est + rounding), math.ulp(0.0)), terms, regime)
@@ -608,7 +523,7 @@ def mittag_leffler(alpha: float, beta: float, z: float) -> EvalResult:
             # so its end points bound it over the summed range.
             parts = (n * abs(math.log(z)) + abs(math.lgamma(alpha * n + beta))
                      + abs(math.lgamma(beta)) + 1.0)
-            err = _series_error(max_abs, last_abs, True, n) + 2.0 * _EPS * parts * s
+            err = _series_error(max_abs, last_abs, n) + 2.0 * _EPS * parts * s
             return EvalResult(s, err, n, Regime.TAYLOR_SERIES)
         lead = math.exp(expo) * z ** ((1.0 - beta) / alpha) / alpha
         corr, omitted = _ml_inverse_powers(alpha, beta, z)
@@ -665,7 +580,9 @@ def log_mittag_leffler(alpha: float, z: float) -> LogValue:
 
 def gamma_upper_incomplete(s: float, x: float) -> float:
     """Upper incomplete gamma integral over (x, infinity); any real s for x > 0."""
-    if x < 0.0:
+    if not math.isfinite(s):
+        raise DomainError(f"s must be finite, got {s}")
+    if not x >= 0.0:
         raise DomainError(f"x must be >= 0, got {x}")
     if x == 0.0:
         if s <= 0.0:
@@ -683,11 +600,14 @@ def gamma_alpha(alpha: float) -> float:
 
 def m_alpha(alpha: float) -> int:
     """Smallest integer strictly greater than (2/gamma_alpha)^{(1-a)/a}."""
-    threshold = (2.0 / gamma_alpha(alpha)) ** ((1.0 - alpha) / alpha)
-    if threshold > 2.0 ** 62:
-        raise OverflowError(
+    base, power = 2.0 / gamma_alpha(alpha), (1.0 - alpha) / alpha
+    # Checked in logs: the power itself overflows doubles for alpha below
+    # about 0.019.
+    if power * math.log(base) > 62.0 * math.log(2.0):
+        raise DomainError(
             f"linear-speed upper threshold exceeds integer range at alpha = {alpha}"
         )
+    threshold = base ** power
     return int(math.floor(threshold)) + 1
 
 

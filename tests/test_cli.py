@@ -74,6 +74,14 @@ class TestKernelAndThresholds:
         assert proc.returncode == 0
         assert "lower" in proc.stdout and "upper" in proc.stdout
 
+    def test_thresholds_out_of_integer_range(self):
+        # m_alpha passes 2^62 below alpha ~ 0.018: a typed failure, not a
+        # traceback.
+        proc = run_cli("thresholds", "--alpha", "0.01", "--rho", "1", "--dim", "1")
+        assert proc.returncode == 2
+        assert "computation failed" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
     def test_thresholds_frozen_values(self):
         proc = run_cli("thresholds", "--alpha", "0.5", "--rho", "1", "--dim", "1")
         assert proc.returncode == 0
