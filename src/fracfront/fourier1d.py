@@ -17,13 +17,13 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.special import rgamma as _rgamma
 
 from .errors import DomainError, NonConvergence
 from .logvalue import (
     GL_NODES, GL_WEIGHTS, LogValue, panel_integral_log, signed_log_sum,
 )
-from .specfun import EvalResult, Regime, dottie, log_mittag_leffler, mittag_leffler
+from .specfun import (EvalResult, Regime, dottie, log_mittag_leffler, mittag_leffler,
+                      reciprocal_gamma)
 
 
 def _segment_integral_log(
@@ -201,10 +201,10 @@ def a0_lower_bound(
         return (1.0 - one_minus_q ** p) / p
 
     lam_sum = math.fsum(
-        _rgamma(alpha + k * alpha) * ta ** k * b_k(k) for k in range(kmax + 1)
+        reciprocal_gamma(alpha + k * alpha) * ta ** k * b_k(k) for k in range(kmax + 1)
     )
     bet_sum = math.fsum(
-        _rgamma(1.0 + k * alpha - alpha * (n - 1))
+        reciprocal_gamma(1.0 + k * alpha - alpha * (n - 1))
         * ta ** k
         * (1.0 - one_minus_q ** (k + 2 - n)) / (k + 2 - n)
         for k in range(n - 1, kmax + 1)
@@ -240,7 +240,7 @@ def a1_upper_bound(n: int, alpha: float, rho: float, t: float, x: float) -> floa
     q3 = 1.0 - (3.0 * math.pi / (2.0 * x)) ** (2.0 * rho)
     kmax = math.floor((3 * n - 2) / 2)
     c1 = (ta / alpha) * math.fsum(
-        (_rgamma(1.0 + alpha * k) - _rgamma(alpha + alpha * k))
+        (reciprocal_gamma(1.0 + alpha * k) - reciprocal_gamma(alpha + alpha * k))
         * ta ** k
         * (q1 ** (k + 1) - q3 ** (k + 1)) / (k + 1)
         for k in range(kmax + 1)

@@ -21,8 +21,10 @@ W_{-nu,mu}(-x) has one evaluator, ``_log_wright``: closed forms at x = 0 and
 nu = 1/2, one Talbot contour rule for the Hankel integral at saddle variable
 0 < Y = (1-nu)(nu^nu x)^{1/(1-nu)} <= 1e5, and beyond it the saddle-point
 tail A0(nu, mu) Y^{1/2-mu} e^{-Y} with 1/Y corrections fitted once per
-(nu, mu) in mpmath, its only high-precision work.  ``wright_neg`` and
-``log_wright_tail`` (the leading tail term alone) are views of it.
+(nu, mu) against the Talbot rule.  ``wright_neg`` and ``log_wright_tail``
+(the leading tail term alone) are views of it.  Both families run in
+double precision with ``reciprocal_gamma`` as the one 1/Gamma; mpmath answers
+only 1F1(1; b; z)/Gamma(b) at a = 1 and ``gamma_upper_incomplete``.
 """
 
 from __future__ import annotations
@@ -34,7 +36,6 @@ from enum import Enum
 
 import mpmath
 import numpy as np
-from scipy.special import rgamma as _rgamma
 
 from .errors import DomainError, NonConvergence
 from .logvalue import LogValue, gl_panels
@@ -77,10 +78,19 @@ _INV_POWER_TERMS = 6
 
 
 def reciprocal_gamma(x: float) -> float:
-    """1/Gamma(x), taken as exactly 0 at the poles x = 0, -1, -2, ..."""
+    """1/Gamma(x): exactly 0 at the poles x = 0, -1, -2, ... and past 171.6,
+    x where Gamma overflows near 0, and +-inf with the sign (-1)^ceil(-x)
+    where it underflows at large negative x."""
     if not math.isfinite(x):
         raise DomainError(f"reciprocal_gamma requires finite x, got {x}")
-    return float(_rgamma(x))
+    try:
+        return 1.0 / math.gamma(x)
+    except ValueError:  # a pole
+        return 0.0
+    except OverflowError:
+        return x if abs(x) < 1.0 else 0.0
+    except ZeroDivisionError:
+        return math.inf if math.ceil(-x) % 2 == 0 else -math.inf
 
 
 # ---------------------------------------------------------------------------
@@ -185,59 +195,15 @@ def log_wright_tail(nu: float, mu: float, z: float) -> LogValue:
     return LogValue(1, _log_wright_lead(nu, mu, y))
 
 
-def _wright_mp(nu: float, mu: float, x: float, dps: int) -> tuple[mpmath.mpf, int]:
-    """W_{-nu,mu}(-x) by the defining series at ``dps`` working digits,
-    with the number of terms summed."""
-    with mpmath.workdps(dps):
-        # The gamma argument must be formed in working precision: building
-        # -nu*n + mu in doubles injects O(1e-14) argument noise that the
-        # heavily cancelling sum amplifies catastrophically.
-        nu_mp, mu_mp, x_mp = mpmath.mpf(nu), mpmath.mpf(mu), mpmath.mpf(x)
-        s, coeff, max_abs = mpmath.mpf(0), mpmath.mpf(1), mpmath.mpf(1)
-        floor = mpmath.mpf(10) ** (-dps - 5)
-        n = small_streak = 0
-        # Pole terms are exactly zero; only a run of tiny terms ends it.
-        while (n <= 8 or small_streak < 3) and n <= 100000:
-            term = coeff * mpmath.rgamma(mu_mp - nu_mp * n)
-            s += term
-            max_abs = max(max_abs, abs(term))
-            coeff *= -x_mp / (n + 1)
-            n += 1
-            small_streak = small_streak + 1 if abs(term) < floor * max_abs else 0
-        return +s, n
-
-
 # Fit abscissas for the tail-correction coefficients; their product bounds
 # the leakage of the first neglected coefficient into the fitted a1.
 _TAIL_FIT_YS = (20.0, 32.0, 50.0)
 
-
-@functools.lru_cache(maxsize=256)
-def _wright_tail_correction(nu: float, mu: float) -> tuple[float, float, float]:
-    """Fit the first three 1/Y correction coefficients of the tail expansion.
-
-    Matching the high-precision series at three moderate Y values pins
-    W/leading ~ 1 + a1/Y + a2/Y^2 + a3/Y^3; only the leading constant A0 is
-    known in closed form, so the corrections are calibrated numerically once
-    per (nu, mu) pair.
-    """
-    ys = np.array(_TAIL_FIT_YS)
-    rs = []
-    for y in ys:
-        x = (y / (1.0 - nu)) ** (1.0 - nu) / nu ** nu
-        dps = 30 + int(y)
-        w = float(_wright_mp(nu, mu, x, dps)[0])
-        rs.append(w / math.exp(_log_wright_lead(nu, mu, y)) - 1.0)
-    vander = np.vstack([1.0 / ys, 1.0 / ys ** 2, 1.0 / ys ** 3]).T
-    a1, a2, a3 = np.linalg.solve(vander, np.array(rs))
-    return float(a1), float(a2), float(a3)
-
-
-_TALBOT_MIN_N, _TALBOT_MAX_N = 64, 4096
-
 # The neglected a4/Y^4 order of the tail leaks into the fitted a1 by about
 # a4/(y1 y2 y3), felt as a 1/Y relative error; this is that factor.
 _TAIL_LEAK = 1.0 / (_TAIL_FIT_YS[0] * _TAIL_FIT_YS[1] * _TAIL_FIT_YS[2])
+
+_TALBOT_MIN_N, _TALBOT_MAX_N = 64, 4096
 
 
 @functools.cache
@@ -270,7 +236,9 @@ def _wright_talbot(nu: float, mu: float, x: float, y: float, tol: float) -> tupl
     like 1/(1-nu), and the cap bounds the cancellation that brings.  The
     node count doubles from 64 (and from at least 48 + 8 sqrt(Y), the saddle
     peak being ~1/sqrt(Y) wide in theta) until the n- and n/2-node sums
-    agree to ``tol`` or n reaches 4096; each doubling adds only the odd nodes.
+    agree to ``tol`` and either the estimate below meets ``tol`` or their
+    difference is under its rounding part, which more nodes only grow; or
+    until n = 4096.  Each doubling adds only the odd nodes.
 
     The relative estimate is that difference plus eps (n + r + x r^nu + Y)
     sum|terms|/|sum terms|: the phase of each term is rounded to eps times
@@ -296,12 +264,36 @@ def _wright_talbot(nu: float, mu: float, x: float, y: float, tol: float) -> tupl
             full = total / n
             if not (math.isfinite(full) and full != 0.0):
                 return LogValue.zero(), math.inf
-            if n >= _TALBOT_MAX_N or (n >= 48.0 + 8.0 * math.sqrt(y)
-                                      and abs(full - half) <= tol * abs(full)):
+            diff = abs(full - half) / abs(full)
+            rounding = _EPS * (n + r + xr + y) * total_abs / abs(total)
+            if n >= _TALBOT_MAX_N or (n >= 48.0 + 8.0 * math.sqrt(y) and diff <= tol
+                                      and (diff + rounding <= tol or diff <= rounding)):
                 break
-    est = abs(full - half) / abs(full) + _EPS * (n + r + xr + y) * total_abs / abs(total)
     return LogValue(1 if full > 0.0 else -1,
-                    math.log(abs(full)) + (1.0 - mu) * math.log(r) - y), est
+                    math.log(abs(full)) + (1.0 - mu) * math.log(r) - y), diff + rounding
+
+
+@functools.lru_cache(maxsize=256)
+def _wright_tail_correction(nu: float, mu: float) -> tuple[float, float, float]:
+    """Fit the first three 1/Y correction coefficients of the tail expansion.
+
+    Matching the Talbot rule at three moderate Y values pins
+    W/leading ~ 1 + a1/Y + a2/Y^2 + a3/Y^3; only the leading constant A0 is
+    known in closed form, so the corrections are calibrated numerically once
+    per (nu, mu) pair.  Raises NonConvergence when the rule's estimate at a
+    fit point is above 1e-9.
+    """
+    ys = np.array(_TAIL_FIT_YS)
+    rs = []
+    for y in _TAIL_FIT_YS:
+        x = (y / (1.0 - nu)) ** (1.0 - nu) / nu ** nu
+        lv, est = _wright_talbot(nu, mu, x, y, 1e-13)
+        if not est <= 1e-9:
+            raise NonConvergence(f"W_(-{nu},{mu}) tail fit: estimate {est:.3g} at Y = {y}")
+        rs.append(lv.sign * math.exp(lv.log_abs - _log_wright_lead(nu, mu, y)) - 1.0)
+    vander = np.vstack([1.0 / ys, 1.0 / ys ** 2, 1.0 / ys ** 3]).T
+    a1, a2, a3 = np.linalg.solve(vander, np.array(rs))
+    return float(a1), float(a2), float(a3)
 
 
 def _log_wright(
@@ -321,7 +313,7 @@ def _log_wright(
     if x < 0:
         raise DomainError("_log_wright expects x >= 0")
     if x == 0.0:
-        return LogValue.from_float(_rgamma(mu)), _EPS, Regime.TAYLOR_SERIES, 1
+        return LogValue.from_float(reciprocal_gamma(mu)), _EPS, Regime.TAYLOR_SERIES, 1
     # nu = 1/2 closed forms (the subordination density and its antiderivative
     # slot); exact, and the reason the large-t experiments stay cheap.
     if nu == 0.5 and mu == 0.5:
@@ -345,7 +337,10 @@ def _log_wright(
     # The tail's fit is skipped where its estimate, at least _TAIL_LEAK/Y,
     # cannot beat the contour's.
     if y >= 12.0 and est > _TAIL_LEAK / y:
-        a1, a2, a3 = _wright_tail_correction(nu, mu)
+        try:
+            a1, a2, a3 = _wright_tail_correction(nu, mu)
+        except NonConvergence:  # no fit: the tail's estimate is infinite
+            a1 = a2 = a3 = math.inf
         corr = 1.0 + a1 / y + a2 / (y * y) + a3 / (y * y * y)
         # The neglected a4/Y^4 order and its leak into a1, with 1 + 3|a3| as
         # the proxy for the unknown |a4|.  y^4 may overflow to inf, which
@@ -474,10 +469,10 @@ def _ml_inverse_powers(alpha: float, beta: float, z: float) -> tuple[float, floa
     The algebraic part of the large-z expansion of E_{a,b}(z).
     """
     value = -math.fsum(
-        z ** (-k) * _rgamma(beta - alpha * k) for k in range(1, _INV_POWER_TERMS + 1)
+        z ** (-k) * reciprocal_gamma(beta - alpha * k) for k in range(1, _INV_POWER_TERMS + 1)
     )
     omitted = abs(z) ** -(_INV_POWER_TERMS + 1) * abs(
-        _rgamma(beta - alpha * (_INV_POWER_TERMS + 1))
+        reciprocal_gamma(beta - alpha * (_INV_POWER_TERMS + 1))
     )
     return value, omitted
 
@@ -498,7 +493,7 @@ def mittag_leffler(alpha: float, beta: float, z: float) -> EvalResult:
     if not math.isfinite(z):
         raise DomainError(f"mittag_leffler requires finite z, got {z}")
     if z == 0.0:
-        return EvalResult(_rgamma(beta), _EPS, 1, Regime.TAYLOR_SERIES)
+        return EvalResult(reciprocal_gamma(beta), _EPS, 1, Regime.TAYLOR_SERIES)
     if alpha == 1.0 and beta == 1.0 and z < 700.0:
         value = math.exp(z)
         return EvalResult(value, max(2.0 * _EPS * value, math.ulp(0.0)), 0,
@@ -645,16 +640,16 @@ def ml_estimate_rhs(kind: str, n: int, alpha: float, r: float) -> float:
             raise DomainError("upper estimate requires r >= 0")
         kmax = math.floor((3 * n - 2) / 2) - 1
         poly = math.fsum(
-            (_rgamma(1.0 + alpha * k) - _rgamma(alpha + alpha * k)) * r ** k
+            (reciprocal_gamma(1.0 + alpha * k) - reciprocal_gamma(alpha + alpha * k)) * r ** k
             for k in range(kmax + 1)
         )
         return alpha * deriv + poly
     if r <= 0.0:
         raise DomainError("lower estimate requires r > 0")
     kmax = math.floor(n - 1 + 1.0 / (2.0 * alpha))
-    lam = math.fsum(_rgamma(alpha + k * alpha) * r ** k for k in range(kmax + 1))
+    lam = math.fsum(reciprocal_gamma(alpha + k * alpha) * r ** k for k in range(kmax + 1))
     bet = math.fsum(
-        _rgamma(1.0 + k * alpha - alpha * (n - 1)) * r ** k
+        reciprocal_gamma(1.0 + k * alpha - alpha * (n - 1)) * r ** k
         for k in range(n - 1, kmax + 1)
     )
     scale = r ** (1 - n)

@@ -19,7 +19,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import DomainError, QuadratureFailure, Unsupported
+from .errors import DomainError, NonConvergence, QuadratureFailure, Unsupported
 from .kernels import FracParams, BoundEnvelope, classical_solution, stable_envelope
 from .logvalue import LogValue, panel_integral_log
 from .specfun import _log_wright
@@ -123,7 +123,11 @@ def _integrate_log(
 
 
 def _wright_factor(alpha: float, x: float, spec: QuadratureSpec) -> LogValue:
-    return _log_wright(alpha, 1.0 - alpha, x, tol=spec.rel_tol / 4.0)[0]
+    tol = spec.rel_tol / 4.0
+    value, est, _, _ = _log_wright(alpha, 1.0 - alpha, x, tol=tol)
+    if est > tol:
+        raise NonConvergence(f"W_(-{alpha},{1.0 - alpha})(-{x}): estimate {est:.3g} > {tol:.3g}")
+    return value
 
 
 def subordinate(

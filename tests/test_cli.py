@@ -20,6 +20,17 @@ def run_cli(*args):
     )
 
 
+def test_import_loads_no_scipy():
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, fracfront.cli; print([m for m in sys.modules if m.startswith('scipy')])"],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
 class TestEval:
     def test_ml_point(self):
         proc = run_cli("eval", "ml", "--alpha", "0.5", "--beta", "1", "--z", "1")

@@ -9,7 +9,8 @@ from pytest import approx, mark, raises
 from scipy.special import erfcx, gamma as sp_gamma
 
 from fracfront import specfun
-from fracfront.errors import DomainError, FracFrontError
+from fracfront.errors import DomainError, FracFrontError, NonConvergence
+from fracfront.logvalue import LogValue
 from fracfront.specfun import (
     Regime,
     dottie,
@@ -448,6 +449,70 @@ class TestLogWrightTail:
                 log_wright_tail(0.5, 0.5, z)
 
 
+def _a1_saddle(nu: float, mu: float) -> float:
+    """The closed-form first correction of the saddle-point tail expansion."""
+    return (-mu * (mu + 1.0) / 2.0 - mu * (nu - 2.0) / 2.0 + (nu - 2.0) * (nu - 3.0) / 8.0
+            - 5.0 * (nu - 2.0) ** 2 / 24.0) / nu
+
+
+class TestTailFit:
+    """The 1/Y corrections fitted against the Talbot rule."""
+
+    @mark.parametrize("nu,mu,a1,tol", [
+        (0.5, 0.5, 0.0, 1e-9),  # W equals its leading term at nu = 1/2 ...
+        (0.5, 0.0, 0.0, 1e-9),  # ... for mu = 1/2 and mu = 0
+        (0.5, 1.0, -0.5, 1e-3),
+        (0.999, 0.001, 0.041667, 1e-4),
+    ])
+    def test_a1_matches_saddle_coefficient(self, nu, mu, a1, tol):
+        assert _a1_saddle(nu, mu) == approx(a1, abs=1e-6)
+        assert specfun._wright_tail_correction(nu, mu)[0] == approx(a1, abs=tol)
+
+    def test_no_mpmath_reachable_from_log_wright(self, monkeypatch):
+        class NoMpmath:
+            def __getattr__(self, name):
+                raise AssertionError(f"mpmath.{name} reached from _log_wright")
+
+        monkeypatch.setattr(specfun, "mpmath", NoMpmath())
+        specfun._wright_tail_correction.cache_clear()
+        for nu in (0.3, 0.7, 0.999):
+            for y in (1.5e5, 1e6, 1e7, 1e8):
+                lv, est, regime, _ = specfun._log_wright(nu, 1.0 - nu, _x_at_saddle(nu, y))
+                assert regime is Regime.ASYMPTOTIC_NEG
+                assert lv.sign == 1 and 0.0 < est <= 1e-9
+        assert specfun._wright_tail_correction.cache_info().misses == 3
+
+    def test_failed_fit_leaves_no_tail(self, monkeypatch):
+        def loose_talbot(nu, mu, x, y, tol):
+            return LogValue(1, 0.0), 1e-6
+
+        monkeypatch.setattr(specfun, "_wright_talbot", loose_talbot)
+        with raises(NonConvergence):
+            specfun._wright_tail_correction.__wrapped__(0.5, 1.0)
+
+        def no_fit(nu, mu):
+            raise NonConvergence("no fit")
+
+        monkeypatch.setattr(specfun, "_wright_tail_correction", no_fit)
+        with raises(NonConvergence):
+            specfun._log_wright(0.7, 0.3, _x_at_saddle(0.7, 2e5))
+
+
+class TestTalbotStop:
+    """The Talbot rule stops once its estimate meets the tolerance."""
+
+    def test_estimate_meets_tolerance_near_one(self):
+        # Near nu = 1 and x < 1 the node doubling can stop with the sums
+        # agreeing just inside 2.5e-7 and the rounding part on top; the
+        # first x is such a point (subordination's factor at alpha = 0.999).
+        xs = [0.19638337192936997, *np.linspace(0.01, 1.0, 100).tolist()]
+        for nu in (0.99, 0.999, 0.9995):
+            for x in xs:
+                for tol in (2.5e-7, 1e-9):
+                    est = specfun._log_wright(nu, 1.0 - nu, x, tol=tol)[1]
+                    assert 0.0 < est <= tol, (nu, x, tol, est)
+
+
 class TestNoNegativeAxisSeries:
     """No series is summed on the negative axis: the Wright function takes
     its contour rule at small and moderate Y, E_{a,b} its hyperbola rule."""
@@ -500,6 +565,24 @@ class TestScalarConstants:
     @given(st.floats(min_value=0.1, max_value=20.0))
     def test_reciprocal_gamma_positive_axis(self, x):
         assert reciprocal_gamma(x) == approx(1.0 / sp_gamma(x), rel=1e-13)
+
+    def test_reciprocal_gamma_against_mpmath(self):
+        rng = np.random.default_rng(1010)
+        with mpmath.workdps(40):
+            for x in rng.uniform(-170.0, 171.0, 2000).tolist():
+                want = mpmath.rgamma(mpmath.mpf(x))
+                assert float(abs((reciprocal_gamma(x) - want) / want)) <= 1e-14
+        for n in range(171):
+            assert reciprocal_gamma(float(-n)) == 0.0
+        for x in (172.0, 180.5, 1e300):
+            assert reciprocal_gamma(x) == 0.0
+        # Gamma overflows near 0, where 1/Gamma(x) = x + O(x^2).
+        for x in (1e-309, -1e-309, 5e-324, -5e-324):
+            assert reciprocal_gamma(x) == x
+        # Gamma underflows past about -184; 1/Gamma has the sign (-1)^ceil(-x).
+        assert reciprocal_gamma(-185.5) == math.inf
+        assert reciprocal_gamma(-200.5) == -math.inf
+        assert mpmath.rgamma(-185.5) > 0 > mpmath.rgamma(-200.5)
 
 
 class TestEstimateRhs:

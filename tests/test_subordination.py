@@ -2,7 +2,8 @@ import math
 
 from pytest import approx, mark, raises
 
-from fracfront.errors import DomainError, Unsupported
+from fracfront import subordination
+from fracfront.errors import DomainError, NonConvergence, Unsupported
 from fracfront.kernels import FracParams, classical_solution
 from fracfront.logvalue import LogValue
 from fracfront.specfun import log_mittag_leffler
@@ -72,6 +73,23 @@ class TestSubordinate:
             subordinate(FracParams(0.5, 0.7, 1), 1.0, 1.0)
         with raises(Unsupported):
             subordinate(FracParams(0.5, 1.5, 2), 1.0, 1.0)
+
+
+class TestWrightFactorEstimate:
+    """A Wright factor whose estimate misses rel_tol / 4 raises."""
+
+    def test_loose_factor_raises(self, monkeypatch):
+        exact = subordination._log_wright
+
+        def loose(*args, **kwargs):
+            lv, _, regime, terms = exact(*args, **kwargs)
+            return lv, 1e-3, regime, terms
+
+        monkeypatch.setattr(subordination, "_log_wright", loose)
+        with raises(NonConvergence):
+            subordinate(FracParams(0.5, 1.0, 1), 1.0, 1.0)
+        with raises(NonConvergence):
+            total_mass(0.5, 1.0)
 
 
 class TestSubordinateEnvelope:
