@@ -2,13 +2,14 @@
 
 Solution values along invasion curves behave like exp(c*t) with t up to ~60,
 so everything downstream of the kernels is carried as (sign, log|value|)
-pairs instead of raw floats; the subordination integral and the Fourier
-segments both run on the panel quadrature ``panel_integral_log`` below.
+pairs instead of raw floats, and every integral of them runs on the one
+adaptive panel quadrature ``panel_integral_log`` below.
 """
 
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass
 from typing import Callable, Iterable
 
@@ -116,37 +117,61 @@ def gl_panels(edges) -> tuple[np.ndarray, np.ndarray]:
     return nodes, (halves[:, None] * GL_WEIGHTS[None, :]).ravel()
 
 
+def _panel_sums(f, a: np.ndarray, b: np.ndarray) -> list[LogValue]:
+    """The 32-point sum of f on each panel [a_i, b_i]."""
+    mids, halves = 0.5 * (a + b), 0.5 * (b - a)
+    sums = []
+    for xs, ws in zip((mids[:, None] + halves[:, None] * GL_NODES).tolist(),
+                      (halves[:, None] * GL_WEIGHTS).tolist()):
+        pairs = [(f(x), w) for x, w in zip(xs, ws)]
+        sums.append(signed_log_sum(
+            LogValue(sign, log_abs + math.log(w)) for (sign, log_abs), w in pairs if sign != 0
+        )[0])
+    return sums
+
+
+# Panel [a, b], midpoint m, its half sums, their total and its distance to the panel sum.
+_Panel = namedtuple("_Panel", "a m b left right fine diff")
+
+
 def panel_integral_log(
-    f: Callable[[float], tuple[int, float]],
-    lo: float, hi: float, n_start: int, tol: float,
+    f: Callable[[float], tuple[int, float]], edges, tol: float
 ) -> LogValue:
-    """Signed log of integral_lo^hi f, with f(x) given as (sign, log|f(x)|).
+    """Signed log of the integral of f over [edges[0], edges[-1]], with f(x)
+    given as (sign, log|f(x)|).
 
-    The 32-point rule on n equal panels, n doubling from ``n_start`` up to
-    MAX_PANELS, until two successive sums share a nonzero sign and their logs
-    differ by at most ``tol`` (or both are zero: an exact zero), else
-    QuadratureFailure.  Sums stay in log space, so f may exceed double range.
+    Globally adaptive bisection (as in QUADPACK) on the 32-point rule from the
+    panels between ``edges``: each panel's sum is compared with the sum over
+    its halves.  Returns the sum of the halves once the summed |coarse -
+    halves| is at most tol * |total| (or every sum is zero); otherwise bisects
+    each panel whose difference exceeds its share tol * |total| / (panel
+    count).  More than MAX_PANELS panels is a QuadratureFailure.  Sums stay
+    in log space, so f may exceed double range.
     """
-
-    def panel_sum(n: int) -> LogValue:
-        nodes, weights = gl_panels(np.linspace(lo, hi, n + 1))
-        pieces = []
-        for x, w in zip(nodes.tolist(), weights.tolist()):
-            sign, log_abs = f(x)
-            if sign != 0:
-                pieces.append(LogValue(sign, log_abs + math.log(w)))
-        return signed_log_sum(pieces)[0]
-
-    n, prev = n_start, panel_sum(n_start)
+    edges = np.asarray(edges, dtype=float)
+    a, b, log_tol, panels = edges[:-1], edges[1:], math.log(tol), []
+    coarse = _panel_sums(f, a, b)
     while True:
-        n = min(2 * n, MAX_PANELS)
-        cur = panel_sum(n)
-        change = abs(cur.log_abs - prev.log_abs)
-        if cur.sign == prev.sign and (cur.sign == 0 or change <= tol):
-            return cur
-        if n >= MAX_PANELS:
+        m = 0.5 * (a + b)
+        halves = zip(_panel_sums(f, a, m), _panel_sums(f, m, b))
+        for ai, mi, bi, c, (left, right) in zip(a, m, b, coarse, halves):
+            fine = signed_log_sum([left, right])[0]
+            diff = signed_log_sum([c, LogValue(-fine.sign, fine.log_abs)])[0]
+            panels.append(_Panel(ai, mi, bi, left, right, fine, diff))
+        total = signed_log_sum(p.fine for p in panels)[0]
+        err = signed_log_sum(p.diff for p in panels)[0]
+        if err.sign == 0 or err.log_abs <= log_tol + total.log_abs:
+            return total
+        share = log_tol + total.log_abs - math.log(len(panels))
+        # At least the worst panel, should rounding leave none above its share.
+        panels.sort(key=lambda p: p.diff.log_abs, reverse=True)
+        k = max(1, sum(p.diff.log_abs > share for p in panels))
+        if len(panels) + k > MAX_PANELS:
             raise QuadratureFailure(
-                f"integral over [{lo:.6g}, {hi:.6g}] did not converge in "
-                f"{MAX_PANELS} panels (last log change {change:.2e})"
-            )
-        prev = cur
+                f"integral over [{edges[0]:.6g}, {edges[-1]:.6g}] did not converge in {MAX_PANELS}"
+                f" panels (log(error / total) {err.log_abs - total.log_abs:.3g})")
+        split, panels = panels[:k], panels[k:]
+        # A split panel's halves become panels whose own sums are known.
+        a = np.array([e for p in split for e in (p.a, p.m)])
+        b = np.array([e for p in split for e in (p.m, p.b)])
+        coarse = [c for p in split for c in (p.left, p.right)]

@@ -7,8 +7,8 @@ exp(-const * (s t^{-a})^{1/(1-a)}) decay, so the peak migrates to s of order
 t and the values leave double range long before the experiment horizons.
 Everything here is therefore computed as (sign, log|.|) pairs: the integral
 is taken in w = log s (which also flattens the s -> 0 endpoint) over a window
-found around the peak, and ``logvalue.panel_integral_log`` (32-point
-Gauss-Legendre panels, summed by signed log-sum-exp) integrates it.
+found around the peak, where ``logvalue.panel_integral_log`` (32-point
+Gauss-Legendre panels, bisected where needed) integrates it.
 """
 
 from __future__ import annotations
@@ -28,8 +28,9 @@ from .specfun import _log_wright
 @dataclass(frozen=True)
 class QuadratureSpec:
     """Tolerance and tail cut of the subordination integral: rel_tol / 4
-    bounds both the last panel doubling's change of log u and each Wright
-    factor's relative error; the window spans e^{tail_cut_log} of the peak."""
+    bounds the panels' summed |coarse - halves| relative to the integral and
+    each Wright factor's relative error; the window spans e^{tail_cut_log} of
+    the peak."""
 
     rel_tol: float = 1e-6
     tail_cut_log: float = -40.0
@@ -119,7 +120,7 @@ def _integrate_log(
     hi = walk(w_peak, +0.5)
 
     n = max(8, int(math.ceil((hi - lo) / 2.0)))
-    return panel_integral_log(at, lo, hi, n, spec.rel_tol / 4.0)
+    return panel_integral_log(at, np.linspace(lo, hi, n + 1), spec.rel_tol / 4.0)
 
 
 def _wright_factor(alpha: float, x: float, spec: QuadratureSpec) -> LogValue:

@@ -102,7 +102,7 @@ def _exp_cos(shift):
 def test_panel_integral_sign_changing(shift):
     # integral_0^{3 pi} e^x cos x dx = -(e^{3 pi} + 1)/2; the shifted
     # integrand is e^{2000} times larger, far outside double range.
-    got = panel_integral_log(_exp_cos(shift), 0.0, 3.0 * math.pi, 1, 1e-12)
+    got = panel_integral_log(_exp_cos(shift), [0.0, 3.0 * math.pi], 1e-12)
     assert got.sign == -1
     want = shift + math.log((math.exp(3.0 * math.pi) + 1.0) / 2.0)
     assert got.log_abs == pytest.approx(want, rel=1e-12, abs=0)
@@ -115,17 +115,28 @@ def test_panel_integral_all_zero():
         calls.append(x)
         return 0, -math.inf
 
-    got = panel_integral_log(f, -1.0, 2.0, 4, 1e-9)
+    got = panel_integral_log(f, [-1.0, -0.25, 0.5, 1.25, 2.0], 1e-9)
     assert got == LogValue.zero()
-    # Two successive zero sums: 4 panels, then 8.
+    # Zero sums on the 4 starting panels and on their 8 halves.
     assert len(calls) == (4 + 8) * len(GL_NODES)
 
 
-def test_panel_integral_exhausts_budget():
-    # A jump at 1/3 never lands on a panel edge, so each doubling still moves
-    # the sum by ~1/n and a 1e-12 tolerance cannot be met.
+def test_panel_integral_localises_a_jump():
+    # A jump at 1/3 never lands on a panel edge; bisection narrows the one
+    # panel that holds it until its share of the error meets the tolerance.
     def step(x):
         return 1, (0.0 if x < 1.0 / 3.0 else math.log(2.0))
 
+    got = panel_integral_log(step, [0.0, 1.0], 1e-12)
+    assert got.sign == 1
+    assert got.log_abs == pytest.approx(math.log(5.0 / 3.0), rel=0, abs=1e-12)
+
+
+def test_panel_integral_exhausts_budget():
+    # About 1.6e5 periods on [0, 1]: a 32-point panel resolves a few, so
+    # every panel keeps failing its halves test until the budget runs out.
+    def wave(x):
+        return 1, math.log(2.0 + math.sin(1e6 * x))
+
     with pytest.raises(QuadratureFailure, match=rf"\[0, 1\].*{MAX_PANELS} panels"):
-        panel_integral_log(step, 0.0, 1.0, 1, 1e-12)
+        panel_integral_log(wave, [0.0, 1.0], 1e-12)

@@ -1,9 +1,12 @@
+import itertools
 import math
+import random
 
 from pytest import approx, mark, raises
 
 from fracfront import subordination
 from fracfront.errors import DomainError, NonConvergence, Unsupported
+from fracfront.fourier1d import solution_series
 from fracfront.kernels import FracParams, classical_solution
 from fracfront.logvalue import LogValue
 from fracfront.specfun import log_mittag_leffler
@@ -73,6 +76,26 @@ class TestSubordinate:
             subordinate(FracParams(0.5, 0.7, 1), 1.0, 1.0)
         with raises(Unsupported):
             subordinate(FracParams(0.5, 1.5, 2), 1.0, 1.0)
+
+
+def _near_classical_points():
+    # Three (t, r) per alpha drawn from the grid: the Fourier reference alone
+    # takes up to 44 s at one grid point, so the whole grid is too slow.
+    rng = random.Random(0)
+    grid = list(itertools.product([0.5, 1.0, 2.0, 5.0], [0.25, 1.0, 3.0]))
+    return [(a,) + tr for a in (0.99, 0.999, 0.9999) for tr in rng.sample(grid, 3)]
+
+
+class TestNearClassicalAlpha:
+    # Near alpha = 1 the Wright density is a cliff about ln(1e5) (1 - alpha)
+    # wide in w = log s; the adaptive panels must find it without help.
+    @mark.parametrize("alpha,t,r", _near_classical_points())
+    def test_agrees_with_fourier_route(self, alpha, t, r):
+        got = subordinate(FracParams(alpha, 1.0, 1), t, r)
+        # log u lies in [-5, 3] on the grid, so 1e-9 u is a relative tolerance.
+        assert got.sign == 1 and got.log_abs > -20.0
+        want = solution_series(alpha, 1.0, t, r, 1e-9 * got.to_float())
+        assert got.log_abs == approx(math.log(want.value), rel=0, abs=1e-8)
 
 
 class TestWrightFactorEstimate:
