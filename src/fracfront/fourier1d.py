@@ -122,15 +122,18 @@ def solution_at_origin(alpha: float, rho: float, t: float) -> EvalResult:
     """u_{a,rho}(t, 0) = (1/pi) integral_0^inf E_a(t^a (1 - xi^{2 rho})) d xi.
 
     No oscillation at the origin, so one adaptive integral replaces the series,
-    from the panels [0, 1] and the decades up to 1e6.  The bound is its
-    tolerance 1e-9 relative plus the algebraic (xi^{-2 rho}) tail beyond 1e6.
+    from the panels [0, 1] and the decades up to X = 1e6.  The bound is its
+    tolerance 1e-9 relative plus the tail beyond X: E_a(-x) <= Gamma(1 + a)/x
+    bounds it by Gamma(1 + a) X^{1 - 2 rho} / (pi t^a (2 rho - 1)(1 - X^{-2 rho})).
     """
     if not 0.0 < alpha < 1.0:
         raise DomainError(f"alpha must be in (0,1), got {alpha}")
-    edges = [0.0] + np.geomspace(1.0, 1e6, 7).tolist()
+    end = 1e6
+    edges = [0.0] + np.geomspace(1.0, end, 7).tolist()
     value = _segment_integral_log(alpha, rho, t, 0.0, *edges).to_float() / math.pi
-    # Tolerance plus the algebraic tail beyond the last edge, C/xi^{2 rho - 1} at 1e6.
-    return EvalResult(value, (1e-9 + 1e-6) * abs(value) + 1e-12, 0, Regime.QUADRATURE)
+    tail = (math.gamma(1.0 + alpha) * end ** (1.0 - 2.0 * rho)
+            / (math.pi * t ** alpha * (2.0 * rho - 1.0) * (1.0 - end ** (-2.0 * rho))))
+    return EvalResult(value, 1e-9 * abs(value) + tail, 0, Regime.QUADRATURE)
 
 
 def _check_bound_inputs(n: int, alpha: float, rho: float, t: float) -> None:

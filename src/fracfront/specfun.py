@@ -1,17 +1,13 @@
 """Real-argument Mittag-Leffler, Wright and incomplete-gamma evaluation.
 
-Regime layout for E_{a,b}(z) on the real line:
-
-* for a < 1 and z < 0 one fixed contour rule: the inverse Laplace transform
-  of s^{a-b}/(s^a - z) at t = 1 by the trapezoid rule on a hyperbola, 17
-  complex nodes built once at import (``_ml_contour``);
-* for 0 < z <= _ASYM_CUTOFF (25) the Taylor series with Kahan compensation,
-  whose terms are all positive;
-* for z > _ASYM_CUTOFF the exponential expansion (1/a) z^{(1-b)/a} e^{z^{1/a}}
-  plus the inverse powers -sum_k z^{-k}/Gamma(b - a k);
-  ``log_mittag_leffler`` switches to its leading term at the same point;
-* at a = 1 the closed forms e^z (b = 1) and, on the negative axis,
-  E_{1,b}(z) = 1F1(1; b; z)/Gamma(b).
+E_{a,b}(z) has one rule on the real line: the inverse Laplace transform of
+F(s) = s^{a-b}/(s^a - z) at t = 1 by the trapezoid rule on a hyperbola, 17
+complex nodes built once at import (``_ml_contour``).  For z > 0 the residue
+term R e^p of F's pole p = z^{1/a}, R = p^{1-b}/a, is added and R/(s - p)
+subtracted from F, so the rule never meets the pole;
+``log_mittag_leffler`` takes the log of the same sum.  At a = 1 the closed
+forms e^z (b = 1) and, on the negative axis, E_{1,b}(z) = 1F1(1; b; z)/Gamma(b)
+answer instead.
 
 The Laplace-Wright integral of e^{z s} W_{-a,b-a}(-s) ds (``_bridge_rule``)
 is not on any of these paths; verify keeps it to cross-check the two
@@ -31,6 +27,7 @@ from __future__ import annotations
 
 import functools
 import math
+import sys
 from dataclasses import dataclass
 from enum import Enum
 
@@ -41,10 +38,6 @@ from .errors import DomainError, NonConvergence
 from .logvalue import LogValue, gl_panels
 
 _EPS = 2.0 ** -52
-
-# exp() overflows past this exponent; a series term this large is reported
-# as inf, which ends the summation unconverged.
-_LOG_TERM_MAX = 709.0
 
 
 class Regime(Enum):
@@ -64,19 +57,6 @@ class EvalResult:
     regime: Regime
 
 
-# z from which the exponential expansion of E_{a,b}(z) answers.
-_ASYM_CUTOFF = 25.0
-
-# Term budget of the Mittag-Leffler series.  It needs ~ z^{1/a}/a terms
-# before the Gamma in the denominator wins, which is thousands near the
-# overflow boundary.
-_MAX_TERMS = 20000
-
-# Depth of the inverse-power expansion; the error bound is the first
-# omitted term, which is all the O(z^-2) statement gives us to work with.
-_INV_POWER_TERMS = 6
-
-
 def reciprocal_gamma(x: float) -> float:
     """1/Gamma(x): exactly 0 at the poles x = 0, -1, -2, ... and past 171.6,
     x where Gamma overflows near 0, and +-inf with the sign (-1)^ceil(-x)
@@ -91,61 +71,6 @@ def reciprocal_gamma(x: float) -> float:
         return x if abs(x) < 1.0 else 0.0
     except ZeroDivisionError:
         return math.inf if math.ceil(-x) % 2 == 0 else -math.inf
-
-
-# ---------------------------------------------------------------------------
-# series engines
-
-
-def _kahan_series(terms, max_terms):
-    """Sum a term generator with compensation.
-
-    Stops once |term| has dropped below 2^-60 times the largest term seen
-    (i.e. the series has given all it can in double precision).
-    Returns (sum, n_terms, max_abs_term, last_abs_term, converged).
-    """
-    s = 0.0
-    c = 0.0
-    max_abs = 0.0
-    last_abs = 0.0
-    n = 0
-    small_streak = 0
-    for term in terms:
-        if not math.isfinite(term):
-            return math.inf, n, math.inf, math.inf, False
-        y = term - c
-        t = s + y
-        c = (t - s) - y
-        s = t
-        last_abs = abs(term)
-        max_abs = max(max_abs, last_abs)
-        n += 1
-        # Only a run of tiny terms counts as the series having decayed for good.
-        small_streak = small_streak + 1 if last_abs <= 2.0 ** -60 * max_abs else 0
-        if n >= 4 and small_streak >= 3:
-            return s, n, max_abs, last_abs, True
-        if n >= max_terms:
-            return s, n, max_abs, last_abs, False
-    return s, n, max_abs, last_abs, True
-
-
-def _ml_terms(alpha, beta, z, max_terms):
-    # Terms of E_{a,b}(z), z > 0, formed as exp(n ln z - lgamma(a n + b)):
-    # the bare power z^n overflows long before the gamma decay kicks in for
-    # small alpha, while the combined exponent is bounded by the peak
-    # ~ z^{1/alpha}.
-    la = math.log(z)
-    for n in range(max_terms + 1):
-        e = n * la - math.lgamma(alpha * n + beta)
-        # Out-of-range terms surface as inf so the summator can give up.
-        yield math.exp(e) if e < _LOG_TERM_MAX else math.inf
-
-
-def _series_error(max_abs, last_abs, n_terms):
-    # Rounding of the dominant terms, with a per-term factor for the argument
-    # rounding inside the gamma function (which grows with the index), plus
-    # the first omitted term for the truncation of a converged series.
-    return _EPS * max_abs * (4.0 + 2.0 * n_terms) + last_abs
 
 
 # ---------------------------------------------------------------------------
@@ -414,77 +339,98 @@ def _bridge_rule(alpha: float, mu: float):
 # The trapezoid rule on the hyperbola s(u) = mu (1 + sin(iu - 1.1721)) with
 # h = 1.0818/N and mu = 4.492 N (Weideman & Trefethen, Math. Comp. 76, 2007;
 # Garrappa, SIAM J. Numer. Anal. 53, 2015 for Mittag-Leffler functions).
-# Nodes at -u are the conjugates of those at u, so u = k h, k = 0..N carry
-# the whole sum.  The N = 16 rule answers; its distance from the N = 12 rule
-# is the discretisation estimate.
+# Nodes at -u are the conjugates of those at u, so the midpoints
+# u = (k + 1/2) h, k = 0..N carry the whole sum; none lies on the real axis
+# (|Im s| >= 0.94), where a pole of the transform could meet it.  The N = 16
+# rule answers; its distance from the N = 12 rule is the discretisation
+# estimate.
 _HYPERBOLA_PHASE = 1.1721
 
 
 def _hyperbola_rule(n: int):
-    """log s at u = k h, k = 0..n, the weights e^{s} s'(u) h/(2 pi i) (doubled
-    for k > 0, whose conjugate node is left out), and |s'(u)|."""
+    """s at u = (k + 1/2) h, k = 0..n, the weights e^{s} s'(u) h/(2 pi i)
+    doubled for the conjugate node left out, and |s'(u)|."""
     h = 1.0818 / n
     mu = 4.492 * n
-    w = 1j * h * np.arange(n + 1) - _HYPERBOLA_PHASE
+    w = 1j * h * (np.arange(n + 1) + 0.5) - _HYPERBOLA_PHASE
     s = mu * (1.0 + np.sin(w))
     ds = mu * np.cos(w)
-    weights = np.exp(s) * ds * (h / math.pi)
-    weights[0] *= 0.5
-    return np.log(s), weights, np.abs(ds)
+    return s, np.exp(s) * ds * (h / math.pi), np.abs(ds)
 
 
-# Both rules share one array of log s; row 0 of _ML_WEIGHTS holds the fine
+# Both rules share one array of nodes; row 0 of _ML_WEIGHTS holds the fine
 # weights and row 1 the coarse ones, each with zeros at the other's nodes.
 _ML_FINE, _ML_COARSE = _hyperbola_rule(16), _hyperbola_rule(12)
-_ML_LOG_S = np.concatenate([_ML_FINE[0], _ML_COARSE[0]])
-_ML_WEIGHTS = np.zeros((2, _ML_LOG_S.size), dtype=complex)
+_ML_S = np.concatenate([_ML_FINE[0], _ML_COARSE[0]])
+_ML_LOG_S = np.log(_ML_S)
+_ML_WEIGHTS = np.zeros((2, _ML_S.size), dtype=complex)
 _ML_WEIGHTS[0, : _ML_FINE[0].size] = _ML_FINE[1]
 _ML_WEIGHTS[1, _ML_FINE[0].size :] = _ML_COARSE[1]
 # eps e^{max Re s}: the rounding of the fine sum per unit of max |F s'|.
-_ML_ROUNDING = _EPS * math.exp(4.492 * 16 * (1.0 - math.sin(_HYPERBOLA_PHASE)))
+_ML_ROUNDING = _EPS * math.exp(float(_ML_FINE[0].real.max()))
+
+# Pole p = z^{1/a} from which its residue is subtracted.  Below it the raw
+# rule is accurate, and R = p^{1-b}/a grows without bound as p -> 0 for
+# b > 1, so subtracting R/(s - p) would cancel.  At b <= 2 both estimates
+# stay under 6e-10 |E| on either side of this split; they cross near it.
+_POLE_SPLIT = 0.025
+
+# Largest exponent whose exp() is a finite double.
+_LOG_MAX = math.log(sys.float_info.max)
 
 
-def _ml_contour(alpha: float, beta: float, z: float) -> tuple[float, float]:
-    """E_{a,b}(z) for 0 < a < 1 and z < 0, and an absolute error estimate.
+def _ml_contour(alpha: float, beta: float, z: float,
+                p: float = 0.0, residue: float = 0.0) -> tuple[float, float]:
+    """The hyperbola rule for (1/2 pi i) int e^s (F(s) - R/(s - p)) ds with
+    F(s) = s^{a-b}/(s^a - z), and an absolute error estimate.
 
-    The inverse Laplace transform of F(s) = s^{a-b}/(s^a - z) at t = 1, which
-    has no pole on the principal sheet for a < 1.  The estimate is the
-    distance between the two rules plus eps e^{max Re s} max |F s'|.  At
-    b = a the 1/z terms cancel, so for |z| > 1 the value is taken as
-    E_{a,0}(z)/z, which keeps its relative accuracy.
+    F's one principal-sheet pole is p = z^{1/a} for z > 0.  With its residue
+    R subtracted the integrand is analytic at p, so the sum is E_{a,b}(z)
+    minus R e^p wherever p lies; with R = 0 (no subtraction) it is E_{a,b}(z)
+    itself when F has no pole right of the contour, which holds for z < 0 at
+    a < 1 and for p below the vertex.  The estimate is the distance between
+    the two rules plus eps e^{max Re s} max (|F| + |R/(s - p)|) |s'|.  At b = a
+    the 1/z terms cancel, so for z < -1 the value is taken as E_{a,0}(z)/z,
+    which keeps its relative accuracy.
     """
     if beta == alpha and z < -1.0:
         value, est = _ml_contour(alpha, 0.0, z)
         return value / z, est / -z
     f = np.exp((alpha - beta) * _ML_LOG_S) / (np.exp(alpha * _ML_LOG_S) - z)
-    fine, coarse = (_ML_WEIGHTS @ f).real.tolist()
     abs_ds = _ML_FINE[2]
-    rounding = _ML_ROUNDING * float(np.max(np.abs(f[: abs_ds.size]) * abs_ds))
+    size = np.abs(f[: abs_ds.size])
+    if residue:
+        pole = residue / (_ML_S - p)
+        size += np.abs(pole[: abs_ds.size])
+        f -= pole
+    fine, coarse = (_ML_WEIGHTS @ f).real.tolist()
+    rounding = _ML_ROUNDING * float(np.max(size * abs_ds))
     return fine, max(abs(fine - coarse) + rounding, math.ulp(0.0))
 
 
-def _ml_inverse_powers(alpha: float, beta: float, z: float) -> tuple[float, float]:
-    """-sum_{k=1}^{6} z^{-k}/Gamma(b - a k) and its first omitted term.
-
-    The algebraic part of the large-z expansion of E_{a,b}(z).
-    """
-    value = -math.fsum(
-        z ** (-k) * reciprocal_gamma(beta - alpha * k) for k in range(1, _INV_POWER_TERMS + 1)
-    )
-    omitted = abs(z) ** -(_INV_POWER_TERMS + 1) * abs(
-        reciprocal_gamma(beta - alpha * (_INV_POWER_TERMS + 1))
-    )
-    return value, omitted
+def _ml_pole(alpha: float, beta: float, z: float) -> tuple[float, float]:
+    """The pole p = z^{1/a} of F for z > 0 and the log of its residue term
+    R e^p = p^{1-b} e^p / a; both inf where p overflows.  Formed from log z:
+    the bare power z^{1/a} overflows already at moderate z for small a."""
+    log_p = math.log(z) / alpha
+    if log_p > _LOG_MAX:
+        return math.inf, math.inf
+    p = math.exp(log_p)
+    return p, p + (1.0 - beta) * log_p - math.log(alpha)
 
 
 def mittag_leffler(alpha: float, beta: float, z: float) -> EvalResult:
     """Two-parameter Mittag-Leffler function E_{a,b}(z) on the real line.
 
-    The negative axis takes the hyperbolic contour rule for a < 1 and the
-    closed forms e^z and 1F1(1; b; z)/Gamma(b) at a = 1; the positive axis
-    takes the Taylor series up to z = _ASYM_CUTOFF and the exponential
-    expansion beyond.  Every bound counts the rounding of the value's
-    exponents and is at least the smallest subnormal.
+    One hyperbolic contour rule for the inverse Laplace transform of
+    s^{a-b}/(s^a - z) answers at every z != 0 but where a = 1 has a closed
+    form: e^z (b = 1) and, for z < 0, 1F1(1; b; z)/Gamma(b).  For z > 0
+    with p = z^{1/a} >= _POLE_SPLIT the value is the residue term R e^p,
+    R = p^{1-b}/a, plus the rule applied to the transform minus its pole
+    part; the bound adds eps R e^p (4 + (p + |1-b|)(1 + |log p|)) for the
+    rounding of p through 1/a and exp.  Beyond double range the value is inf
+    (``ASYMPTOTIC_POS``); ``log_mittag_leffler`` is the log-domain route.
+    Every bound is at least the smallest subnormal.
     """
     if not 0.0 < alpha <= 1.0:
         raise DomainError(f"alpha must be in (0,1], got {alpha}")
@@ -500,34 +446,15 @@ def mittag_leffler(alpha: float, beta: float, z: float) -> EvalResult:
                           Regime.TAYLOR_SERIES)
 
     if z > 0.0:
-        expo = z ** (1.0 / alpha)
-        if expo > 700.0:
-            # Out of double range; log_mittag_leffler is the log-domain route.
+        p, log_lead = _ml_pole(alpha, beta, z)
+        if log_lead > _LOG_MAX:
             return EvalResult(math.inf, math.inf, 0, Regime.ASYMPTOTIC_POS)
-        if z <= _ASYM_CUTOFF:
-            s, n, max_abs, last_abs, converged = _kahan_series(
-                _ml_terms(alpha, beta, z, _MAX_TERMS), _MAX_TERMS
-            )
-            if not converged:
-                raise NonConvergence(
-                    f"Mittag-Leffler series exhausted {_MAX_TERMS} terms at z = {z}"
-                )
-            # Term k is exp(k ln z - lgamma(a k + b)), whose exponent is
-            # rounded to eps times the size of its parts; every term is
-            # positive, so the sum s carries all of them.  lgamma is convex,
-            # so its end points bound it over the summed range.
-            parts = (n * abs(math.log(z)) + abs(math.lgamma(alpha * n + beta))
-                     + abs(math.lgamma(beta)) + 1.0)
-            err = _series_error(max_abs, last_abs, n) + 2.0 * _EPS * parts * s
-            return EvalResult(s, err, n, Regime.TAYLOR_SERIES)
-        lead = math.exp(expo) * z ** ((1.0 - beta) / alpha) / alpha
-        corr, omitted = _ml_inverse_powers(alpha, beta, z)
-        # The exponent z^{1/a} is rounded to about eps z^{1/a} (1 + ln z^{1/a})
-        # through 1/a and pow; exp turns that into a relative error of the lead.
-        rounding = _EPS * lead * (4.0 + (expo + abs(1.0 - beta)) * (1.0 + math.log(expo)))
-        return EvalResult(lead + corr, omitted + rounding, 0, Regime.ASYMPTOTIC_POS)
-
-    if alpha == 1.0:
+        if p >= _POLE_SPLIT:
+            lead = math.exp(log_lead)
+            value, est = _ml_contour(alpha, beta, z, p, math.exp(log_lead - p))
+            rounding = _EPS * lead * (4.0 + (p + abs(1.0 - beta)) * (1.0 + abs(math.log(p))))
+            return EvalResult(lead + value, est + rounding, 0, Regime.QUADRATURE)
+    elif alpha == 1.0:
         # E_{1,b}(z) = 1F1(1; b; z)/Gamma(b).  At 30 digits the double is
         # correctly rounded, so 4 ulps bound it.
         with mpmath.workdps(30):
@@ -553,16 +480,23 @@ def mittag_leffler_deriv(alpha: float, z: float) -> EvalResult:
 def log_mittag_leffler(alpha: float, z: float) -> LogValue:
     """log E_a(z) as a LogValue for finite z.
 
-    Switches to the exponential leading term where ``mittag_leffler`` does
-    (z >= _ASYM_CUTOFF) or once the value is about to leave double range."""
+    For z > 0 with p = z^{1/a} >= _POLE_SPLIT this is
+    p - log a + log1p(c a e^{-p}), c the contour sum of ``mittag_leffler``'s
+    residue form, which holds for any such z without overflow.  Raises
+    DomainError where log E_a(z) itself leaves double range."""
     if not 0.0 < alpha <= 1.0:
         raise DomainError(f"alpha must be in (0,1], got {alpha}")
     if not math.isfinite(z):
         raise DomainError(f"log_mittag_leffler requires finite z, got {z}")
     if alpha == 1.0:
         return LogValue(1, z)
-    if z > 0.0 and (z >= _ASYM_CUTOFF or z ** (1.0 / alpha) > 690.0):
-        return LogValue(1, z ** (1.0 / alpha) - math.log(alpha))
+    if z > 0.0:
+        p, log_lead = _ml_pole(alpha, 1.0, z)
+        if log_lead == math.inf:
+            raise DomainError(f"log E_{alpha}({z}) exceeds double range")
+        if p >= _POLE_SPLIT:
+            value, _ = _ml_contour(alpha, 1.0, z, p, 1.0 / alpha)
+            return LogValue(1, log_lead + math.log1p(value * alpha * math.exp(-p)))
     value = mittag_leffler(alpha, 1.0, z).value
     if value <= 0.0:  # numerically impossible for a in (0,1]; keep honest
         raise NonConvergence(f"non-positive Mittag-Leffler value at z = {z}")

@@ -94,8 +94,8 @@ def _suite_ml_identities(tol: float) -> list[_Case]:
             fd = (_ml(alpha, z + h) - _ml(alpha, z - h)) / (2.0 * h)
             direct = specfun.mittag_leffler_deriv(alpha, z).value
             cases.append(_Case(f"deriv alpha={alpha} z={z}", _rel(fd, direct), tol))
-    # Laplace-Wright identity: mittag_leffler (series or contour rule) vs the
-    # transform quadrature over Wright values.
+    # Laplace-Wright identity: mittag_leffler (the contour rule, plus the
+    # pole's residue for z > 0) vs the transform quadrature over Wright values.
     for alpha in (0.3, 0.5, 0.7):
         for beta in (1.0, alpha):
             (s_f, f_f), _ = _bridge_rule(alpha, beta - alpha)
@@ -314,7 +314,7 @@ def _suite_representations(tol: float) -> list[_Case]:
 
 def _suite_asymptotics(tol: float) -> list[_Case]:
     cases = []
-    # Exponential leading term of E_a: closer to the series value at larger
+    # Exponential leading term of E_a: closer to the computed value at larger
     # z.  Moderate z on purpose; past z ~ 10 the correction terms fall under
     # double rounding and the trend comparison would be noise against noise.
     for alpha in (0.5, 0.7):

@@ -50,6 +50,12 @@ class TestEval:
         assert proc.returncode == 0
         assert f"value={math.expm1(-20.0) / -20.0:.10g}" in proc.stdout
 
+    def test_ml_point_past_double_range(self):
+        # z^{1/alpha} = 1e400 overflows; the value is reported as inf.
+        proc = run_cli("eval", "ml", "--alpha", "0.05", "--beta", "1", "--z", "1e20")
+        assert proc.returncode == 0, proc.stderr
+        assert "value=inf" in proc.stdout
+
     def test_usage_error_on_bad_alpha(self):
         proc = run_cli("eval", "ml", "--alpha", "2", "--beta", "1", "--z", "1")
         assert proc.returncode == 1
