@@ -369,10 +369,13 @@ _ML_WEIGHTS[1, _ML_FINE[0].size :] = _ML_COARSE[1]
 # eps e^{max Re s}: the rounding of the fine sum per unit of max |F s'|.
 _ML_ROUNDING = _EPS * math.exp(float(_ML_FINE[0].real.max()))
 
-# Pole p = z^{1/a} from which its residue is subtracted.  Below it the raw
-# rule is accurate, and R = p^{1-b}/a grows without bound as p -> 0 for
-# b > 1, so subtracting R/(s - p) would cancel.  At b <= 2 both estimates
-# stay under 6e-10 |E| on either side of this split; they cross near it.
+# Pole p = z^{1/a} from which its residue is subtracted: the residue form
+# answers where p^{max(1, b-1)} >= _POLE_SPLIT, the raw rule below (the pole
+# lies inside the contour).  For b > 1, R = p^{1-b}/a grows without bound as
+# p -> 0, and subtracting R/(s - p) cancels as R/E grows.  At b <= 2 the two
+# rules' estimates cross near p = 0.025 and both stay under 6e-10 |E| on
+# either side; for b > 2 the split 0.025^{1/(b-1)} (0.16 at b = 3, 0.40 at
+# b = 5) keeps a R <= 40, as at b = 2, near where the estimates cross.
 _POLE_SPLIT = 0.025
 
 # Largest exponent whose exp() is a finite double.
@@ -408,15 +411,27 @@ def _ml_contour(alpha: float, beta: float, z: float,
     return fine, max(abs(fine - coarse) + rounding, math.ulp(0.0))
 
 
-def _ml_pole(alpha: float, beta: float, z: float) -> tuple[float, float]:
-    """The pole p = z^{1/a} of F for z > 0 and the log of its residue term
-    R e^p = p^{1-b} e^p / a; both inf where p overflows.  Formed from log z:
-    the bare power z^{1/a} overflows already at moderate z for small a."""
+def _ml_residue_form(alpha: float, beta: float, z: float):
+    """For z > 0 past the split: (p, log(R e^p), c, estimate), with p = z^{1/a},
+    R = p^{1-b}/a and c the rule's sum for F - R/(s - p), so that
+    E_{a,b}(z) = R e^p + c; None below the split, where the raw rule answers.
+
+    p and log(R e^p) are formed from log z: the bare power z^{1/a} overflows
+    already at moderate z for small a.  Where p leaves double range both are
+    inf.  Where R e^p does (for a above 1e-45 that needs p > 600), c is
+    below e^{-p} R e^p and is returned as 0 with estimate 0.
+    """
     log_p = math.log(z) / alpha
+    if log_p * max(1.0, beta - 1.0) < math.log(_POLE_SPLIT):
+        return None
     if log_p > _LOG_MAX:
-        return math.inf, math.inf
+        return math.inf, math.inf, 0.0, 0.0
     p = math.exp(log_p)
-    return p, p + (1.0 - beta) * log_p - math.log(alpha)
+    log_lead = p + (1.0 - beta) * log_p - math.log(alpha)
+    if log_lead > _LOG_MAX:
+        return p, log_lead, 0.0, 0.0
+    value, est = _ml_contour(alpha, beta, z, p, math.exp(log_lead - p))
+    return p, log_lead, value, est
 
 
 def mittag_leffler(alpha: float, beta: float, z: float) -> EvalResult:
@@ -425,9 +440,9 @@ def mittag_leffler(alpha: float, beta: float, z: float) -> EvalResult:
     One hyperbolic contour rule for the inverse Laplace transform of
     s^{a-b}/(s^a - z) answers at every z != 0 but where a = 1 has a closed
     form: e^z (b = 1) and, for z < 0, 1F1(1; b; z)/Gamma(b).  For z > 0
-    with p = z^{1/a} >= _POLE_SPLIT the value is the residue term R e^p,
-    R = p^{1-b}/a, plus the rule applied to the transform minus its pole
-    part; the bound adds eps R e^p (4 + (p + |1-b|)(1 + |log p|)) for the
+    with p = z^{1/a} past the split (p^{max(1, b-1)} >= _POLE_SPLIT) the
+    value is the residue term R e^p, R = p^{1-b}/a, plus the rule applied to
+    the transform minus its pole part; the bound adds eps R e^p (4 + (p + |1-b|)(1 + |log p|)) for the
     rounding of p through 1/a and exp.  Beyond double range the value is inf
     (``ASYMPTOTIC_POS``); ``log_mittag_leffler`` is the log-domain route.
     Every bound is at least the smallest subnormal.
@@ -445,16 +460,15 @@ def mittag_leffler(alpha: float, beta: float, z: float) -> EvalResult:
         return EvalResult(value, max(2.0 * _EPS * value, math.ulp(0.0)), 0,
                           Regime.TAYLOR_SERIES)
 
-    if z > 0.0:
-        p, log_lead = _ml_pole(alpha, beta, z)
+    form = _ml_residue_form(alpha, beta, z) if z > 0.0 else None
+    if form is not None:
+        p, log_lead, value, est = form
         if log_lead > _LOG_MAX:
             return EvalResult(math.inf, math.inf, 0, Regime.ASYMPTOTIC_POS)
-        if p >= _POLE_SPLIT:
-            lead = math.exp(log_lead)
-            value, est = _ml_contour(alpha, beta, z, p, math.exp(log_lead - p))
-            rounding = _EPS * lead * (4.0 + (p + abs(1.0 - beta)) * (1.0 + abs(math.log(p))))
-            return EvalResult(lead + value, est + rounding, 0, Regime.QUADRATURE)
-    elif alpha == 1.0:
+        lead = math.exp(log_lead)
+        rounding = _EPS * lead * (4.0 + (p + abs(1.0 - beta)) * (1.0 + abs(math.log(p))))
+        return EvalResult(lead + value, est + rounding, 0, Regime.QUADRATURE)
+    if z < 0.0 and alpha == 1.0:
         # E_{1,b}(z) = 1F1(1; b; z)/Gamma(b).  At 30 digits the double is
         # correctly rounded, so 4 ulps bound it.
         with mpmath.workdps(30):
@@ -481,8 +495,8 @@ def log_mittag_leffler(alpha: float, z: float) -> LogValue:
     """log E_a(z) as a LogValue for finite z.
 
     For z > 0 with p = z^{1/a} >= _POLE_SPLIT this is
-    p - log a + log1p(c a e^{-p}), c the contour sum of ``mittag_leffler``'s
-    residue form, which holds for any such z without overflow.  Raises
+    log(R e^p) + log1p(c/(R e^p)), R = 1/a, with ``_ml_residue_form``'s sum
+    c, which holds for any such z without overflow.  Raises
     DomainError where log E_a(z) itself leaves double range."""
     if not 0.0 < alpha <= 1.0:
         raise DomainError(f"alpha must be in (0,1], got {alpha}")
@@ -490,13 +504,12 @@ def log_mittag_leffler(alpha: float, z: float) -> LogValue:
         raise DomainError(f"log_mittag_leffler requires finite z, got {z}")
     if alpha == 1.0:
         return LogValue(1, z)
-    if z > 0.0:
-        p, log_lead = _ml_pole(alpha, 1.0, z)
+    form = _ml_residue_form(alpha, 1.0, z) if z > 0.0 else None
+    if form is not None:
+        _, log_lead, value, _ = form
         if log_lead == math.inf:
             raise DomainError(f"log E_{alpha}({z}) exceeds double range")
-        if p >= _POLE_SPLIT:
-            value, _ = _ml_contour(alpha, 1.0, z, p, 1.0 / alpha)
-            return LogValue(1, log_lead + math.log1p(value * alpha * math.exp(-p)))
+        return LogValue(1, log_lead + math.log1p(value * math.exp(-log_lead)))
     value = mittag_leffler(alpha, 1.0, z).value
     if value <= 0.0:  # numerically impossible for a in (0,1]; keep honest
         raise NonConvergence(f"non-positive Mittag-Leffler value at z = {z}")

@@ -56,6 +56,12 @@ class TestEval:
         assert proc.returncode == 0, proc.stderr
         assert "value=inf" in proc.stdout
 
+    def test_ml_tiny_argument_above_unit_beta(self):
+        # log(R e^p) leaves double range, E_{0.05,2}(1e-16) is about 1.
+        proc = run_cli("eval", "ml", "--alpha", "0.05", "--beta", "2", "--z", "1e-16")
+        assert proc.returncode == 0, proc.stderr
+        assert "value=1 " in proc.stdout
+
     def test_usage_error_on_bad_alpha(self):
         proc = run_cli("eval", "ml", "--alpha", "2", "--beta", "1", "--z", "1")
         assert proc.returncode == 1

@@ -406,8 +406,9 @@ class TestMittagLefflerDifferential:
     """mittag_leffler's bound against high-precision references on both axes."""
 
     @staticmethod
-    def _breaches(points, reference, rel_bound=math.inf):
-        """Points whose bound misses the error, or exceeds ``rel_bound`` |value|
+    def _breaches(points, reference, rel_bound=math.inf, rel_error=math.inf):
+        """Points whose bound misses the error, whose error exceeds
+        ``rel_error`` |reference|, or whose bound exceeds ``rel_bound`` |value|
         where beta <= 2."""
         breaches = []
         for alpha, beta, z in points:
@@ -416,8 +417,10 @@ class TestMittagLefflerDifferential:
             except FracFrontError as exc:
                 breaches.append((alpha, beta, z, exc))
                 continue
-            err = float(abs(mpmath.mpf(res.value) - reference(alpha, beta, z)))
-            if not (0.0 < res.abs_error_bound and err <= res.abs_error_bound):
+            ref = reference(alpha, beta, z)
+            err = float(abs(mpmath.mpf(res.value) - ref))
+            if (not (0.0 < res.abs_error_bound and err <= res.abs_error_bound)
+                    or err > rel_error * float(abs(ref))):
                 breaches.append((alpha, beta, z, res, err))
             elif beta <= 2.0 and res.abs_error_bound > rel_bound * abs(res.value):
                 breaches.append((alpha, beta, z, res))
@@ -435,7 +438,12 @@ class TestMittagLefflerDifferential:
         # side, where a node at u = 0 would meet the pole; poles just either
         # side of the split below which no residue is subtracted; alpha = 1
         # off beta = 1, where the transform has a pole and no branch cut
-        # (beta = 2) or both.
+        # (beta = 2) or both.  For beta > 2, R = p^{1-b}/a far exceeds E at
+        # small p and the residue form cancels, so the split must move up
+        # with beta: seeded p log-uniform in [1e-4, 600] at beta in
+        # {5/2, 3, 5}, poles either side of the beta = 3 and 5 splits and
+        # the former worst case (alpha, beta, p) = (0.66, 5, 0.057).  Tiny
+        # z at beta > 1, where log(R e^p) itself is past double range.
         vertex = 4.492 * (1.0 - math.sin(1.1721))
         poles = [n * vertex + d for n in (16, 12) for d in (-1e-9, 0.0, 1e-9)]
         split = specfun._POLE_SPLIT
@@ -444,8 +452,19 @@ class TestMittagLefflerDifferential:
                   + [(0.5, beta, (split * (1.0 + d)) ** 0.5)
                      for beta in (0.5, 1.5, 3.0) for d in (-1e-9, 1e-9)]
                   + [(1.0, beta, z) for beta in (0.5, 1.5, 2.0) for z in (0.05, 3.0, 40.0, 600.0)])
+        rng = np.random.default_rng(2016)
+        for beta in (2.5, 3.0, 5.0):
+            for _ in range(12):
+                alpha = float(rng.uniform(0.05, 1.0))
+                p = float(math.exp(rng.uniform(math.log(1e-4), math.log(600.0))))
+                placed.append((alpha, beta, p ** alpha))
+        placed += [(0.5, beta, (split ** (1.0 / (beta - 1.0)) * (1.0 + d)) ** 0.5)
+                   for beta in (3.0, 5.0) for d in (-1e-9, 1e-9)]
+        placed += [(0.66, 5.0, 0.057 ** 0.66), (0.05, 2.0, 1e-16), (0.2, 3.0, 1e-32),
+                   (0.5, 2.0, 1e-300), (0.5, 2.0, 5e-324)]
         points = _ml_probe_points(1.0, 120, 2007) + placed
-        assert self._breaches(points, _ml_series_reference, rel_bound=1e-9) == []
+        assert self._breaches(points, _ml_series_reference,
+                              rel_bound=1e-9, rel_error=1e-8) == []
 
 
 class TestLogWrightTail:
