@@ -8,7 +8,9 @@ u_{a,rho}(t, x) = (1/pi) sum_k (-1)^k a_k(t, x) with
 an alternating series with positive decreasing terms (k >= 1), so the first
 omitted term bounds the remainder.  Each segment, and the integral at the
 origin, is one call of ``logvalue.panel_integral_log``, the adaptive
-log-domain quadrature of the subordination integral too.  Also houses the
+log-domain quadrature of the subordination integral too; each of its panel
+rounds evaluates E_a at all its nodes in one ``log_mittag_leffler_array``
+call.  Also houses the
 analytic a_0 lower / a_1 upper bounds and the divergence comparator they feed.
 """
 
@@ -20,8 +22,8 @@ import numpy as np
 
 from .errors import DomainError, NonConvergence
 from .logvalue import LogValue, panel_integral_log, signed_log_sum
-from .specfun import (EvalResult, Regime, dottie, log_mittag_leffler, mittag_leffler,
-                      reciprocal_gamma)
+from .specfun import (EvalResult, Regime, dottie, log_mittag_leffler,
+                      log_mittag_leffler_array, mittag_leffler, reciprocal_gamma)
 
 
 def _segment_integral_log(
@@ -30,19 +32,23 @@ def _segment_integral_log(
     """Signed log of the integral of E_a(t^a (1 - xi^{2 rho})) cos(x xi) over
     [edges[0], edges[-1]], starting from the panels between ``edges``.
 
-    Nodes where the cosine vanishes cost no Mittag-Leffler call."""
+    The integrand takes each panel round's nodes as one array and evaluates
+    E_a at them with one call of ``log_mittag_leffler_array``; nodes where
+    the cosine vanishes are left out of it."""
     if rho < 1.0:
         raise DomainError(f"representation stated for rho >= 1, got {rho}")
     if t <= 0.0:
         raise DomainError(f"t must be positive, got {t}")
     ta = t ** alpha
 
-    def integrand(xi: float) -> tuple[int, float]:
-        c = math.cos(x * xi)
-        if c == 0.0:
-            return 0, -math.inf
-        ml = log_mittag_leffler(alpha, ta * (1.0 - xi ** (2.0 * rho)))
-        return ml.sign * (1 if c > 0 else -1), ml.log_abs + math.log(abs(c))
+    def integrand(xi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        c = np.cos(x * xi)
+        sign, log_abs = np.zeros(xi.size), np.full(xi.size, -math.inf)
+        live = np.flatnonzero(c != 0.0)
+        ml_sign, ml_log = log_mittag_leffler_array(alpha, ta * (1.0 - xi[live] ** (2.0 * rho)))
+        sign[live] = ml_sign * np.sign(c[live])
+        log_abs[live] = ml_log + np.log(np.abs(c[live]))
+        return sign, log_abs
 
     return panel_integral_log(integrand, edges, 1e-9)
 

@@ -4,7 +4,9 @@ Exact kernels exist at rho = 1 (Gaussian) and rho = 1/2 (Cauchy); for
 rho in (0,1) otherwise only the two-sided stable envelope
 C * t / (r^2 + t^{1/rho})^{(d+2 rho)/2} is available, and for rho > 1 in one
 dimension the kernel is the (sign-changing) cosine transform of
-exp(-s^{2 rho}).
+exp(-s^{2 rho}).  ``log_classical`` and ``log_envelope_shape`` take an array
+of times, for the subordination integrands; the scalar functions are their
+one-point views.
 """
 
 from __future__ import annotations
@@ -47,13 +49,36 @@ class BoundEnvelope:
             raise DomainError("envelope requires lower <= upper")
 
 
+def _log_gaussian(t, r: float, d: int):
+    """log of e^{-r^2/4t} / (4 pi t)^{d/2}, for a float or an array t."""
+    return -r * r / (4.0 * t) - 0.5 * d * np.log(4.0 * math.pi * t)
+
+
+def _log_cauchy(t, r: float, d: int):
+    """log of c_d t / (r^2 + t^2)^{(d+1)/2}, for a float or an array t."""
+    log_cd = math.lgamma(0.5 * (d + 1)) - 0.5 * (d + 1) * math.log(math.pi)
+    # r^2 + t^2 in log form to survive large radii.
+    big, small = np.maximum(r, t), np.minimum(r, t)
+    log_quad = 2.0 * np.log(big) + np.log1p((small / big) ** 2)
+    return log_cd + np.log(t) - 0.5 * (d + 1) * log_quad
+
+
+def log_envelope_shape(rho: float, t, r: float, d: int):
+    """log of the stable-envelope shape t / (r^2 + t^{1/rho})^{(d+2 rho)/2},
+    for a float or an array t."""
+    ts = t ** (1.0 / rho)
+    big, small = np.maximum(r * r, ts), np.minimum(r * r, ts)
+    log_quad = np.log(big) + np.log1p(small / big)
+    return np.log(t) - 0.5 * (d + 2.0 * rho) * log_quad
+
+
 def gaussian_density(t: float, r: float, d: int = 1) -> LogValue:
     """Log of the heat kernel e^{-r^2/4t} / (4 pi t)^{d/2} at radius r."""
     if t <= 0.0:
         raise DomainError(f"t must be positive, got {t}")
     if r < 0.0:
         raise DomainError(f"radius must be >= 0, got {r}")
-    return LogValue(1, -r * r / (4.0 * t) - 0.5 * d * math.log(4.0 * math.pi * t))
+    return LogValue(1, float(_log_gaussian(t, r, d)))
 
 
 def cauchy_density(t: float, r: float, d: int = 1) -> LogValue:
@@ -62,10 +87,7 @@ def cauchy_density(t: float, r: float, d: int = 1) -> LogValue:
         raise DomainError(f"t must be positive, got {t}")
     if r < 0.0:
         raise DomainError(f"radius must be >= 0, got {r}")
-    log_cd = math.lgamma(0.5 * (d + 1)) - 0.5 * (d + 1) * math.log(math.pi)
-    # r^2 + t^2 in log form to survive large radii.
-    log_quad = 2.0 * math.log(max(r, t)) + math.log1p((min(r, t) / max(r, t)) ** 2)
-    return LogValue(1, log_cd + math.log(t) - 0.5 * (d + 1) * log_quad)
+    return LogValue(1, float(_log_cauchy(t, r, d)))
 
 
 def stable_envelope(
@@ -83,14 +105,15 @@ def stable_envelope(
         raise DomainError("require t > 0 and r >= 0")
     if c1 <= 0.0 or c2 < c1:
         raise DomainError("require 0 < c1 <= c2")
-    ts = t ** (1.0 / rho)
-    big, small = max(r * r, ts), min(r * r, ts)
-    log_quad = math.log(big) + math.log1p(small / big)
-    log_shape = math.log(t) - 0.5 * (d + 2.0 * rho) * log_quad
+    log_shape = float(log_envelope_shape(rho, t, r, d))
     return BoundEnvelope(
         LogValue(1, math.log(c1) + log_shape),
         LogValue(1, math.log(c2) + log_shape),
     )
+
+
+# Segments per (segments x 32) matrix of the cosine transform, 256 KB.
+_SEGMENT_CHUNK = 1024
 
 
 def _f_transform(rho: float, y: float) -> float:
@@ -98,37 +121,48 @@ def _f_transform(rho: float, y: float) -> float:
 
     Integrated per half-period of the cosine so each segment is single
     signed; the exp(-s^{2 rho}) factor kills the tail super-exponentially.
+    All segment edges are laid out first, and the 32-point rule runs on
+    them as one (segments x 32) matrix per _SEGMENT_CHUNK segments.
     """
     y = abs(y)
+    if not math.isfinite(y):
+        raise QuadratureFailure(f"cosine transform did not terminate at y = {y}")
     # exp(-s^{2 rho}) < 1e-19 beyond this point.
     s_max = 44.0 ** (1.0 / (2.0 * rho))
-
-    def integrate(a: float, b: float) -> float:
-        mid, half = 0.5 * (a + b), 0.5 * (b - a)
-        ss = mid + half * GL_NODES
-        vals = np.exp(-(ss ** (2.0 * rho))) * np.cos(ss * y)
-        return half * float(np.dot(GL_WEIGHTS, vals))
-
     if y * s_max < math.pi:
         # Less than half an oscillation in range; split only for resolution.
         edges = np.linspace(0.0, s_max, 9)
-        pieces = [integrate(a, b) for a, b in zip(edges[:-1], edges[1:])]
-        return math.fsum(pieces) / math.pi
+        lo, hi = edges[:-1], edges[1:]
+    else:
+        # Half-period ends (2j + 1) pi / 2y for j = 0..last, the first end
+        # at or past s_max being the last and cut to it.
+        def end(j):
+            return (2 * j + 1) * math.pi / (2.0 * y)
 
-    pieces = []
-    a = 0.0
-    j = 0
-    while a < s_max:
-        b = min((2 * j + 1) * math.pi / (2.0 * y), s_max)
-        if b > a:
-            # Sub-split long first segments so 32 nodes always resolve them.
-            n_sub = max(1, int((b - a) * y / math.pi) + 1)
-            sub = np.linspace(a, b, n_sub + 1)
-            pieces.extend(integrate(lo, hi) for lo, hi in zip(sub[:-1], sub[1:]))
-        a = b
-        j += 1
-        if j > 200000:
+        last = max(0, math.ceil((s_max * 2.0 * y / math.pi - 1.0) / 2.0))
+        while last > 0 and end(last - 1) >= s_max:
+            last -= 1
+        while end(last) < s_max:
+            last += 1
+        if last >= 200000:
             raise QuadratureFailure(f"cosine transform did not terminate at y = {y}")
+        j = np.arange(last + 1)
+        b = np.minimum(end(j), s_max)
+        a = np.concatenate([[0.0], b[:-1]])
+        # Sub-split long segments so 32 nodes always resolve them.
+        n_sub = np.maximum(1, ((b - a) * y / math.pi).astype(int) + 1)
+        i = np.arange(n_sub.sum()) - np.repeat(np.cumsum(n_sub) - n_sub, n_sub)
+        a, b, n_sub = np.repeat(a, n_sub), np.repeat(b, n_sub), np.repeat(n_sub, n_sub)
+        step = (b - a) / n_sub
+        lo = i * step + a
+        hi = np.where(i + 1 == n_sub, b, (i + 1) * step + a)
+    pieces = []
+    for start in range(0, lo.size, _SEGMENT_CHUNK):
+        part = slice(start, start + _SEGMENT_CHUNK)
+        mid, half = 0.5 * (lo[part] + hi[part]), 0.5 * (hi[part] - lo[part])
+        ss = mid[:, None] + half[:, None] * GL_NODES
+        vals = np.exp(-(ss ** (2.0 * rho))) * np.cos(ss * y)
+        pieces.extend((half * (vals @ GL_WEIGHTS)).tolist())
     total = math.fsum(pieces) / math.pi
     # The tail beyond s_max is below e^{-44} by construction.
     if not math.isfinite(total):
@@ -159,31 +193,43 @@ def f_bound(rho: float, y: float, k_const: float, omega: float) -> float:
     return k_const * math.exp(-omega * abs(y) ** (2.0 * rho / (2.0 * rho - 1.0)))
 
 
+def log_classical(rho: float, d: int, s, r: float) -> tuple[np.ndarray, np.ndarray]:
+    """Signed log of the first-order-in-time solution e^s K_s(r) at every
+    s > 0 of an array, as the arrays (sign, log|.|), for the exact kernels:
+    rho in {1/2, 1} in any dimension and rho > 1 with d = 1, where the
+    kernel may vanish at its zero crossings (sign 0).  The rho > 1 kernel
+    is one cosine transform per s."""
+    s = np.asarray(s, dtype=float)
+    if not np.all(s > 0.0) or r < 0.0:
+        raise DomainError("require t > 0 and r >= 0")
+    sign = np.ones(s.size)
+    if rho == 1.0:
+        return sign, s + _log_gaussian(s, r, d)
+    if rho == 0.5:
+        return sign, s + _log_cauchy(s, r, d)
+    if rho > 1.0 and d == 1:
+        kerns = [higher_order_kernel_1d(rho, si, r) for si in s.tolist()]
+        sign = np.array([k.sign for k in kerns], dtype=float)
+        return sign, s + np.array([k.log_abs for k in kerns])
+    raise Unsupported(f"no exact kernel for rho = {rho} in dimension {d}")
+
+
 def classical_solution(params: FracParams, t: float, r: float):
     """First-order-in-time solution e^t times the diffusion kernel.
 
     Exact LogValue for rho in {1/2, 1} any dimension and for rho > 1 with
-    d = 1; BoundEnvelope for other rho in (0,1).  The kernel may vanish at
-    zero crossings of the rho > 1 kernel, giving a Zero LogValue.
+    d = 1 (the one-point view of ``log_classical``); BoundEnvelope for
+    other rho in (0,1).  The kernel may vanish at zero crossings of the
+    rho > 1 kernel, giving a Zero LogValue.
     """
     if params.alpha != 1.0:
         raise DomainError("classical_solution is the alpha = 1 solution")
     if t <= 0.0 or r < 0.0:
         raise DomainError("require t > 0 and r >= 0")
     rho, d = params.rho, params.dim
-    if rho == 1.0:
-        return LogValue(1, t + gaussian_density(t, r, d).log_abs)
-    if rho == 0.5:
-        return LogValue(1, t + cauchy_density(t, r, d).log_abs)
-    if rho > 1.0:
-        if d != 1:
-            raise Unsupported(
-                f"no exact kernel for rho = {rho} in dimension {d}"
-            )
-        kern = higher_order_kernel_1d(rho, t, r)
-        if kern.sign == 0:
-            return kern
-        return LogValue(kern.sign, t + kern.log_abs)
+    if rho in (0.5, 1.0) or rho > 1.0:
+        sign, log_abs = log_classical(rho, d, np.array([float(t)]), r)
+        return LogValue.from_log(float(log_abs[0]), int(sign[0]))
     env = stable_envelope(rho, t, r, d)
     return BoundEnvelope(
         LogValue(1, t + env.lower.log_abs),

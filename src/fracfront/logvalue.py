@@ -3,13 +3,15 @@
 Solution values along invasion curves behave like exp(c*t) with t up to ~60,
 so everything downstream of the kernels is carried as (sign, log|value|)
 pairs instead of raw floats, and every integral of them runs on the one
-adaptive panel quadrature ``panel_integral_log`` below.
+adaptive panel quadrature ``panel_integral_log`` below.  Its integrands take
+an array of nodes and return the arrays (sign, log|value|), so each round
+of panels is one call, and ``log_sum`` adds such arrays without leaving
+log space.
 """
 
 from __future__ import annotations
 
 import math
-from collections import namedtuple
 from dataclasses import dataclass
 from typing import Callable, Iterable
 
@@ -117,61 +119,82 @@ def gl_panels(edges) -> tuple[np.ndarray, np.ndarray]:
     return nodes, (halves[:, None] * GL_WEIGHTS[None, :]).ravel()
 
 
-def _panel_sums(f, a: np.ndarray, b: np.ndarray) -> list[LogValue]:
-    """The 32-point sum of f on each panel [a_i, b_i]."""
-    mids, halves = 0.5 * (a + b), 0.5 * (b - a)
-    sums = []
-    for xs, ws in zip((mids[:, None] + halves[:, None] * GL_NODES).tolist(),
-                      (halves[:, None] * GL_WEIGHTS).tolist()):
-        pairs = [(f(x), w) for x, w in zip(xs, ws)]
-        sums.append(signed_log_sum(
-            LogValue(sign, log_abs + math.log(w)) for (sign, log_abs), w in pairs if sign != 0
-        )[0])
-    return sums
+def log_sum(sign: np.ndarray, log_abs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Signed log-sums along the last axis of (sign, log|value|) arrays.
+
+    Each sum is taken relative to its largest magnitude, so the values may
+    lie far outside double range; an exact zero comes back as (0, -inf).
+    """
+    top = np.max(log_abs, axis=-1, initial=-math.inf)
+    shift = np.where(np.isfinite(top), top, 0.0)
+    net = np.sum(sign * np.exp(log_abs - shift[..., None]), axis=-1)
+    with np.errstate(divide="ignore"):
+        return np.sign(net), np.where(net == 0.0, -math.inf, shift + np.log(np.abs(net)))
 
 
-# Panel [a, b], midpoint m, its half sums, their total and its distance to the panel sum.
-_Panel = namedtuple("_Panel", "a m b left right fine diff")
+def _log_add(s1, l1, s2, l2):
+    """Elementwise signed log of a + b for a, b given as (sign, log|.|)."""
+    return log_sum(np.stack([s1, s2], axis=-1), np.stack([l1, l2], axis=-1))
 
 
 def panel_integral_log(
-    f: Callable[[float], tuple[int, float]], edges, tol: float
+    f: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]], edges, tol: float
 ) -> LogValue:
-    """Signed log of the integral of f over [edges[0], edges[-1]], with f(x)
-    given as (sign, log|f(x)|).
+    """Signed log of the integral of f over [edges[0], edges[-1]].
 
-    Globally adaptive bisection (as in QUADPACK) on the 32-point rule from the
-    panels between ``edges``: each panel's sum is compared with the sum over
-    its halves.  Returns the sum of the halves once the summed |coarse -
-    halves| is at most tol * |total| (or every sum is zero); otherwise bisects
-    each panel whose difference exceeds its share tol * |total| / (panel
-    count).  More than MAX_PANELS panels is a QuadratureFailure.  Sums stay
+    ``f`` takes a float array of nodes and returns the arrays (sign, log|f|),
+    sign 0 (with any log) where f vanishes.  Globally adaptive bisection (as
+    in QUADPACK) on the 32-point rule from the panels between ``edges``: each
+    panel's sum is compared with the sum over its halves.  Returns the sum of
+    the halves once |sum of (coarse - halves)| is at most tol * |total| (or
+    every sum is zero); otherwise bisects each panel whose |coarse - halves|
+    exceeds its share tol * |total| / (panel count), at least the worst one.
+    A round evaluates all its new nodes in one call of f: the coarse panels
+    and their halves in the first round, the halves of the split panels
+    after it.  More than MAX_PANELS panels is a QuadratureFailure.  Sums stay
     in log space, so f may exceed double range.
     """
     edges = np.asarray(edges, dtype=float)
-    a, b, log_tol, panels = edges[:-1], edges[1:], math.log(tol), []
-    coarse = _panel_sums(f, a, b)
+    a, b, log_tol, k = edges[:-1], edges[1:], math.log(tol), len(GL_NODES)
+    # Per kept panel: a, midpoint, b, and (sign, log) of its left half, right
+    # half, their total and its distance to the panel's own sum.
+    kept = np.empty((0, 11))
+    coarse = None
     while True:
         m = 0.5 * (a + b)
-        halves = zip(_panel_sums(f, a, m), _panel_sums(f, m, b))
-        for ai, mi, bi, c, (left, right) in zip(a, m, b, coarse, halves):
-            fine = signed_log_sum([left, right])[0]
-            diff = signed_log_sum([c, LogValue(-fine.sign, fine.log_abs)])[0]
-            panels.append(_Panel(ai, mi, bi, left, right, fine, diff))
-        total = signed_log_sum(p.fine for p in panels)[0]
-        err = signed_log_sum(p.diff for p in panels)[0]
-        if err.sign == 0 or err.log_abs <= log_tol + total.log_abs:
-            return total
-        share = log_tol + total.log_abs - math.log(len(panels))
+        los, his = [a, m], [m, b]
+        if coarse is None:  # the first round also sums the starting panels
+            los, his = [a] + los, [b] + his
+        lo, hi = np.concatenate(los), np.concatenate(his)
+        half = 0.5 * (hi - lo)
+        nodes = (0.5 * (lo + hi))[:, None] + half[:, None] * GL_NODES
+        sign, log_abs = f(nodes.ravel())
+        sign = np.asarray(sign, dtype=float).reshape(-1, k)
+        with np.errstate(divide="ignore"):
+            log_w = np.log(half[:, None] * GL_WEIGHTS)
+        terms = np.where(sign == 0.0, -math.inf, np.asarray(log_abs).reshape(-1, k) + log_w)
+        s_sum, l_sum = log_sum(sign, terms)
+        sums = np.stack([s_sum, l_sum], axis=1).reshape(-1, a.size, 2)
+        if coarse is None:
+            coarse, sums = sums[0], sums[1:]
+        left, right = sums
+        fine = np.stack(_log_add(left[:, 0], left[:, 1], right[:, 0], right[:, 1]), axis=1)
+        diff = np.stack(_log_add(coarse[:, 0], coarse[:, 1], -fine[:, 0], fine[:, 1]), axis=1)
+        kept = np.concatenate([kept, np.column_stack([a, m, b, left, right, fine, diff])])
+        total = log_sum(kept[:, 7], kept[:, 8])
+        err = log_sum(kept[:, 9], kept[:, 10])
+        if err[0] == 0.0 or err[1] <= log_tol + total[1]:
+            return LogValue.from_log(float(total[1]), int(total[0]))
+        share = log_tol + total[1] - math.log(len(kept))
         # At least the worst panel, should rounding leave none above its share.
-        panels.sort(key=lambda p: p.diff.log_abs, reverse=True)
-        k = max(1, sum(p.diff.log_abs > share for p in panels))
-        if len(panels) + k > MAX_PANELS:
+        kept = kept[np.argsort(-kept[:, 10], kind="stable")]
+        n_split = max(1, int(np.count_nonzero(kept[:, 10] > share)))
+        if len(kept) + n_split > MAX_PANELS:
             raise QuadratureFailure(
                 f"integral over [{edges[0]:.6g}, {edges[-1]:.6g}] did not converge in {MAX_PANELS}"
-                f" panels (log(error / total) {err.log_abs - total.log_abs:.3g})")
-        split, panels = panels[:k], panels[k:]
+                f" panels (log(error / total) {err[1] - total[1]:.3g})")
+        split, kept = kept[:n_split], kept[n_split:]
         # A split panel's halves become panels whose own sums are known.
-        a = np.array([e for p in split for e in (p.a, p.m)])
-        b = np.array([e for p in split for e in (p.m, p.b)])
-        coarse = [c for p in split for c in (p.left, p.right)]
+        a = split[:, [0, 1]].ravel()
+        b = split[:, [1, 2]].ravel()
+        coarse = split[:, 3:7].reshape(-1, 2)

@@ -2,25 +2,28 @@
 
 E_{a,b}(z) has one rule on the real line: the inverse Laplace transform of
 F(s) = s^{a-b}/(s^a - z) at t = 1 by the trapezoid rule on a hyperbola, 17
-complex nodes built once at import (``_ml_contour``).  For z > 0 the residue
-term R e^p of F's pole p = z^{1/a}, R = p^{1-b}/a, is added and R/(s - p)
-subtracted from F, so the rule never meets the pole;
-``log_mittag_leffler`` takes the log of the same sum.  At a = 1 the closed
-forms e^z (b = 1) and, on the negative axis, E_{1,b}(z) = 1F1(1; b; z)/Gamma(b)
-answer instead.
+complex nodes built once at import (``_ml_contour``, which takes an array
+of z as one (z x nodes) matrix).  For z > 0 the residue term R e^p of F's
+pole p = z^{1/a}, R = p^{1-b}/a, is added and R/(s - p) subtracted from F,
+so the rule never meets the pole.  ``log_mittag_leffler_array`` takes the
+log of the same sum at an array of z, and ``log_mittag_leffler`` is its
+one-point view.  At a = 1 the closed forms e^z (b = 1) and, on the negative
+axis, E_{1,b}(z) = 1F1(1; b; z)/Gamma(b) answer instead.
 
 The Laplace-Wright integral of e^{z s} W_{-a,b-a}(-s) ds (``_bridge_rule``)
 is not on any of these paths; verify keeps it to cross-check the two
 function families against each other.
 
-W_{-nu,mu}(-x) has one evaluator, ``_log_wright``: closed forms at x = 0 and
-nu = 1/2, one Talbot contour rule for the Hankel integral at saddle variable
-0 < Y = (1-nu)(nu^nu x)^{1/(1-nu)} <= 1e5, and beyond it the saddle-point
-tail A0(nu, mu) Y^{1/2-mu} e^{-Y} with 1/Y corrections fitted once per
-(nu, mu) against the Talbot rule.  ``wright_neg`` and ``log_wright_tail``
-(the leading tail term alone) are views of it.  Both families run in
-double precision with ``reciprocal_gamma`` as the one 1/Gamma; mpmath answers
-only 1F1(1; b; z)/Gamma(b) at a = 1 and ``gamma_upper_incomplete``.
+W_{-nu,mu}(-x) has one evaluator, ``log_wright_array``, which takes an
+array of x: closed forms at x = 0 and nu = 1/2, one Talbot contour rule for
+the Hankel integral at saddle variable 0 < Y = (1-nu)(nu^nu x)^{1/(1-nu)}
+<= 1e5, evaluated as a (nodes x contour) matrix, and beyond it the
+saddle-point tail A0(nu, mu) Y^{1/2-mu} e^{-Y} with 1/Y corrections fitted
+once per (nu, mu) against the Talbot rule.  ``_log_wright`` is its one-point
+view, and ``wright_neg`` and ``log_wright_tail`` (the leading tail term
+alone) are views of that.  Both families run in double precision with
+``reciprocal_gamma`` as the one 1/Gamma; mpmath answers only
+1F1(1; b; z)/Gamma(b) at a = 1 and ``gamma_upper_incomplete``.
 """
 
 from __future__ import annotations
@@ -77,29 +80,28 @@ def reciprocal_gamma(x: float) -> float:
 # Wright functions
 
 
-def _wright_big_y(nu: float, x: float) -> float:
-    """The saddle variable Y of the W_{-nu,mu}(-x) tail expansion.
+def _wright_big_y(nu: float, x):
+    """The saddle variable Y of the W_{-nu,mu}(-x) tail expansion, for x > 0
+    (a float or an array).
 
     Formed in log space: the 1/(1-nu) exponent overflows bare floats
-    already at moderate x when nu is close to 1.
+    already at moderate x when nu is close to 1; past e^709 Y is inf.
     """
-    if x <= 0.0:
-        return 0.0
-    exponent = (nu * math.log(nu) + math.log(x)) / (1.0 - nu)
-    if exponent > 709.0:
-        return math.inf
-    return (1.0 - nu) * math.exp(exponent)
+    exponent = (nu * math.log(nu) + np.log(x)) / (1.0 - nu)
+    return np.where(exponent > 709.0, math.inf,
+                    (1.0 - nu) * np.exp(np.minimum(exponent, 709.0)))
 
 
-def _log_wright_lead(nu: float, mu: float, y: float) -> float:
-    """log of the leading tail term A0(nu, mu) Y^{1/2-mu} e^{-Y}.
+def _log_wright_lead(nu: float, mu: float, y):
+    """log of the leading tail term A0(nu, mu) Y^{1/2-mu} e^{-Y}, for a float
+    or an array Y.
 
     From the Hankel representation (1/2 pi i) int s^{-mu} e^{s - x s^nu} ds:
     the saddle sits at s* = nu Y / (1 - nu) with phi''(s*) = (1 - nu)/s*,
     which gives A0 = (nu/(1-nu))^{1/2-mu} / sqrt(2 pi (1-nu)).
     """
     a0 = (nu / (1.0 - nu)) ** (0.5 - mu) / math.sqrt(2.0 * math.pi * (1.0 - nu))
-    return (0.5 - mu) * math.log(y) - y + math.log(a0)
+    return (0.5 - mu) * np.log(y) - y + math.log(a0)
 
 
 def log_wright_tail(nu: float, mu: float, z: float) -> LogValue:
@@ -114,10 +116,10 @@ def log_wright_tail(nu: float, mu: float, z: float) -> LogValue:
         raise DomainError(f"nu must be in (0,1), got {nu}")
     if not -math.inf < z < 0.0:
         raise DomainError(f"log_wright_tail requires finite z < 0, got {z}")
-    y = _wright_big_y(nu, -z)
+    y = float(_wright_big_y(nu, -z))
     if y <= 1.0:
         raise DomainError(f"tail expansion not trusted at Y = {y:.3g} <= 1")
-    return LogValue(1, _log_wright_lead(nu, mu, y))
+    return LogValue(1, float(_log_wright_lead(nu, mu, y)))
 
 
 # Fit abscissas for the tail-correction coefficients; their product bounds
@@ -148,8 +150,10 @@ def _talbot_level(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return s, np.log(s), ds
 
 
-def _wright_talbot(nu: float, mu: float, x: float, y: float, tol: float) -> tuple[LogValue, float]:
-    """W_{-nu,mu}(-x) from its Hankel integral on a Talbot contour.
+def _wright_talbot(nu: float, mu: float, x: np.ndarray, y: np.ndarray,
+                   tol: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """W_{-nu,mu}(-x) from its Hankel integral on a Talbot contour, per node
+    of the arrays x, y (the saddle variable) and tol.
 
     (1/2 pi i) int sigma^{-mu} e^{sigma - x sigma^nu} d sigma over
     sigma(theta) = r theta(cot theta + i), by the trapezoid rule in theta.
@@ -163,39 +167,72 @@ def _wright_talbot(nu: float, mu: float, x: float, y: float, tol: float) -> tupl
     peak being ~1/sqrt(Y) wide in theta) until the n- and n/2-node sums
     agree to ``tol`` and either the estimate below meets ``tol`` or their
     difference is under its rounding part, which more nodes only grow; or
-    until n = 4096.  Each doubling adds only the odd nodes.
+    until n = 4096.  Each doubling adds only the odd nodes, and evaluates
+    them at the nodes still running as (nodes x contour) matrices of at most
+    _WRIGHT_CHUNK x 64 entries: _WRIGHT_CHUNK nodes a matrix at the first
+    two levels (64 contour nodes each), fewer as the levels grow.
 
     The relative estimate is that difference plus eps (n + r + x r^nu + Y)
     sum|terms|/|sum terms|: the phase of each term is rounded to eps times
     its parts, which cancel near the saddle, the sum adds eps n, and the
     cancellation between terms, as near zeros of W, scales both.  A sum
-    that is zero or not finite has an infinite estimate.
+    that is zero or not finite has an infinite estimate.  Returns the arrays
+    (sign, log|W|, estimate); a node's values do not depend on the others.
     """
-    r = 1.0 / (1.0 - nu)
-    while r > 2.0 and r - x * r ** nu + y > 3.0:
-        r *= 0.5
-    r = max(nu * y / (1.0 - nu), r, 2.0)
+    out = np.empty((3, x.size))
+    out[0], out[1], out[2] = 0.0, -math.inf, math.inf
+    r = np.full(x.size, 1.0 / (1.0 - nu))
+    while nu > 0.5:  # else 1/(1 - nu) <= 2 and no radius shrinks
+        shrink = (r > 2.0) & (r - x * r ** nu + y > 3.0)
+        if not shrink.any():
+            break
+        r[shrink] *= 0.5
+    r = np.maximum(np.maximum(nu * y / (1.0 - nu), r), 2.0)
     xr = x * r ** nu
-    n, total, total_abs = _TALBOT_MIN_N // 2, 0.0, 0.0
-    with np.errstate(over="ignore", invalid="ignore"):
-        while True:
-            n *= 2
-            s, log_s, ds = _talbot_level(n)
-            terms = (np.exp(r * s - xr * np.exp(nu * log_s) - mu * log_s + y) * ds).imag
-            half = (total / (n // 2) if n > _TALBOT_MIN_N
-                    else 2.0 * float(np.sum(terms[::2])) / n)
-            total += float(np.sum(terms))
-            total_abs += float(np.sum(np.abs(terms)))
+    min_n = 48.0 + 8.0 * np.sqrt(y)
+    at, total, total_abs = np.arange(x.size), np.zeros(x.size), np.zeros(x.size)
+    n = _TALBOT_MIN_N // 2
+    # The arrays hold the nodes whose sums are still doubling.
+    while at.size:
+        n *= 2
+        s, log_s, ds = _talbot_level(n)
+        s_nu, mu_log_s = np.exp(nu * log_s), mu * log_s
+        sums, abs_sums, even = np.empty(at.size), np.empty(at.size), np.empty(at.size)
+        rows = max(1, _WRIGHT_CHUNK * _TALBOT_MIN_N // s.size)
+        with np.errstate(over="ignore", invalid="ignore"):
+            for lo in range(0, at.size, rows):
+                part = slice(lo, lo + rows)
+                arg = np.multiply.outer(r[part], s)
+                arg -= np.multiply.outer(xr[part], s_nu)
+                arg -= mu_log_s
+                arg += y[part, None]
+                np.exp(arg, out=arg)
+                arg *= ds
+                terms = arg.imag
+                sums[part], abs_sums[part] = terms.sum(axis=1), np.abs(terms).sum(axis=1)
+                if n == _TALBOT_MIN_N:
+                    even[part] = terms[:, ::2].sum(axis=1)
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            half = total / (n // 2) if n > _TALBOT_MIN_N else 2.0 * even / n
+            total = total + sums
+            total_abs = total_abs + abs_sums
             full = total / n
-            if not (math.isfinite(full) and full != 0.0):
-                return LogValue.zero(), math.inf
-            diff = abs(full - half) / abs(full)
-            rounding = _EPS * (n + r + xr + y) * total_abs / abs(total)
-            if n >= _TALBOT_MAX_N or (n >= 48.0 + 8.0 * math.sqrt(y) and diff <= tol
-                                      and (diff + rounding <= tol or diff <= rounding)):
-                break
-    return LogValue(1 if full > 0.0 else -1,
-                    math.log(abs(full)) + (1.0 - mu) * math.log(r) - y), diff + rounding
+            diff = np.abs(full - half) / np.abs(full)
+            rounding = _EPS * (n + r + xr + y) * total_abs / np.abs(total)
+        ok = np.isfinite(full) & (full != 0.0)
+        done = ~ok | ((n >= min_n) & (diff <= tol) & ((diff + rounding <= tol) | (diff <= rounding)))
+        if n >= _TALBOT_MAX_N:
+            done[:] = True
+        if not done.any():
+            continue
+        fin = done & ok
+        out[0, at[fin]] = np.sign(full[fin])
+        out[1, at[fin]] = np.log(np.abs(full[fin])) + (1.0 - mu) * np.log(r[fin]) - y[fin]
+        out[2, at[fin]] = diff[fin] + rounding[fin]
+        run = ~done
+        at, r, xr, y, tol, min_n, total, total_abs = (
+            v[run] for v in (at, r, xr, y, tol, min_n, total, total_abs))
+    return out[0], out[1], out[2]
 
 
 @functools.lru_cache(maxsize=256)
@@ -209,76 +246,127 @@ def _wright_tail_correction(nu: float, mu: float) -> tuple[float, float, float]:
     fit point is above 1e-9.
     """
     ys = np.array(_TAIL_FIT_YS)
-    rs = []
-    for y in _TAIL_FIT_YS:
-        x = (y / (1.0 - nu)) ** (1.0 - nu) / nu ** nu
-        lv, est = _wright_talbot(nu, mu, x, y, 1e-13)
-        if not est <= 1e-9:
-            raise NonConvergence(f"W_(-{nu},{mu}) tail fit: estimate {est:.3g} at Y = {y}")
-        rs.append(lv.sign * math.exp(lv.log_abs - _log_wright_lead(nu, mu, y)) - 1.0)
+    xs = (ys / (1.0 - nu)) ** (1.0 - nu) / nu ** nu
+    sign, log_abs, est = _wright_talbot(nu, mu, xs, ys, np.full(ys.size, 1e-13))
+    if not np.all(est <= 1e-9):
+        raise NonConvergence(f"W_(-{nu},{mu}) tail fit: estimates {est} at Y = {_TAIL_FIT_YS}")
+    rs = sign * np.exp(log_abs - _log_wright_lead(nu, mu, ys)) - 1.0
     vander = np.vstack([1.0 / ys, 1.0 / ys ** 2, 1.0 / ys ** 3]).T
-    a1, a2, a3 = np.linalg.solve(vander, np.array(rs))
+    a1, a2, a3 = np.linalg.solve(vander, rs)
     return float(a1), float(a2), float(a3)
+
+
+# Nodes per (nodes x contour) matrix of the Talbot rule at its first two
+# levels; a level with L contour nodes takes 64 x _WRIGHT_CHUNK / L of them,
+# so no matrix exceeds 64 x _WRIGHT_CHUNK complex entries (64 KB).
+_WRIGHT_CHUNK = 64
+
+# The regimes of ``log_wright_array``, indexed by its regime codes.
+_WRIGHT_REGIMES = (Regime.TAYLOR_SERIES, Regime.QUADRATURE, Regime.ASYMPTOTIC_NEG)
+
+
+def log_wright_array(
+    nu: float, mu: float, x, tol=1e-9
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Signed log of W_{-nu,mu}(-x) at every node of the array x >= 0, with
+    relative-error estimates; ``tol`` is one tolerance or one per node.
+
+    The one Wright evaluator, behind the subordination quadrature,
+    ``_bridge_rule``, ``_log_wright`` and ``wright_neg``: closed forms at
+    x = 0 and nu = 1/2, the Talbot contour rule for 0 < Y <= 1e5 and the
+    corrected tail beyond.  Where the contour misses ``tol``, the one of
+    contour and tail (Y >= 12) with the smaller estimate answers with it; an
+    estimate of 1 or more, which leaves not even the sign, does not count,
+    and a node that no regime answers gets sign 0 and an infinite estimate.
+    Returns the arrays (sign, log|W|, estimate, regime code), the codes
+    indexing _WRIGHT_REGIMES: the closed forms count as series, the contour
+    is ``QUADRATURE`` and the tail ``ASYMPTOTIC_NEG``.  A node's values do
+    not depend on the other nodes of the call.
+    """
+    x = np.asarray(x, dtype=float).ravel()
+    if (x < 0.0).any():
+        raise DomainError("the Wright evaluator expects x >= 0")
+    tol = np.broadcast_to(np.asarray(tol, dtype=float), x.shape)
+    sign, est, regime = np.ones(x.size), np.full(x.size, _EPS), np.zeros(x.size, dtype=int)
+    with np.errstate(divide="ignore"):
+        if nu == 0.5 and mu in (0.5, 0.0):
+            # The closed forms of the subordination density and its
+            # antiderivative slot; exact, and the reason the large-t
+            # experiments stay cheap.
+            log_abs = -0.25 * x * x - 0.5 * math.log(math.pi)
+            if mu == 0.0:
+                log_abs += np.log(0.5 * x)
+        else:
+            log_abs = _log_wright_rules(nu, mu, x, _wright_big_y(nu, x), tol, sign, est, regime)
+    zero = x == 0.0
+    if zero.any():
+        at_zero = LogValue.from_float(reciprocal_gamma(mu))
+        sign[zero], log_abs[zero], est[zero], regime[zero] = at_zero.sign, at_zero.log_abs, _EPS, 0
+    return sign, log_abs, est, regime
+
+
+def _log_wright_rules(nu, mu, x, y, tol, sign, est, regime) -> np.ndarray:
+    """log|W| at the x > 0 of ``log_wright_array`` from the contour and the
+    tail; fills in their sign, estimate and regime code."""
+    log_abs = np.full(x.size, -math.inf)
+    pos = x > 0.0
+    sign[pos], est[pos], regime[pos] = 0.0, math.inf, 1
+    # Above Y ~ 1e5 the contour peak outgrows the node cap, and the
+    # corrected tail is already at ~3e-10 relative there.
+    near = pos & (y <= 1e5)
+    if near.any():
+        sign[near], log_abs[near], est[near] = _wright_talbot(nu, mu, x[near], y[near], tol[near])
+    # Past Y = 1e300, e^{-Y} is unrepresentably far below double underflow
+    # (nu near 1 sends Y astronomical already at moderate x): an exact zero
+    # at working precision.
+    gone = pos & ~(y < 1e300)
+    missed = pos & ~gone & ~(est <= tol)
+    if missed.any():
+        # The tail's fit is skipped where its estimate, at least _TAIL_LEAK/Y,
+        # cannot beat the contour's.
+        tail = missed & (y >= 12.0)
+        tail[tail] = est[tail] > _TAIL_LEAK / y[tail]
+        if tail.any():
+            try:
+                a1, a2, a3 = _wright_tail_correction(nu, mu)
+            except NonConvergence:  # no fit: the tail's estimate is infinite
+                a1 = a2 = a3 = math.inf
+            yt = y[tail]
+            with np.errstate(over="ignore"):
+                corr = 1.0 + a1 / yt + a2 / (yt * yt) + a3 / (yt * yt * yt)
+                # The neglected a4/Y^4 order and its leak into a1, with
+                # 1 + 3|a3| as the proxy for the unknown |a4|.  y^4 may
+                # overflow to inf, which harmlessly zeroes that term.
+                tail_est = np.maximum((1.0 + 3.0 * abs(a3))
+                                      * (1.0 / (yt * yt * yt * yt) + _TAIL_LEAK / yt), 1e-14)
+            wins = (corr > 0.0) & (tail_est < np.minimum(est[tail], 1.0))
+            at = np.flatnonzero(tail)[wins]
+            sign[at], est[at], regime[at] = 1.0, tail_est[wins], 2
+            log_abs[at] = _log_wright_lead(nu, mu, yt[wins]) + np.log(corr[wins])
+            missed[at] = False
+        # A contour estimate of 1 or more leaves not even the sign.
+        lost = missed & ~(est < 1.0)
+        sign[lost], log_abs[lost], est[lost] = 0.0, -math.inf, math.inf
+    sign[gone], est[gone], regime[gone] = 0.0, 1e-14, 2
+    return log_abs
 
 
 def _log_wright(
     nu: float, mu: float, x: float, tol: float = 1e-9
 ) -> tuple[LogValue, float, Regime, int]:
-    """Signed log of W_{-nu,mu}(-x) for x >= 0, with a relative-error estimate.
-
-    The one Wright evaluator, behind the subordination quadrature,
-    ``_bridge_rule`` and ``wright_neg``: closed forms at x = 0 and nu = 1/2,
-    the Talbot contour rule for 0 < Y <= 1e5 and the corrected tail beyond.
-    Where the contour misses ``tol``, the one of contour and tail (Y >= 12)
-    with the smaller estimate answers with it; an estimate of 1 or more,
-    which leaves not even the sign, does not count.  Returns (signed log,
-    estimate, regime, terms summed): the closed forms are series with no
-    terms, the contour ``QUADRATURE`` and the tail ``ASYMPTOTIC_NEG``.
+    """Signed log of W_{-nu,mu}(-x) for one x >= 0, with a relative-error
+    estimate: the one-node view of ``log_wright_array``.  Returns (signed
+    log, estimate, regime, terms summed), one term at x = 0 and none
+    elsewhere; raises NonConvergence where no regime answers.
     """
     if x < 0:
         raise DomainError("_log_wright expects x >= 0")
-    if x == 0.0:
-        return LogValue.from_float(reciprocal_gamma(mu)), _EPS, Regime.TAYLOR_SERIES, 1
-    # nu = 1/2 closed forms (the subordination density and its antiderivative
-    # slot); exact, and the reason the large-t experiments stay cheap.
-    if nu == 0.5 and mu == 0.5:
-        return (LogValue(1, -0.25 * x * x - 0.5 * math.log(math.pi)), _EPS,
-                Regime.TAYLOR_SERIES, 0)
-    if nu == 0.5 and mu == 0.0:
-        return (LogValue(1, math.log(0.5 * x) - 0.25 * x * x - 0.5 * math.log(math.pi)),
-                _EPS, Regime.TAYLOR_SERIES, 0)
-
-    y = _wright_big_y(nu, x)
-    if not y < 1e300:
-        # e^{-Y} is unrepresentably far below double underflow (nu near 1
-        # sends Y astronomical already at moderate x); the value is an exact
-        # zero at working precision.
-        return LogValue.zero(), 1e-14, Regime.ASYMPTOTIC_NEG, 0
-    # Above Y ~ 1e5 the contour peak outgrows the node cap, and the
-    # corrected tail is already at ~3e-10 relative there.
-    lv, est = _wright_talbot(nu, mu, x, y, tol) if y <= 1e5 else (None, math.inf)
-    if est <= tol:
-        return lv, est, Regime.QUADRATURE, 0
-    # The tail's fit is skipped where its estimate, at least _TAIL_LEAK/Y,
-    # cannot beat the contour's.
-    if y >= 12.0 and est > _TAIL_LEAK / y:
-        try:
-            a1, a2, a3 = _wright_tail_correction(nu, mu)
-        except NonConvergence:  # no fit: the tail's estimate is infinite
-            a1 = a2 = a3 = math.inf
-        corr = 1.0 + a1 / y + a2 / (y * y) + a3 / (y * y * y)
-        # The neglected a4/Y^4 order and its leak into a1, with 1 + 3|a3| as
-        # the proxy for the unknown |a4|.  y^4 may overflow to inf, which
-        # harmlessly zeroes that term.
-        tail_est = max((1.0 + 3.0 * abs(a3)) * (1.0 / (y * y * y * y) + _TAIL_LEAK / y), 1e-14)
-        if corr > 0.0 and tail_est < min(est, 1.0):
-            return (LogValue(1, _log_wright_lead(nu, mu, y) + math.log(corr)), tail_est,
-                    Regime.ASYMPTOTIC_NEG, 0)
-    if est < 1.0:
-        return lv, est, Regime.QUADRATURE, 0
-    raise NonConvergence(
-        f"no trustworthy regime for W_(-{nu},{mu})(-{x}): Y = {y:.3g}"
-    )
+    sign, log_abs, est, regime = log_wright_array(nu, mu, np.array([float(x)]), tol)
+    if est[0] == math.inf:
+        y = float(_wright_big_y(nu, x))
+        raise NonConvergence(f"no trustworthy regime for W_(-{nu},{mu})(-{x}): Y = {y:.3g}")
+    return (LogValue.from_log(float(log_abs[0]), int(sign[0])), float(est[0]),
+            _WRIGHT_REGIMES[regime[0]], 1 if x == 0.0 else 0)
 
 
 # The relative tolerance ``wright_neg`` asks of ``_log_wright``.
@@ -324,14 +412,14 @@ def _bridge_rule(alpha: float, mu: float):
 
     def build(n_panels):
         ss, ww = gl_panels(np.linspace(0.0, s_end, n_panels + 1))
-        wvals = np.empty_like(ss)
-        for i, s in enumerate(ss):
-            y = _wright_big_y(alpha, float(s)) if s > 0 else 0.0
-            # Deep-tail nodes are e^{-Y} down in relative weight, so their
-            # own tolerance can relax accordingly.
-            tol = min(1e-2, 1e-9 * math.exp(min(y, 40.0)))
-            wvals[i] = _log_wright(alpha, mu, float(s), tol=max(tol, 1e-11))[0].to_float()
-        return ss, ww * wvals
+        # Deep-tail nodes are e^{-Y} down in relative weight, so their own
+        # tolerance can relax accordingly.
+        y = np.minimum(_wright_big_y(alpha, ss), 40.0)
+        tol = np.maximum(np.minimum(1e-2, 1e-9 * np.exp(y)), 1e-11)
+        sign, log_abs, est, _ = log_wright_array(alpha, mu, ss, tol)
+        if np.any(est == math.inf):
+            raise NonConvergence(f"no trustworthy regime for W_(-{alpha},{mu}) at a bridge node")
+        return ss, ww * sign * np.exp(log_abs)
 
     return build(64), build(32)
 
@@ -358,14 +446,10 @@ def _hyperbola_rule(n: int):
     return s, np.exp(s) * ds * (h / math.pi), np.abs(ds)
 
 
-# Both rules share one array of nodes; row 0 of _ML_WEIGHTS holds the fine
-# weights and row 1 the coarse ones, each with zeros at the other's nodes.
+# Both rules share one array of nodes, the fine rule's first.
 _ML_FINE, _ML_COARSE = _hyperbola_rule(16), _hyperbola_rule(12)
 _ML_S = np.concatenate([_ML_FINE[0], _ML_COARSE[0]])
 _ML_LOG_S = np.log(_ML_S)
-_ML_WEIGHTS = np.zeros((2, _ML_S.size), dtype=complex)
-_ML_WEIGHTS[0, : _ML_FINE[0].size] = _ML_FINE[1]
-_ML_WEIGHTS[1, _ML_FINE[0].size :] = _ML_COARSE[1]
 # eps e^{max Re s}: the rounding of the fine sum per unit of max |F s'|.
 _ML_ROUNDING = _EPS * math.exp(float(_ML_FINE[0].real.max()))
 
@@ -378,60 +462,73 @@ _ML_ROUNDING = _EPS * math.exp(float(_ML_FINE[0].real.max()))
 # b = 5) keeps a R <= 40, as at b = 2, near where the estimates cross.
 _POLE_SPLIT = 0.025
 
+# Arguments per (z x nodes) matrix of the hyperbola rule: 256 x 30 complex
+# entries, 120 KB.
+_ML_CHUNK = 256
+
 # Largest exponent whose exp() is a finite double.
 _LOG_MAX = math.log(sys.float_info.max)
 
 
-def _ml_contour(alpha: float, beta: float, z: float,
-                p: float = 0.0, residue: float = 0.0) -> tuple[float, float]:
+def _ml_contour(alpha: float, beta: float, z: np.ndarray, p: np.ndarray,
+                residue: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The hyperbola rule for (1/2 pi i) int e^s (F(s) - R/(s - p)) ds with
-    F(s) = s^{a-b}/(s^a - z), and an absolute error estimate.
+    F(s) = s^{a-b}/(s^a - z), and an absolute error estimate, at every z
+    of an array (p and R = ``residue`` per z).
 
     F's one principal-sheet pole is p = z^{1/a} for z > 0.  With its residue
     R subtracted the integrand is analytic at p, so the sum is E_{a,b}(z)
     minus R e^p wherever p lies; with R = 0 (no subtraction) it is E_{a,b}(z)
     itself when F has no pole right of the contour, which holds for z < 0 at
     a < 1 and for p below the vertex.  The estimate is the distance between
-    the two rules plus eps e^{max Re s} max (|F| + |R/(s - p)|) |s'|.  At b = a
-    the 1/z terms cancel, so for z < -1 the value is taken as E_{a,0}(z)/z,
-    which keeps its relative accuracy.
+    the two rules plus eps e^{max Re s} max (|F| + |R/(s - p)|) |s'|.  The
+    powers s^a and s^{a-b} are formed once per call, and the z go through
+    one (z x nodes) matrix per _ML_CHUNK of them.
     """
-    if beta == alpha and z < -1.0:
-        value, est = _ml_contour(alpha, 0.0, z)
-        return value / z, est / -z
-    f = np.exp((alpha - beta) * _ML_LOG_S) / (np.exp(alpha * _ML_LOG_S) - z)
-    abs_ds = _ML_FINE[2]
-    size = np.abs(f[: abs_ds.size])
-    if residue:
-        pole = residue / (_ML_S - p)
-        size += np.abs(pole[: abs_ds.size])
+    s_ab, s_a = np.exp((alpha - beta) * _ML_LOG_S), np.exp(alpha * _ML_LOG_S)
+    abs_ds, n_fine = _ML_FINE[2], _ML_FINE[0].size
+    fine, est = np.empty(z.size), np.empty(z.size)
+    for lo in range(0, z.size, _ML_CHUNK):
+        part = slice(lo, lo + _ML_CHUNK)
+        f = s_ab / (s_a - z[part, None])
+        size = np.abs(f[:, :n_fine])
+        pole = residue[part, None] / (_ML_S - p[part, None])
+        size += np.abs(pole[:, :n_fine])
         f -= pole
-    fine, coarse = (_ML_WEIGHTS @ f).real.tolist()
-    rounding = _ML_ROUNDING * float(np.max(size * abs_ds))
-    return fine, max(abs(fine - coarse) + rounding, math.ulp(0.0))
+        # Row sums, not a matrix product: a value does not depend on the
+        # other arguments of its call.
+        fine[part] = (f[:, :n_fine] * _ML_FINE[1]).real.sum(axis=1)
+        coarse = (f[:, n_fine:] * _ML_COARSE[1]).real.sum(axis=1)
+        rounding = _ML_ROUNDING * np.max(size * abs_ds, axis=1)
+        est[part] = np.maximum(np.abs(fine[part] - coarse) + rounding, math.ulp(0.0))
+    return fine, est
 
 
-def _ml_residue_form(alpha: float, beta: float, z: float):
-    """For z > 0 past the split: (p, log(R e^p), c, estimate), with p = z^{1/a},
-    R = p^{1-b}/a and c the rule's sum for F - R/(s - p), so that
-    E_{a,b}(z) = R e^p + c; None below the split, where the raw rule answers.
+def _ml_sums(alpha: float, beta: float, z: np.ndarray):
+    """E_{a,b}(z) = R e^p + c at every finite nonzero z of an array:
+    (log(R e^p), p, c, estimate of c) with p = z^{1/a}, R = p^{1-b}/a past
+    the split (z > 0 with p^{max(1, b-1)} >= _POLE_SPLIT) and c the rule's
+    sum for F - R/(s - p); elsewhere log(R e^p) = -inf, p = 0 and c is the
+    raw rule's E_{a,b}(z).
 
     p and log(R e^p) are formed from log z: the bare power z^{1/a} overflows
     already at moderate z for small a.  Where p leaves double range both are
     inf.  Where R e^p does (for a above 1e-45 that needs p > 600), c is
     below e^{-p} R e^p and is returned as 0 with estimate 0.
     """
-    log_p = math.log(z) / alpha
-    if log_p * max(1.0, beta - 1.0) < math.log(_POLE_SPLIT):
-        return None
-    if log_p > _LOG_MAX:
-        return math.inf, math.inf, 0.0, 0.0
-    p = math.exp(log_p)
-    log_lead = p + (1.0 - beta) * log_p - math.log(alpha)
-    if log_lead > _LOG_MAX:
-        return p, log_lead, 0.0, 0.0
-    value, est = _ml_contour(alpha, beta, z, p, math.exp(log_lead - p))
-    return p, log_lead, value, est
+    log_lead, p = np.full(z.size, -math.inf), np.zeros(z.size)
+    c, est = np.zeros(z.size), np.zeros(z.size)
+    past = np.flatnonzero(z > 0.0)
+    log_p = np.log(z[past]) / alpha
+    keep = log_p * max(1.0, beta - 1.0) >= math.log(_POLE_SPLIT)
+    past, log_p = past[keep], log_p[keep]
+    p[past] = np.exp(np.minimum(log_p, _LOG_MAX))
+    p[past[log_p > _LOG_MAX]] = math.inf
+    log_lead[past] = p[past] + (1.0 - beta) * log_p - math.log(alpha)
+    rule = ~(log_lead > _LOG_MAX)
+    residue = np.where(np.isfinite(log_lead), np.exp(np.minimum(log_lead, _LOG_MAX) - p), 0.0)
+    c[rule], est[rule] = _ml_contour(alpha, beta, z[rule], p[rule], residue[rule])
+    return log_lead, p, c, est
 
 
 def mittag_leffler(alpha: float, beta: float, z: float) -> EvalResult:
@@ -445,7 +542,9 @@ def mittag_leffler(alpha: float, beta: float, z: float) -> EvalResult:
     the transform minus its pole part; the bound adds eps R e^p (4 + (p + |1-b|)(1 + |log p|)) for the
     rounding of p through 1/a and exp.  Beyond double range the value is inf
     (``ASYMPTOTIC_POS``); ``log_mittag_leffler`` is the log-domain route.
-    Every bound is at least the smallest subnormal.
+    At b = a and z < -1 the 1/z terms of the rule cancel, so the value is
+    taken as E_{a,0}(z)/z, which keeps its relative accuracy.  Every bound
+    is at least the smallest subnormal.
     """
     if not 0.0 < alpha <= 1.0:
         raise DomainError(f"alpha must be in (0,1], got {alpha}")
@@ -459,15 +558,6 @@ def mittag_leffler(alpha: float, beta: float, z: float) -> EvalResult:
         value = math.exp(z)
         return EvalResult(value, max(2.0 * _EPS * value, math.ulp(0.0)), 0,
                           Regime.TAYLOR_SERIES)
-
-    form = _ml_residue_form(alpha, beta, z) if z > 0.0 else None
-    if form is not None:
-        p, log_lead, value, est = form
-        if log_lead > _LOG_MAX:
-            return EvalResult(math.inf, math.inf, 0, Regime.ASYMPTOTIC_POS)
-        lead = math.exp(log_lead)
-        rounding = _EPS * lead * (4.0 + (p + abs(1.0 - beta)) * (1.0 + abs(math.log(p))))
-        return EvalResult(lead + value, est + rounding, 0, Regime.QUADRATURE)
     if z < 0.0 and alpha == 1.0:
         # E_{1,b}(z) = 1F1(1; b; z)/Gamma(b).  At 30 digits the double is
         # correctly rounded, so 4 ulps bound it.
@@ -475,9 +565,17 @@ def mittag_leffler(alpha: float, beta: float, z: float) -> EvalResult:
             value = float(mpmath.hyp1f1(1, beta, z) * mpmath.rgamma(beta))
         return EvalResult(value, 4.0 * _EPS * abs(value) + math.ulp(0.0), 0,
                           Regime.TAYLOR_SERIES)
-
-    value, est = _ml_contour(alpha, beta, z)
-    return EvalResult(value, est, 0, Regime.QUADRATURE)
+    b = 0.0 if beta == alpha and z < -1.0 else beta
+    log_lead, p, c, est = (float(v[0]) for v in _ml_sums(alpha, b, np.array([z])))
+    if b != beta:
+        return EvalResult(c / z, est / -z, 0, Regime.QUADRATURE)
+    if log_lead > _LOG_MAX:
+        return EvalResult(math.inf, math.inf, 0, Regime.ASYMPTOTIC_POS)
+    if log_lead == -math.inf:
+        return EvalResult(c, est, 0, Regime.QUADRATURE)
+    lead = math.exp(log_lead)
+    rounding = _EPS * lead * (4.0 + (p + abs(1.0 - beta)) * (1.0 + abs(math.log(p))))
+    return EvalResult(lead + c, est + rounding, 0, Regime.QUADRATURE)
 
 
 def mittag_leffler_deriv(alpha: float, z: float) -> EvalResult:
@@ -491,29 +589,46 @@ def mittag_leffler_deriv(alpha: float, z: float) -> EvalResult:
     )
 
 
-def log_mittag_leffler(alpha: float, z: float) -> LogValue:
-    """log E_a(z) as a LogValue for finite z.
+def log_mittag_leffler_array(alpha: float, z) -> tuple[np.ndarray, np.ndarray]:
+    """log E_a(z) at every finite z of an array, as the arrays (sign, log|E|).
 
-    For z > 0 with p = z^{1/a} >= _POLE_SPLIT this is
-    log(R e^p) + log1p(c/(R e^p)), R = 1/a, with ``_ml_residue_form``'s sum
-    c, which holds for any such z without overflow.  Raises
-    DomainError where log E_a(z) itself leaves double range."""
+    a = 1 gives z itself.  For z > 0 with p = z^{1/a} >= _POLE_SPLIT this is
+    log(R e^p) + log1p(c/(R e^p)), R = 1/a, with ``_ml_sums``' contour sum
+    c, which holds for any such z without overflow; elsewhere the log of the
+    rule's value (1 at z = 0).  Raises DomainError where log E_a(z) itself
+    leaves double range.
+    """
     if not 0.0 < alpha <= 1.0:
         raise DomainError(f"alpha must be in (0,1], got {alpha}")
+    z = np.asarray(z, dtype=float).ravel()
+    if not np.all(np.isfinite(z)):
+        raise DomainError(f"log_mittag_leffler requires finite z, got {z[~np.isfinite(z)][0]}")
+    sign = np.ones(z.size)
+    if alpha == 1.0:
+        return sign, z.copy()
+    log_abs = np.zeros(z.size)
+    nonzero = np.flatnonzero(z != 0.0)
+    log_lead, _, c, _ = _ml_sums(alpha, 1.0, z[nonzero])
+    if np.any(log_lead == math.inf):
+        raise DomainError(f"log E_{alpha}(z) exceeds double range at z = "
+                          f"{z[nonzero][log_lead == math.inf][0]}")
+    residue = np.isfinite(log_lead)
+    if np.any(c[~residue] <= 0.0):  # numerically impossible for a in (0,1]; keep honest
+        raise NonConvergence(f"non-positive Mittag-Leffler value at z = "
+                             f"{z[nonzero][~residue & (c <= 0.0)][0]}")
+    lead = log_lead[residue]
+    log_abs[nonzero[residue]] = lead + np.log1p(c[residue] * np.exp(-lead))
+    log_abs[nonzero[~residue]] = np.log(c[~residue])
+    return sign, log_abs
+
+
+def log_mittag_leffler(alpha: float, z: float) -> LogValue:
+    """log E_a(z) as a LogValue for finite z: the one-point view of
+    ``log_mittag_leffler_array``."""
     if not math.isfinite(z):
         raise DomainError(f"log_mittag_leffler requires finite z, got {z}")
-    if alpha == 1.0:
-        return LogValue(1, z)
-    form = _ml_residue_form(alpha, 1.0, z) if z > 0.0 else None
-    if form is not None:
-        _, log_lead, value, _ = form
-        if log_lead == math.inf:
-            raise DomainError(f"log E_{alpha}({z}) exceeds double range")
-        return LogValue(1, log_lead + math.log1p(value * math.exp(-log_lead)))
-    value = mittag_leffler(alpha, 1.0, z).value
-    if value <= 0.0:  # numerically impossible for a in (0,1]; keep honest
-        raise NonConvergence(f"non-positive Mittag-Leffler value at z = {z}")
-    return LogValue(1, math.log(value))
+    _, log_abs = log_mittag_leffler_array(alpha, np.array([float(z)]))
+    return LogValue(1, float(log_abs[0]))
 
 
 # ---------------------------------------------------------------------------

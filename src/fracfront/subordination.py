@@ -8,7 +8,10 @@ t and the values leave double range long before the experiment horizons.
 Everything here is therefore computed as (sign, log|.|) pairs: the integral
 is taken in w = log s (which also flattens the s -> 0 endpoint) over a window
 found around the peak, where ``logvalue.panel_integral_log`` (32-point
-Gauss-Legendre panels, bisected where needed) integrates it.
+Gauss-Legendre panels, bisected where needed) integrates it.  The integrands
+take arrays of s: the kernel (``kernels.log_classical`` or the envelope
+shape) and the Wright factor (``specfun.log_wright_array``) are evaluated
+once per panel round, not once per node.
 """
 
 from __future__ import annotations
@@ -20,9 +23,14 @@ from typing import Callable
 import numpy as np
 
 from .errors import DomainError, NonConvergence, QuadratureFailure, Unsupported
-from .kernels import FracParams, BoundEnvelope, classical_solution, stable_envelope
+from .kernels import (FracParams, BoundEnvelope, classical_solution, log_classical,  # noqa: F401
+                      log_envelope_shape, stable_envelope)
 from .logvalue import LogValue, panel_integral_log
-from .specfun import _log_wright
+from .specfun import _log_wright, log_wright_array  # noqa: F401
+
+# The integrands below take arrays.  The scalar views classical_solution,
+# stable_envelope and _log_wright stay importable from this module, where
+# perfbench/child.py looks them up to wrap them.
 
 
 @dataclass(frozen=True)
@@ -48,34 +56,39 @@ _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
 
 def _integrate_log(
-    fn: Callable[[float], LogValue], t: float, spec: QuadratureSpec
+    fn: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]], t: float, spec: QuadratureSpec
 ) -> LogValue:
     """integral_0^inf fn(s) ds in log space for a log-unimodal |fn|.
 
+    ``fn`` takes an array of s and returns the arrays (sign, log|fn|).
     Works in w = log s: the extra +w Jacobian term removes any integrable
     endpoint blow-up at s = 0 and makes the magnitude profile h(w) a clean
-    single bump.
+    single bump.  The bracketing grid is one call of fn, the golden-section
+    search and the tail walks one call per new point, and each panel round
+    of ``panel_integral_log`` one call.
     """
 
-    cache: dict[float, tuple[int, float]] = {}
+    def f(w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        sign, log_abs = fn(np.exp(w))
+        return sign, log_abs + w
 
-    def at(w: float) -> tuple[int, float]:
-        pair = cache.get(w)
-        if pair is None:
-            f = fn(math.exp(w))
-            pair = (0, -math.inf) if f.sign == 0 else (f.sign, f.log_abs + w)
-            cache[w] = pair
-        return pair
+    cache: dict[float, float] = {}
+
+    def h_many(ws) -> list[float]:
+        new = [w for w in dict.fromkeys(ws) if w not in cache]
+        if new:
+            cache.update(zip(new, f(np.array(new))[1].tolist()))
+        return [cache[w] for w in ws]
 
     def h(w: float) -> float:
-        return at(w)[1]
+        return h_many([w])[0]
 
     # Coarse bracket around s in [t/4, 4t], expanded while the max sits on
     # an edge (the peak migrates right with t but starts near s ~ t).
     w_lo, w_hi = math.log(t / 4.0), math.log(4.0 * t)
     for _ in range(80):
         grid = np.linspace(w_lo, w_hi, 25)
-        vals = [h(w) for w in grid]
+        vals = h_many(grid.tolist())
         i = int(np.argmax(vals))
         if not math.isfinite(vals[i]):
             raise QuadratureFailure("integrand magnitude is nowhere finite")
@@ -120,15 +133,26 @@ def _integrate_log(
     hi = walk(w_peak, +0.5)
 
     n = max(8, int(math.ceil((hi - lo) / 2.0)))
-    return panel_integral_log(at, np.linspace(lo, hi, n + 1), spec.rel_tol / 4.0)
+    return panel_integral_log(f, np.linspace(lo, hi, n + 1), spec.rel_tol / 4.0)
 
 
-def _wright_factor(alpha: float, x: float, spec: QuadratureSpec) -> LogValue:
+def _times_wright(sign: np.ndarray, log_abs: np.ndarray, alpha: float, x: np.ndarray,
+                  spec: QuadratureSpec) -> tuple[np.ndarray, np.ndarray]:
+    """(sign, log) of the products with W_{-a,1-a}(-x), node by node; the
+    Wright factor is evaluated only where the other factor is nonzero, and
+    raises NonConvergence where its estimate misses rel_tol / 4."""
     tol = spec.rel_tol / 4.0
-    value, est, _, _ = _log_wright(alpha, 1.0 - alpha, x, tol=tol)
-    if est > tol:
-        raise NonConvergence(f"W_(-{alpha},{1.0 - alpha})(-{x}): estimate {est:.3g} > {tol:.3g}")
-    return value
+    live = np.flatnonzero(sign != 0.0)
+    w_sign, w_log, est, _ = log_wright_array(alpha, 1.0 - alpha, x[live], tol)
+    if np.any(est > tol):
+        k = int(np.argmax(est > tol))
+        raise NonConvergence(
+            f"W_(-{alpha},{1.0 - alpha})(-{x[live][k]}): estimate {est[k]:.3g} > {tol:.3g}")
+    sign, log_abs = sign.copy(), log_abs.copy()
+    sign[live] *= w_sign
+    log_abs[live] += w_log
+    log_abs[sign == 0.0] = -math.inf
+    return sign, log_abs
 
 
 def subordinate(
@@ -146,14 +170,11 @@ def subordinate(
         raise Unsupported(
             f"no exact kernel at rho = {params.rho}; use subordinate_envelope"
         )
-    classical = FracParams(1.0, params.rho, params.dim)
     ta = t ** alpha
 
-    def integrand(s: float) -> LogValue:
-        kern = classical_solution(classical, s, r)
-        if kern.sign == 0:
-            return kern
-        return kern * _wright_factor(alpha, s / ta, spec)
+    def integrand(s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        sign, log_abs = log_classical(params.rho, params.dim, s, r)
+        return _times_wright(sign, log_abs, alpha, s / ta, spec)
 
     total = _integrate_log(integrand, t, spec)
     return LogValue(total.sign, total.log_abs - alpha * math.log(t))
@@ -167,11 +188,8 @@ def total_mass(
         raise Unsupported("total_mass is for alpha in (0,1)")
     ta = t ** alpha
 
-    def integrand(s: float) -> LogValue:
-        w = _wright_factor(alpha, s / ta, spec)
-        if w.sign == 0:
-            return w
-        return LogValue(w.sign, w.log_abs + s)
+    def integrand(s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        return _times_wright(np.ones(s.size), s, alpha, s / ta, spec)
 
     total = _integrate_log(integrand, t, spec)
     return LogValue(total.sign, total.log_abs - alpha * math.log(t))
@@ -200,12 +218,9 @@ def subordinate_envelope(
         raise DomainError("require 0 < c1 <= c2")
     ta = t ** alpha
 
-    def integrand(s: float) -> LogValue:
-        shape = stable_envelope(rho, s, r, d).lower
-        w = _wright_factor(alpha, s / ta, spec)
-        if w.sign == 0:
-            return w
-        return LogValue(1, shape.log_abs + s + w.log_abs)
+    def integrand(s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        return _times_wright(np.ones(s.size), log_envelope_shape(rho, s, r, d) + s,
+                             alpha, s / ta, spec)
 
     base = _integrate_log(integrand, t, spec).log_abs - alpha * math.log(t)
     return BoundEnvelope(

@@ -15,10 +15,10 @@ from enum import Enum
 import numpy as np
 
 from . import fourier1d, specfun, subordination
-from .errors import FracFrontError
+from .errors import FracFrontError, NonConvergence
 from .kernels import FracParams
 from .logvalue import GL_NODES, gl_panels
-from .specfun import _bridge_rule, _log_wright, reciprocal_gamma
+from .specfun import _bridge_rule, log_wright_array, reciprocal_gamma
 
 
 class SuiteName(Enum):
@@ -112,6 +112,15 @@ def _suite_ml_identities(tol: float) -> list[_Case]:
     return cases
 
 
+def _wright_checked(alpha: float, x: np.ndarray, tol: float):
+    """(sign, log|W|) of the subordination density W_{-a,1-a}(-x) at every
+    x, raising NonConvergence where the evaluator has no regime."""
+    sign, log_abs, est, _ = log_wright_array(alpha, 1.0 - alpha, x, tol)
+    if np.any(est == math.inf):
+        raise NonConvergence(f"no trustworthy regime for W_(-{alpha},{1.0 - alpha}) on the grid")
+    return sign, log_abs
+
+
 def _suite_wright_identities(tol: float) -> list[_Case]:
     cases = []
     h = 1e-5
@@ -131,10 +140,8 @@ def _suite_wright_identities(tol: float) -> list[_Case]:
         # Wright values are shared by every moment order, so evaluate the
         # density once per node (substitution r = w^2 flattens the origin).
         ws, hw = gl_panels(np.linspace(0.0, w_end, 49))
-        dens = np.array(
-            [_log_wright(alpha, 1.0 - alpha, w ** 2, tol=1e-9)[0].to_float()
-             for w in ws.tolist()]
-        )
+        sign, log_abs = _wright_checked(alpha, ws ** 2, 1e-9)
+        dens = sign * np.exp(log_abs)
         for nu in (0.0, 0.5, 1.0, 2.0, 3.5):
             vals = 2.0 * dens * ws ** (2.0 * nu + 1.0)
             k = len(GL_NODES)
@@ -154,19 +161,12 @@ def _suite_wright_identities(tol: float) -> list[_Case]:
         # beyond the kappa-fitting window on the safe side.
         sigma = 0.9 * (1.0 - alpha) * alpha ** (alpha / (1.0 - alpha))
         fit_r = np.linspace(0.0, 15.0, 16)
-        logs = np.array(
-            [_log_wright(alpha, 1.0 - alpha, float(r), tol=1e-10)[0].log_abs
-             for r in fit_r]
-        )
+        logs = _wright_checked(alpha, fit_r, 1e-10)[1]
         log_kappa = float(np.max(logs + sigma * fit_r ** power))
-        worst = 0.0
-        for r in np.linspace(15.5, 25.0, 8):
-            lv = _log_wright(alpha, 1.0 - alpha, float(r), tol=1e-8)[0]
-            if lv.sign <= 0:
-                worst = max(worst, 1.0)
-                continue
-            bound = log_kappa - sigma * float(r) ** power
-            worst = max(worst, max(0.0, lv.log_abs - bound))
+        check_r = np.linspace(15.5, 25.0, 8)
+        signs, logs = _wright_checked(alpha, check_r, 1e-8)[:2]
+        excess = np.maximum(0.0, logs - (log_kappa - sigma * check_r ** power))
+        worst = 1.0 if np.any(signs <= 0) else float(np.max(excess))
         cases.append(_Case(f"wright-bound alpha={alpha}", worst, 1e-6))
         small = [specfun.wright_neg(alpha, 1.0 - alpha, -float(r)).value
                  for r in np.linspace(0.0, 4.0, 9)]

@@ -26,8 +26,8 @@ from fracfront.invasion import (
 )
 from fracfront.kernels import FracParams
 from fracfront.specfun import (
-    _log_wright,
     log_mittag_leffler,
+    log_wright_array,
     mittag_leffler,
     ml_estimate_rhs,
 )
@@ -59,9 +59,9 @@ def _wright_quadrature(alpha: float, mu: float, tail_log: float = 50.0):
     w = np.concatenate(nodes)
     s = w ** 2
     jacobian = 2.0 * w * np.concatenate(weights)
-    density = np.array(
-        [_log_wright(alpha, mu, float(si), tol=1e-10)[0].to_float() for si in s]
-    )
+    sign, log_abs, est, _ = log_wright_array(alpha, mu, s, tol=1e-10)
+    assert np.all(np.isfinite(est))  # a node with no regime
+    density = sign * np.exp(log_abs)
     return s, jacobian, density
 
 

@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -10,6 +11,7 @@ from fracfront.logvalue import (
     MAX_PANELS,
     LogValue,
     gl_panels,
+    log_sum,
     panel_integral_log,
     signed_log_sum,
 )
@@ -87,13 +89,12 @@ def test_gl_panels_is_panel_major():
 
 
 def _exp_cos(shift):
-    """e^{x + shift} cos x as a (sign, log|value|) pair."""
+    """e^{x + shift} cos x as (sign, log|value|) arrays."""
 
     def f(x):
-        c = math.cos(x)
-        if c == 0.0:
-            return 0, -math.inf
-        return (1 if c > 0 else -1), x + shift + math.log(abs(c))
+        c = np.cos(x)
+        with np.errstate(divide="ignore"):
+            return np.sign(c), x + shift + np.log(np.abs(c))
 
     return f
 
@@ -112,20 +113,21 @@ def test_panel_integral_all_zero():
     calls = []
 
     def f(x):
-        calls.append(x)
-        return 0, -math.inf
+        calls.append(x.size)
+        return np.zeros(x.size), np.full(x.size, -math.inf)
 
     got = panel_integral_log(f, [-1.0, -0.25, 0.5, 1.25, 2.0], 1e-9)
     assert got == LogValue.zero()
-    # Zero sums on the 4 starting panels and on their 8 halves.
-    assert len(calls) == (4 + 8) * len(GL_NODES)
+    # Zero sums on the 4 starting panels and on their 8 halves, all in the
+    # first round's one call.
+    assert calls == [(4 + 8) * len(GL_NODES)]
 
 
 def test_panel_integral_localises_a_jump():
     # A jump at 1/3 never lands on a panel edge; bisection narrows the one
     # panel that holds it until its share of the error meets the tolerance.
     def step(x):
-        return 1, (0.0 if x < 1.0 / 3.0 else math.log(2.0))
+        return np.ones(x.size), np.where(x < 1.0 / 3.0, 0.0, math.log(2.0))
 
     got = panel_integral_log(step, [0.0, 1.0], 1e-12)
     assert got.sign == 1
@@ -136,7 +138,33 @@ def test_panel_integral_exhausts_budget():
     # About 1.6e5 periods on [0, 1]: a 32-point panel resolves a few, so
     # every panel keeps failing its halves test until the budget runs out.
     def wave(x):
-        return 1, math.log(2.0 + math.sin(1e6 * x))
+        return np.ones(x.size), np.log(2.0 + np.sin(1e6 * x))
 
     with pytest.raises(QuadratureFailure, match=rf"\[0, 1\].*{MAX_PANELS} panels"):
         panel_integral_log(wave, [0.0, 1.0], 1e-12)
+
+
+def test_panel_rounds_make_one_call_each():
+    # The jump keeps one panel splitting: every round after the first
+    # evaluates the halves of the split panels, 64 new nodes each, in one
+    # call, never one node at a time.
+    sizes = []
+
+    def step(x):
+        sizes.append(x.size)
+        return np.ones(x.size), np.where(x < 1.0 / 3.0, 0.0, math.log(2.0))
+
+    panel_integral_log(step, [0.0, 1.0], 1e-12)
+    assert sizes[0] == 3 * len(GL_NODES)
+    assert len(sizes) > 5
+    assert all(n % (2 * len(GL_NODES)) == 0 for n in sizes[1:])
+
+
+def test_log_sum_rows():
+    sign = np.array([[1.0, -1.0, 1.0], [0.0, 0.0, 0.0], [-1.0, 1.0, 0.0]])
+    log_abs = np.array([[5000.0, 5000.0, 4999.0], [-math.inf] * 3, [1.0, 0.0, -math.inf]])
+    s, lg = log_sum(sign, log_abs)
+    assert s.tolist() == [1.0, 0.0, -1.0]
+    assert lg[0] == pytest.approx(4999.0, abs=1e-12)
+    assert lg[1] == -math.inf
+    assert lg[2] == pytest.approx(math.log(math.e - 1.0), rel=1e-15)

@@ -355,6 +355,73 @@ class TestWrightDifferential:
             assert abs(contour - series) <= 1e-18 * abs(series)
 
 
+def _assert_same_as_scalar(nu, mu, xs, tol):
+    """log_wright_array at xs equals _log_wright node by node."""
+    sign, log_abs, est, regime = specfun.log_wright_array(nu, mu, np.asarray(xs), tol)
+    for k, x in enumerate(xs):
+        if est[k] == math.inf:
+            with raises(NonConvergence):
+                specfun._log_wright(nu, mu, x, tol)
+            continue
+        lv, e, reg, _ = specfun._log_wright(nu, mu, x, tol)
+        assert (lv.sign, reg) == (sign[k], specfun._WRIGHT_REGIMES[regime[k]]), (nu, mu, x)
+        assert lv.log_abs == approx(log_abs[k], rel=1e-14, abs=1e-14), (nu, mu, x)
+        assert e == approx(est[k], rel=1e-12), (nu, mu, x)
+
+
+class TestArrayEvaluators:
+    """The array forms agree node by node with their one-point views."""
+
+    @mark.parametrize("size", [1, specfun._WRIGHT_CHUNK, specfun._WRIGHT_CHUNK + 1])
+    def test_wright_array_matches_scalar(self, size):
+        points = _wright_probe_points()
+        ys = [float(specfun._wright_big_y(nu, x)) for nu, _, x in points]
+        for start in range(0, len(points), 40):
+            nu, mu, _ = points[start]
+            batch = [ys[(start + k) % len(ys)] for k in range(size)]
+            xs = [_x_at_saddle(nu, y) for y in batch]
+            for tol in (2.5e-7, 1e-11):
+                _assert_same_as_scalar(nu, mu, xs, tol)
+
+    def test_wright_array_mixes_regimes(self):
+        nu, mu = 0.7, 0.3
+        xs = [0.0, _x_at_saddle(nu, 0.5), _x_at_saddle(nu, 40.0), _x_at_saddle(nu, 2e5),
+              _x_at_saddle(nu, 1e8), 1e100, 0.0, _x_at_saddle(nu, 3.0)]
+        sign, log_abs, est, regime = specfun.log_wright_array(nu, mu, np.array(xs), 1e-9)
+        assert float(specfun._wright_big_y(nu, 1e100)) > 1e300
+        assert [specfun._WRIGHT_REGIMES[k] for k in regime] == [
+            Regime.TAYLOR_SERIES, Regime.QUADRATURE, Regime.QUADRATURE, Regime.ASYMPTOTIC_NEG,
+            Regime.ASYMPTOTIC_NEG, Regime.ASYMPTOTIC_NEG, Regime.TAYLOR_SERIES, Regime.QUADRATURE]
+        assert sign[5] == 0.0 and log_abs[5] == -math.inf
+        _assert_same_as_scalar(nu, mu, xs, 1e-9)
+        # mu = 0: W(0) = 1/Gamma(0) is an exact zero.
+        _assert_same_as_scalar(0.4, 0.0, [0.0, 1.0, 0.0], 1e-9)
+
+    def test_log_ml_array_matches_scalar(self):
+        for alpha in (0.3, 0.75, 1.0):
+            # z = 0, p = z^{1/a} 1e-9 either side of the residue split, both
+            # axes, and an argument whose E_a leaves double range.
+            p_split = specfun._POLE_SPLIT
+            zs = [0.0, (p_split - 1e-9) ** alpha, (p_split + 1e-9) ** alpha, -40.0, -0.3,
+                  2.0, 30.0 ** alpha * 40.0]
+            sign, log_abs = specfun.log_mittag_leffler_array(alpha, np.array(zs))
+            assert np.all(sign == 1.0)
+            for z, got in zip(zs, log_abs):
+                assert log_mittag_leffler(alpha, z).log_abs == approx(got, rel=1e-14, abs=1e-15)
+            assert log_abs[0] == 0.0
+            # The raw rule and the residue form meet at the split: a 2e-9
+            # step in p moves log E_a by a few 1e-9 (up to 1.2e-8 here).
+            assert abs(log_abs[2] - log_abs[1]) < 1e-7
+            if alpha == 1.0:
+                assert log_abs.tolist() == zs
+
+    def test_log_ml_array_out_of_range_raises(self):
+        with raises(DomainError):
+            specfun.log_mittag_leffler_array(0.05, np.array([1.0, 1e20]))
+        with raises(DomainError):
+            specfun.log_mittag_leffler_array(0.5, np.array([1.0, math.inf]))
+
+
 def _ml_laplace_reference(alpha: float, beta: float, z: float) -> mpmath.mpf:
     """E_{a,b}(z), z < 0: Talbot inversion of s^{a-b}/(s^a - z) at t = 1.
 
@@ -534,7 +601,7 @@ class TestTailFit:
 
     def test_failed_fit_leaves_no_tail(self, monkeypatch):
         def loose_talbot(nu, mu, x, y, tol):
-            return LogValue(1, 0.0), 1e-6
+            return np.ones(x.size), np.zeros(x.size), np.full(x.size, 1e-6)
 
         monkeypatch.setattr(specfun, "_wright_talbot", loose_talbot)
         with raises(NonConvergence):

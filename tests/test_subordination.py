@@ -102,17 +102,46 @@ class TestWrightFactorEstimate:
     """A Wright factor whose estimate misses rel_tol / 4 raises."""
 
     def test_loose_factor_raises(self, monkeypatch):
-        exact = subordination._log_wright
+        exact = subordination.log_wright_array
 
-        def loose(*args, **kwargs):
-            lv, _, regime, terms = exact(*args, **kwargs)
-            return lv, 1e-3, regime, terms
+        def one_loose_node(nu, mu, x, tol):
+            sign, log_abs, est, regime = exact(nu, mu, x, tol)
+            if x.size > 25:  # a panel round, past the 25-point bracketing grid
+                est = est.copy()
+                est[x.size // 2] = 1e-3
+            return sign, log_abs, est, regime
 
-        monkeypatch.setattr(subordination, "_log_wright", loose)
+        monkeypatch.setattr(subordination, "log_wright_array", one_loose_node)
         with raises(NonConvergence):
             subordinate(FracParams(0.5, 1.0, 1), 1.0, 1.0)
         with raises(NonConvergence):
+            subordinate(FracParams(0.6, 0.5, 1), 1.0, 1.0)
+        with raises(NonConvergence):
             total_mass(0.5, 1.0)
+        with raises(NonConvergence):
+            subordinate_envelope(0.5, 0.7, 1, 1.0, 2.0)
+
+
+class TestWorkCounts:
+    """The subordination integral evaluates its panel rounds as arrays."""
+
+    def test_fixed_cell_batches_and_nodes(self, monkeypatch):
+        exact = subordination.log_wright_array
+        sizes = []
+
+        def counting(nu, mu, x, tol):
+            sizes.append(x.size)
+            return exact(nu, mu, x, tol)
+
+        monkeypatch.setattr(subordination, "log_wright_array", counting)
+        subordinate(FracParams(0.6, 1.0, 1), 2.0, 1.5)
+        # One 25-point bracketing grid, 75 single points of the golden-section
+        # search and the tail walks, and one panel round: 8 panels, each with
+        # its two halves, 96 nodes apiece.  A per-node loop over the panel
+        # nodes would make 768 more calls.
+        assert sorted(sizes, reverse=True)[:2] == [768, 25]
+        assert len(sizes) == 77
+        assert sum(sizes) == 868
 
 
 class TestSubordinateEnvelope:
