@@ -116,58 +116,67 @@ def stable_envelope(
 _SEGMENT_CHUNK = 1024
 
 
-def _f_transform(rho: float, y: float) -> float:
-    """F(y) = (1/pi) * integral_0^inf exp(-s^{2 rho}) cos(s y) ds.
+def _f_transform(rho: float, ys: np.ndarray) -> np.ndarray:
+    """F(y) = (1/pi) * integral_0^inf exp(-s^{2 rho}) cos(s y) ds at every y
+    of an array.
 
     Integrated per half-period of the cosine so each segment is single
     signed; the exp(-s^{2 rho}) factor kills the tail super-exponentially.
-    All segment edges are laid out first, and the 32-point rule runs on
-    them as one (segments x 32) matrix per _SEGMENT_CHUNK segments.
+    The segment edges of all the y are laid out first, and the 32-point rule
+    runs on them as (segments x 32) matrices of _SEGMENT_CHUNK segments; each
+    F(y) is the exactly rounded sum (math.fsum) of its own segments.
     """
-    y = abs(y)
-    if not math.isfinite(y):
-        raise QuadratureFailure(f"cosine transform did not terminate at y = {y}")
+    ys = np.abs(np.asarray(ys, dtype=float))
+    if not np.all(np.isfinite(ys)):
+        raise QuadratureFailure(f"cosine transform did not terminate at y = {ys.max()}")
     # exp(-s^{2 rho}) < 1e-19 beyond this point.
     s_max = 44.0 ** (1.0 / (2.0 * rho))
-    if y * s_max < math.pi:
-        # Less than half an oscillation in range; split only for resolution.
-        edges = np.linspace(0.0, s_max, 9)
-        lo, hi = edges[:-1], edges[1:]
-    else:
-        # Half-period ends (2j + 1) pi / 2y for j = 0..last, the first end
-        # at or past s_max being the last and cut to it.
-        def end(j):
-            return (2 * j + 1) * math.pi / (2.0 * y)
+    # Less than half an oscillation in range: 8 equal segments, only for
+    # resolution.  Otherwise the half-period ends (2j + 1) pi / 2y for
+    # j = 0..last, the first end at or past s_max being the last and cut to it.
+    few = ys * s_max < math.pi
+    wide = ys[~few]
 
-        last = max(0, math.ceil((s_max * 2.0 * y / math.pi - 1.0) / 2.0))
-        while last > 0 and end(last - 1) >= s_max:
-            last -= 1
-        while end(last) < s_max:
-            last += 1
-        if last >= 200000:
-            raise QuadratureFailure(f"cosine transform did not terminate at y = {y}")
-        j = np.arange(last + 1)
-        b = np.minimum(end(j), s_max)
-        a = np.concatenate([[0.0], b[:-1]])
-        # Sub-split long segments so 32 nodes always resolve them.
-        n_sub = np.maximum(1, ((b - a) * y / math.pi).astype(int) + 1)
-        i = np.arange(n_sub.sum()) - np.repeat(np.cumsum(n_sub) - n_sub, n_sub)
-        a, b, n_sub = np.repeat(a, n_sub), np.repeat(b, n_sub), np.repeat(n_sub, n_sub)
-        step = (b - a) / n_sub
-        lo = i * step + a
-        hi = np.where(i + 1 == n_sub, b, (i + 1) * step + a)
-    pieces = []
+    def end(j, y):
+        return (2 * j + 1) * math.pi / (2.0 * y)
+
+    last = np.maximum(0.0, np.ceil((s_max * 2.0 * wide / math.pi - 1.0) / 2.0)).astype(int)
+    while (back := (last > 0) & (end(last - 1, wide) >= s_max)).any():
+        last[back] -= 1
+    while (on := end(last, wide) < s_max).any():
+        last[on] += 1
+    if np.any(last >= 200000):
+        raise QuadratureFailure(
+            f"cosine transform did not terminate at y = {wide[last >= 200000][0]}")
+    owner = np.repeat(np.flatnonzero(~few), last + 1)
+    j = np.arange(owner.size) - np.repeat(np.cumsum(last + 1) - (last + 1), last + 1)
+    y = ys[owner]
+    b = np.minimum(end(j, y), s_max)
+    a = np.where(j == 0, 0.0, np.roll(b, 1))
+    # Sub-split long segments so 32 nodes always resolve them.
+    n_sub = np.maximum(1, ((b - a) * y / math.pi).astype(int) + 1)
+    i = np.arange(n_sub.sum()) - np.repeat(np.cumsum(n_sub) - n_sub, n_sub)
+    owner, a, b, n_sub = (np.repeat(v, n_sub) for v in (owner, a, b, n_sub))
+    step = (b - a) / n_sub
+    edges = np.linspace(0.0, s_max, 9)
+    owner = np.concatenate([np.repeat(np.flatnonzero(few), 8), owner])
+    lo = np.concatenate([np.tile(edges[:-1], few.sum()), i * step + a])
+    hi = np.concatenate([np.tile(edges[1:], few.sum()), np.where(i + 1 == n_sub, b, (i + 1) * step + a)])
+    pieces = np.empty(lo.size)
     for start in range(0, lo.size, _SEGMENT_CHUNK):
         part = slice(start, start + _SEGMENT_CHUNK)
         mid, half = 0.5 * (lo[part] + hi[part]), 0.5 * (hi[part] - lo[part])
         ss = mid[:, None] + half[:, None] * GL_NODES
-        vals = np.exp(-(ss ** (2.0 * rho))) * np.cos(ss * y)
-        pieces.extend((half * (vals @ GL_WEIGHTS)).tolist())
-    total = math.fsum(pieces) / math.pi
+        vals = np.exp(-(ss ** (2.0 * rho))) * np.cos(ss * ys[owner[part], None])
+        pieces[part] = half * (vals * GL_WEIGHTS).sum(axis=1)
+    order = np.argsort(owner, kind="stable")
+    bounds = np.cumsum(np.bincount(owner, minlength=ys.size))[:-1]
+    totals = np.array([math.fsum(p) for p in np.split(pieces[order], bounds)]) / math.pi
     # The tail beyond s_max is below e^{-44} by construction.
-    if not math.isfinite(total):
-        raise QuadratureFailure(f"cosine transform overflowed at y = {y}")
-    return total
+    if not np.all(np.isfinite(totals)):
+        raise QuadratureFailure(
+            f"cosine transform overflowed at y = {ys[~np.isfinite(totals)][0]}")
+    return totals
 
 
 def higher_order_kernel_1d(rho: float, t: float, x: float) -> LogValue:
@@ -180,7 +189,7 @@ def higher_order_kernel_1d(rho: float, t: float, x: float) -> LogValue:
     if t <= 0.0:
         raise DomainError(f"t must be positive, got {t}")
     scale = t ** (-1.0 / (2.0 * rho))
-    f = _f_transform(rho, scale * x)
+    f = float(_f_transform(rho, np.array([scale * x]))[0])
     return LogValue.from_float(f).scaled(scale) if f != 0.0 else LogValue.zero()
 
 
@@ -197,8 +206,8 @@ def log_classical(rho: float, d: int, s, r: float) -> tuple[np.ndarray, np.ndarr
     """Signed log of the first-order-in-time solution e^s K_s(r) at every
     s > 0 of an array, as the arrays (sign, log|.|), for the exact kernels:
     rho in {1/2, 1} in any dimension and rho > 1 with d = 1, where the
-    kernel may vanish at its zero crossings (sign 0).  The rho > 1 kernel
-    is one cosine transform per s."""
+    kernel may vanish at its zero crossings (sign 0).  The rho > 1 kernels
+    of all the s share one batch of cosine transforms."""
     s = np.asarray(s, dtype=float)
     if not np.all(s > 0.0) or r < 0.0:
         raise DomainError("require t > 0 and r >= 0")
@@ -208,9 +217,10 @@ def log_classical(rho: float, d: int, s, r: float) -> tuple[np.ndarray, np.ndarr
     if rho == 0.5:
         return sign, s + _log_cauchy(s, r, d)
     if rho > 1.0 and d == 1:
-        kerns = [higher_order_kernel_1d(rho, si, r) for si in s.tolist()]
-        sign = np.array([k.sign for k in kerns], dtype=float)
-        return sign, s + np.array([k.log_abs for k in kerns])
+        scale = s ** (-1.0 / (2.0 * rho))
+        f = _f_transform(rho, scale * r)
+        with np.errstate(divide="ignore"):
+            return np.sign(f), s + (np.log(np.abs(f)) + np.log(scale))
     raise Unsupported(f"no exact kernel for rho = {rho} in dimension {d}")
 
 

@@ -193,13 +193,13 @@ def _wright_talbot(nu: float, mu: float, x: np.ndarray, y: np.ndarray,
     at, total, total_abs = np.arange(x.size), np.zeros(x.size), np.zeros(x.size)
     n = _TALBOT_MIN_N // 2
     # The arrays hold the nodes whose sums are still doubling.
-    while at.size:
-        n *= 2
-        s, log_s, ds = _talbot_level(n)
-        s_nu, mu_log_s = np.exp(nu * log_s), mu * log_s
-        sums, abs_sums, even = np.empty(at.size), np.empty(at.size), np.empty(at.size)
-        rows = max(1, _WRIGHT_CHUNK * _TALBOT_MIN_N // s.size)
-        with np.errstate(over="ignore", invalid="ignore"):
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        while at.size:
+            n *= 2
+            s, log_s, ds = _talbot_level(n)
+            s_nu, mu_log_s = np.exp(nu * log_s), mu * log_s
+            sums, abs_sums, even = np.empty(at.size), np.empty(at.size), np.empty(at.size)
+            rows = max(1, _WRIGHT_CHUNK * _TALBOT_MIN_N // s.size)
             for lo in range(0, at.size, rows):
                 part = slice(lo, lo + rows)
                 arg = np.multiply.outer(r[part], s)
@@ -212,26 +212,26 @@ def _wright_talbot(nu: float, mu: float, x: np.ndarray, y: np.ndarray,
                 sums[part], abs_sums[part] = terms.sum(axis=1), np.abs(terms).sum(axis=1)
                 if n == _TALBOT_MIN_N:
                     even[part] = terms[:, ::2].sum(axis=1)
-        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             half = total / (n // 2) if n > _TALBOT_MIN_N else 2.0 * even / n
             total = total + sums
             total_abs = total_abs + abs_sums
             full = total / n
             diff = np.abs(full - half) / np.abs(full)
             rounding = _EPS * (n + r + xr + y) * total_abs / np.abs(total)
-        ok = np.isfinite(full) & (full != 0.0)
-        done = ~ok | ((n >= min_n) & (diff <= tol) & ((diff + rounding <= tol) | (diff <= rounding)))
-        if n >= _TALBOT_MAX_N:
-            done[:] = True
-        if not done.any():
-            continue
-        fin = done & ok
-        out[0, at[fin]] = np.sign(full[fin])
-        out[1, at[fin]] = np.log(np.abs(full[fin])) + (1.0 - mu) * np.log(r[fin]) - y[fin]
-        out[2, at[fin]] = diff[fin] + rounding[fin]
-        run = ~done
-        at, r, xr, y, tol, min_n, total, total_abs = (
-            v[run] for v in (at, r, xr, y, tol, min_n, total, total_abs))
+            ok = np.isfinite(full) & (full != 0.0)
+            done = ~ok | ((n >= min_n) & (diff <= tol)
+                          & ((diff + rounding <= tol) | (diff <= rounding)))
+            if n >= _TALBOT_MAX_N:
+                done[:] = True
+            if not done.any():
+                continue
+            fin = done & ok
+            out[0, at[fin]] = np.sign(full[fin])
+            out[1, at[fin]] = np.log(np.abs(full[fin])) + (1.0 - mu) * np.log(r[fin]) - y[fin]
+            out[2, at[fin]] = diff[fin] + rounding[fin]
+            run = ~done
+            at, r, xr, y, tol, min_n, total, total_abs = (
+                v[run] for v in (at, r, xr, y, tol, min_n, total, total_abs))
     return out[0], out[1], out[2]
 
 
@@ -286,7 +286,7 @@ def log_wright_array(
     x = np.asarray(x, dtype=float).ravel()
     if (x < 0.0).any():
         raise DomainError("the Wright evaluator expects x >= 0")
-    tol = np.broadcast_to(np.asarray(tol, dtype=float), x.shape)
+    tol = np.full(x.size, tol) if np.ndim(tol) == 0 else np.asarray(tol, dtype=float)
     sign, est, regime = np.ones(x.size), np.full(x.size, _EPS), np.zeros(x.size, dtype=int)
     with np.errstate(divide="ignore"):
         if nu == 0.5 and mu in (0.5, 0.0):

@@ -23,14 +23,14 @@ from typing import Callable
 import numpy as np
 
 from .errors import DomainError, NonConvergence, QuadratureFailure, Unsupported
-from .kernels import (FracParams, BoundEnvelope, classical_solution, log_classical,  # noqa: F401
-                      log_envelope_shape, stable_envelope)
+from .kernels import BoundEnvelope, FracParams, log_classical, log_envelope_shape
 from .logvalue import LogValue, panel_integral_log
-from .specfun import _log_wright, log_wright_array  # noqa: F401
+from .specfun import log_wright_array
 
-# The integrands below take arrays.  The scalar views classical_solution,
-# stable_envelope and _log_wright stay importable from this module, where
-# perfbench/child.py looks them up to wrap them.
+# The scalar views of the evaluators above; the integrands below take arrays
+# and do not call them, but perfbench/child.py looks them up on this module.
+from .kernels import classical_solution, stable_envelope  # noqa: E402,F401
+from .specfun import _log_wright  # noqa: E402,F401
 
 
 @dataclass(frozen=True)
