@@ -112,46 +112,65 @@ def stable_envelope(
     )
 
 
-# Segments per (segments x 32) matrix of the cosine transform, 256 KB.
-_SEGMENT_CHUNK = 1024
+# Half-period segments per batch of the cosine transform, and rows per
+# (segments x 32) matrix: 64 KB a matrix, whatever the number of y.
+_SEGMENT_CHUNK = 256
 
 
-def _f_transform(rho: float, ys: np.ndarray) -> np.ndarray:
+def _half_period_end(j, y):
+    """The end (2j + 1) pi / 2y of the j-th half-period segment."""
+    return (2 * j + 1) * math.pi / (2.0 * y)
+
+
+def _f_transform(rho: float, ys) -> np.ndarray:
     """F(y) = (1/pi) * integral_0^inf exp(-s^{2 rho}) cos(s y) ds at every y
     of an array.
 
     Integrated per half-period of the cosine so each segment is single
     signed; the exp(-s^{2 rho}) factor kills the tail super-exponentially.
-    The segment edges of all the y are laid out first, and the 32-point rule
-    runs on them as (segments x 32) matrices of _SEGMENT_CHUNK segments; each
-    F(y) is the exactly rounded sum (math.fsum) of its own segments.
+    Below half an oscillation in range the segments are 8 equal ones, only
+    for resolution; otherwise they end at (2j + 1) pi / 2y for j = 0..last,
+    the first end at or past s_max being the last and cut to it.  The y go
+    in consecutive batches of about _SEGMENT_CHUNK segments, each laid out
+    at once and evaluated as (segments x 32) matrices; each F(y) is the
+    exactly rounded sum (math.fsum) of its own segments.
     """
     ys = np.abs(np.asarray(ys, dtype=float))
     if not np.all(np.isfinite(ys)):
         raise QuadratureFailure(f"cosine transform did not terminate at y = {ys.max()}")
     # exp(-s^{2 rho}) < 1e-19 beyond this point.
     s_max = 44.0 ** (1.0 / (2.0 * rho))
-    # Less than half an oscillation in range: 8 equal segments, only for
-    # resolution.  Otherwise the half-period ends (2j + 1) pi / 2y for
-    # j = 0..last, the first end at or past s_max being the last and cut to it.
     few = ys * s_max < math.pi
-    wide = ys[~few]
-
-    def end(j, y):
-        return (2 * j + 1) * math.pi / (2.0 * y)
-
-    last = np.maximum(0.0, np.ceil((s_max * 2.0 * wide / math.pi - 1.0) / 2.0)).astype(int)
-    while (back := (last > 0) & (end(last - 1, wide) >= s_max)).any():
-        last[back] -= 1
-    while (on := end(last, wide) < s_max).any():
-        last[on] += 1
+    last = np.zeros(ys.size, dtype=int)
+    wide, y = np.flatnonzero(~few), ys[~few]
+    last[wide] = np.maximum(0.0, np.ceil((s_max * 2.0 * y / math.pi - 1.0) / 2.0))
+    while (back := (last[wide] > 0) & (_half_period_end(last[wide] - 1, y) >= s_max)).any():
+        last[wide[back]] -= 1
+    while (on := _half_period_end(last[wide], y) < s_max).any():
+        last[wide[on]] += 1
     if np.any(last >= 200000):
+        raise QuadratureFailure(f"cosine transform did not terminate at y = {ys[last >= 200000][0]}")
+    counts = np.where(few, 8, last + 1)
+    ends = np.cumsum(counts)
+    totals, lo = np.empty(ys.size), 0
+    while lo < ys.size:
+        hi = max(lo + 1, int(np.searchsorted(ends, ends[lo] - counts[lo] + _SEGMENT_CHUNK, "right")))
+        totals[lo:hi] = _f_batch(rho, s_max, ys[lo:hi], few[lo:hi], last[lo:hi])
+        lo = hi
+    # The tail beyond s_max is below e^{-44} by construction.
+    if not np.all(np.isfinite(totals)):
         raise QuadratureFailure(
-            f"cosine transform did not terminate at y = {wide[last >= 200000][0]}")
-    owner = np.repeat(np.flatnonzero(~few), last + 1)
-    j = np.arange(owner.size) - np.repeat(np.cumsum(last + 1) - (last + 1), last + 1)
+            f"cosine transform overflowed at y = {ys[~np.isfinite(totals)][0]}")
+    return totals
+
+
+def _f_batch(rho, s_max, ys, few, last) -> np.ndarray:
+    """``_f_transform`` at a batch of y, given their last segment indices."""
+    owner = np.repeat(np.flatnonzero(~few), last[~few] + 1)
+    j = np.arange(owner.size) - np.repeat(np.cumsum(last[~few] + 1) - (last[~few] + 1),
+                                          last[~few] + 1)
     y = ys[owner]
-    b = np.minimum(end(j, y), s_max)
+    b = np.minimum(_half_period_end(j, y), s_max)
     a = np.where(j == 0, 0.0, np.roll(b, 1))
     # Sub-split long segments so 32 nodes always resolve them.
     n_sub = np.maximum(1, ((b - a) * y / math.pi).astype(int) + 1)
@@ -171,12 +190,7 @@ def _f_transform(rho: float, ys: np.ndarray) -> np.ndarray:
         pieces[part] = half * (vals * GL_WEIGHTS).sum(axis=1)
     order = np.argsort(owner, kind="stable")
     bounds = np.cumsum(np.bincount(owner, minlength=ys.size))[:-1]
-    totals = np.array([math.fsum(p) for p in np.split(pieces[order], bounds)]) / math.pi
-    # The tail beyond s_max is below e^{-44} by construction.
-    if not np.all(np.isfinite(totals)):
-        raise QuadratureFailure(
-            f"cosine transform overflowed at y = {ys[~np.isfinite(totals)][0]}")
-    return totals
+    return np.array([math.fsum(p) for p in np.split(pieces[order], bounds)]) / math.pi
 
 
 def higher_order_kernel_1d(rho: float, t: float, x: float) -> LogValue:
