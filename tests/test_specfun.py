@@ -10,7 +10,6 @@ from scipy.special import erfcx, gamma as sp_gamma
 
 from fracfront import specfun
 from fracfront.errors import DomainError, FracFrontError, NonConvergence
-from fracfront.logvalue import LogValue
 from fracfront.specfun import (
     Regime,
     dottie,
