@@ -140,10 +140,17 @@ def _f_transform(rho: float, ys) -> np.ndarray:
         raise QuadratureFailure(f"cosine transform did not terminate at y = {ys.max()}")
     # exp(-s^{2 rho}) < 1e-19 beyond this point.
     s_max = 44.0 ** (1.0 / (2.0 * rho))
-    few = ys * s_max < math.pi
+    # The guard goes on the float estimate of the last segment (exact up to
+    # one either way), before it is cast: a huge y would wrap round as an
+    # integer.
+    with np.errstate(over="ignore"):
+        few = ys * s_max < math.pi
+        wide, y = np.flatnonzero(~few), ys[~few]
+        est = np.maximum(0.0, np.ceil((s_max * 2.0 * y / math.pi - 1.0) / 2.0))
+    if np.any(est > 200000):
+        raise QuadratureFailure(f"cosine transform did not terminate at y = {y[est > 200000][0]}")
     last = np.zeros(ys.size, dtype=int)
-    wide, y = np.flatnonzero(~few), ys[~few]
-    last[wide] = np.maximum(0.0, np.ceil((s_max * 2.0 * y / math.pi - 1.0) / 2.0))
+    last[wide] = est
     while (back := (last[wide] > 0) & (_half_period_end(last[wide] - 1, y) >= s_max)).any():
         last[wide[back]] -= 1
     while (on := _half_period_end(last[wide], y) < s_max).any():
@@ -194,7 +201,8 @@ def _f_batch(rho, s_max, ys, few, last) -> np.ndarray:
 
 
 def higher_order_kernel_1d(rho: float, t: float, x: float) -> LogValue:
-    """Signed log of the d = 1 kernel t^{-1/(2 rho)} F(t^{-1/(2 rho)} x), rho >= 1.
+    """Signed log of the d = 1 kernel t^{-1/(2 rho)} F(t^{-1/(2 rho)} x), rho >= 1
+    (the Gaussian at rho = 1); the one-point view of ``_log_kernel``.
 
     Sign-changing for rho > 1.
     """
@@ -202,9 +210,8 @@ def higher_order_kernel_1d(rho: float, t: float, x: float) -> LogValue:
         raise DomainError(f"higher-order kernel requires rho >= 1, got {rho}")
     if t <= 0.0:
         raise DomainError(f"t must be positive, got {t}")
-    scale = t ** (-1.0 / (2.0 * rho))
-    f = float(_f_transform(rho, np.array([scale * x]))[0])
-    return LogValue.from_float(f).scaled(scale) if f != 0.0 else LogValue.zero()
+    sign, log_abs = _log_kernel(rho, 1, np.array([float(t)]), abs(x))
+    return LogValue.from_log(float(log_abs[0]), int(sign[0]))
 
 
 def f_bound(rho: float, y: float, k_const: float, omega: float) -> float:
@@ -216,46 +223,53 @@ def f_bound(rho: float, y: float, k_const: float, omega: float) -> float:
     return k_const * math.exp(-omega * abs(y) ** (2.0 * rho / (2.0 * rho - 1.0)))
 
 
-def log_classical(rho: float, d: int, s, r: float) -> tuple[np.ndarray, np.ndarray]:
-    """Signed log of the first-order-in-time solution e^s K_s(r) at every
-    s > 0 of an array, as the arrays (sign, log|.|), for the exact kernels:
-    rho in {1/2, 1} in any dimension and rho > 1 with d = 1, where the
-    kernel may vanish at its zero crossings (sign 0).  The rho > 1 kernels
-    of all the s share one batch of cosine transforms."""
-    s = np.asarray(s, dtype=float)
-    if not np.all(s > 0.0) or r < 0.0:
-        raise DomainError("require t > 0 and r >= 0")
+def _log_kernel(rho: float, d: int, s: np.ndarray, r: float) -> tuple[np.ndarray, np.ndarray]:
+    """Signed log of the exact kernel K_s(r) at every s of an array, as the
+    arrays (sign, log|.|): rho in {1/2, 1} in any dimension and rho > 1 with
+    d = 1, where the kernel may vanish at its zero crossings (sign 0).  The
+    rho > 1 kernels of all the s share one batch of cosine transforms."""
     sign = np.ones(s.size)
     if rho == 1.0:
-        return sign, s + _log_gaussian(s, r, d)
+        return sign, _log_gaussian(s, r, d)
     if rho == 0.5:
-        return sign, s + _log_cauchy(s, r, d)
+        return sign, _log_cauchy(s, r, d)
     if rho > 1.0 and d == 1:
         scale = s ** (-1.0 / (2.0 * rho))
         f = _f_transform(rho, scale * r)
         with np.errstate(divide="ignore"):
-            return np.sign(f), s + (np.log(np.abs(f)) + np.log(scale))
+            return np.sign(f), np.log(np.abs(f)) + np.log(scale)
     raise Unsupported(f"no exact kernel for rho = {rho} in dimension {d}")
+
+
+def log_classical(rho: float, d: int, s, r: float) -> tuple[np.ndarray, np.ndarray]:
+    """Signed log of the first-order-in-time solution e^s K_s(r) at every
+    s > 0 of an array, as the arrays (sign, log|.|), for the exact kernels
+    of ``_log_kernel``."""
+    s = np.asarray(s, dtype=float)
+    if not np.all(s > 0.0) or r < 0.0:
+        raise DomainError("require t > 0 and r >= 0")
+    sign, log_abs = _log_kernel(rho, d, s, r)
+    return sign, s + log_abs
 
 
 def classical_solution(params: FracParams, t: float, r: float):
     """First-order-in-time solution e^t times the diffusion kernel.
 
-    Exact LogValue for rho in {1/2, 1} any dimension and for rho > 1 with
-    d = 1 (the one-point view of ``log_classical``); BoundEnvelope for
-    other rho in (0,1).  The kernel may vanish at zero crossings of the
-    rho > 1 kernel, giving a Zero LogValue.
+    BoundEnvelope for rho in (0,1) other than 1/2; otherwise the exact
+    LogValue, the one-point view of ``log_classical`` (Unsupported where it
+    has no kernel).  The kernel may vanish at zero crossings of the rho > 1
+    kernel, giving a Zero LogValue.
     """
     if params.alpha != 1.0:
         raise DomainError("classical_solution is the alpha = 1 solution")
     if t <= 0.0 or r < 0.0:
         raise DomainError("require t > 0 and r >= 0")
     rho, d = params.rho, params.dim
-    if rho in (0.5, 1.0) or rho > 1.0:
-        sign, log_abs = log_classical(rho, d, np.array([float(t)]), r)
-        return LogValue.from_log(float(log_abs[0]), int(sign[0]))
-    env = stable_envelope(rho, t, r, d)
-    return BoundEnvelope(
-        LogValue(1, t + env.lower.log_abs),
-        LogValue(1, t + env.upper.log_abs),
-    )
+    if rho < 1.0 and rho != 0.5:
+        env = stable_envelope(rho, t, r, d)
+        return BoundEnvelope(
+            LogValue(1, t + env.lower.log_abs),
+            LogValue(1, t + env.upper.log_abs),
+        )
+    sign, log_abs = log_classical(rho, d, np.array([float(t)]), r)
+    return LogValue.from_log(float(log_abs[0]), int(sign[0]))

@@ -24,6 +24,13 @@ from .errors import QuadratureFailure
 GL_NODES, GL_WEIGHTS = np.polynomial.legendre.leggauss(32)
 MAX_PANELS = 4096
 
+# Columns of ``panel_integral_log``'s table of kept panels: a, midpoint, b,
+# then the (sign, log) pairs of its left half, right half, their total
+# (fine) and the total's distance to the panel's own sum (diff).
+_A, _M, _B = 0, 1, 2
+_HALVES = slice(3, 7)
+_FINE_SIGN, _FINE_LOG, _DIFF_SIGN, _DIFF_LOG = 7, 8, 9, 10
+
 
 @dataclass(frozen=True)
 class LogValue:
@@ -156,9 +163,7 @@ def panel_integral_log(
     """
     edges = np.asarray(edges, dtype=float)
     a, b, log_tol, k = edges[:-1], edges[1:], math.log(tol), len(GL_NODES)
-    # Per kept panel: a, midpoint, b, and (sign, log) of its left half, right
-    # half, their total and its distance to the panel's own sum.
-    kept = np.empty((0, 11))
+    kept = np.empty((0, _DIFF_LOG + 1))
     coarse = None
     while True:
         m = 0.5 * (a + b)
@@ -180,21 +185,22 @@ def panel_integral_log(
         left, right = sums
         fine = np.stack(_log_add(left[:, 0], left[:, 1], right[:, 0], right[:, 1]), axis=1)
         diff = np.stack(_log_add(coarse[:, 0], coarse[:, 1], -fine[:, 0], fine[:, 1]), axis=1)
+        # In the column order of _A .. _DIFF_LOG.
         kept = np.concatenate([kept, np.column_stack([a, m, b, left, right, fine, diff])])
-        total = log_sum(kept[:, 7], kept[:, 8])
-        err = log_sum(kept[:, 9], kept[:, 10])
+        total = log_sum(kept[:, _FINE_SIGN], kept[:, _FINE_LOG])
+        err = log_sum(kept[:, _DIFF_SIGN], kept[:, _DIFF_LOG])
         if err[0] == 0.0 or err[1] <= log_tol + total[1]:
             return LogValue.from_log(float(total[1]), int(total[0]))
         share = log_tol + total[1] - math.log(len(kept))
         # At least the worst panel, should rounding leave none above its share.
-        kept = kept[np.argsort(-kept[:, 10], kind="stable")]
-        n_split = max(1, int(np.count_nonzero(kept[:, 10] > share)))
+        kept = kept[np.argsort(-kept[:, _DIFF_LOG], kind="stable")]
+        n_split = max(1, int(np.count_nonzero(kept[:, _DIFF_LOG] > share)))
         if len(kept) + n_split > MAX_PANELS:
             raise QuadratureFailure(
                 f"integral over [{edges[0]:.6g}, {edges[-1]:.6g}] did not converge in {MAX_PANELS}"
                 f" panels (log(error / total) {err[1] - total[1]:.3g})")
         split, kept = kept[:n_split], kept[n_split:]
         # A split panel's halves become panels whose own sums are known.
-        a = split[:, [0, 1]].ravel()
-        b = split[:, [1, 2]].ravel()
-        coarse = split[:, 3:7].reshape(-1, 2)
+        a = split[:, [_A, _M]].ravel()
+        b = split[:, [_M, _B]].ravel()
+        coarse = split[:, _HALVES].reshape(-1, 2)

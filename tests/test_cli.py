@@ -97,6 +97,12 @@ class TestKernelAndThresholds:
         assert proc.returncode == 0
         assert "lower" in proc.stdout and "upper" in proc.stdout
 
+    def test_higher_order_kernel_past_segment_guard(self):
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            assert main(["kernel", "--rho", "1.5", "--dim", "1", "--t", "1", "--r", "1e20"]) == 2
+        assert "did not terminate" in err.getvalue()
+
     def test_thresholds_out_of_integer_range(self):
         # m_alpha passes 2^62 below alpha ~ 0.018: a typed failure, not a
         # traceback.

@@ -4,10 +4,11 @@ import numpy as np
 from pytest import approx, mark, raises
 from scipy.integrate import quad
 
-from fracfront.errors import DomainError, Unsupported
+from fracfront.errors import DomainError, QuadratureFailure, Unsupported
 from fracfront.kernels import (
     BoundEnvelope,
     FracParams,
+    _f_transform,
     cauchy_density,
     classical_solution,
     f_bound,
@@ -127,6 +128,13 @@ class TestHigherOrderKernel:
             limit=400,
         )
         assert 2.0 * mass == approx(1.0, abs=1e-5)
+
+    @mark.parametrize("y", [1e6, 1e20, 1e300, 1.7e308, math.inf, math.nan])
+    def test_segment_guard_at_huge_arguments(self, y):
+        # Past 200 000 half-period segments the transform fails at once,
+        # also where the segment count is past integer range.
+        with raises(QuadratureFailure, match="did not terminate"):
+            _f_transform(1.5, [0.5, y])
 
     def test_domain_errors(self):
         with raises(DomainError):
