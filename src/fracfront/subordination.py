@@ -36,9 +36,10 @@ from .specfun import _log_wright  # noqa: E402,F401
 @dataclass(frozen=True)
 class QuadratureSpec:
     """Tolerance and tail cut of the subordination integral: rel_tol / 4
-    bounds the panels' summed |coarse - halves| relative to the integral and
-    each Wright factor's relative error; the window spans e^{tail_cut_log} of
-    the peak."""
+    bounds the panels' |sum of (coarse - halves)| relative to the integral
+    and each Wright factor's relative error; the window ends where the
+    integrand falls below e^{tail_cut_log} times the largest value on the
+    bracketing grid."""
 
     rel_tol: float = 1e-6
     tail_cut_log: float = -40.0
@@ -52,7 +53,9 @@ class QuadratureSpec:
 
 DEFAULT_SPEC = QuadratureSpec()
 
-_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+# Tail-walk steps per integrand call; 16 steps of 0.5 in w end most walks
+# in one call.
+_WALK_BLOCK = 16
 
 
 def _integrate_log(
@@ -63,32 +66,21 @@ def _integrate_log(
     ``fn`` takes an array of s and returns the arrays (sign, log|fn|).
     Works in w = log s: the extra +w Jacobian term removes any integrable
     endpoint blow-up at s = 0 and makes the magnitude profile h(w) a clean
-    single bump.  The bracketing grid is one call of fn, the golden-section
-    search and the tail walks one call per new point, and each panel round
-    of ``panel_integral_log`` one call.
+    single bump.  Every call of fn is an array call: each 25-point
+    bracketing grid, each block of ``_WALK_BLOCK`` tail-walk steps and each
+    panel round of ``panel_integral_log``.
     """
 
     def f(w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         sign, log_abs = fn(np.exp(w))
         return sign, log_abs + w
 
-    cache: dict[float, float] = {}
-
-    def h_many(ws) -> list[float]:
-        new = [w for w in dict.fromkeys(ws) if w not in cache]
-        if new:
-            cache.update(zip(new, f(np.array(new))[1].tolist()))
-        return [cache[w] for w in ws]
-
-    def h(w: float) -> float:
-        return h_many([w])[0]
-
     # Coarse bracket around s in [t/4, 4t], expanded while the max sits on
     # an edge (the peak migrates right with t but starts near s ~ t).
     w_lo, w_hi = math.log(t / 4.0), math.log(4.0 * t)
     for _ in range(80):
         grid = np.linspace(w_lo, w_hi, 25)
-        vals = h_many(grid.tolist())
+        vals = f(grid)[1]
         i = int(np.argmax(vals))
         if not math.isfinite(vals[i]):
             raise QuadratureFailure("integrand magnitude is nowhere finite")
@@ -101,58 +93,68 @@ def _integrate_log(
     else:
         raise QuadratureFailure("peak bracketing did not terminate")
 
-    # Golden-section refinement between the argmax neighbours; 0.618^60 ~
-    # 3e-13, so the 1e-12 width stops it first for brackets under ~3 wide.
-    a, b = grid[i - 1], grid[i + 1]
-    c, d = b - _GOLDEN * (b - a), a + _GOLDEN * (b - a)
-    for _ in range(60):
-        if h(c) > h(d):
-            b, d = d, c
-            c = b - _GOLDEN * (b - a)
-        else:
-            a, c = c, d
-            d = a + _GOLDEN * (b - a)
-        if b - a < 1e-12:
-            break
-    w_peak = 0.5 * (a + b)
-    h_peak = h(w_peak)
-    cut = h_peak + spec.tail_cut_log
+    # The grid maximum is at most the peak, so a cut below it can only widen
+    # the window.
+    cut = vals[i] + spec.tail_cut_log
 
-    def walk(w: float, step: float) -> float:
+    def walk(step: float) -> float:
         # Require a few consecutive sub-cut values so a narrow zero crossing
         # of a sign-changing kernel is not mistaken for the tail.
         below = 0
-        for _ in range(400):
-            below = below + 1 if h(w) < cut else 0
-            if below >= 3:
-                return w
-            w += step
+        for k in range(1, 401, _WALK_BLOCK):
+            ws = grid[i] + step * np.arange(k, k + _WALK_BLOCK)
+            for w, sub in zip(ws.tolist(), (f(ws)[1] < cut).tolist()):
+                below = below + 1 if sub else 0
+                if below >= 3:
+                    return w
         raise QuadratureFailure("tail truncation walked too far")
 
-    lo = walk(w_peak, -0.5)
-    hi = walk(w_peak, +0.5)
-
+    lo, hi = walk(-0.5), walk(+0.5)
     n = max(8, int(math.ceil((hi - lo) / 2.0)))
     return panel_integral_log(f, np.linspace(lo, hi, n + 1), spec.rel_tol / 4.0)
 
 
-def _times_wright(sign: np.ndarray, log_abs: np.ndarray, alpha: float, x: np.ndarray,
-                  spec: QuadratureSpec) -> tuple[np.ndarray, np.ndarray]:
-    """(sign, log) of the products with W_{-a,1-a}(-x), node by node; the
-    Wright factor is evaluated only where the other factor is nonzero, and
-    raises NonConvergence where its estimate misses rel_tol / 4."""
+def _subordinated(
+    log_kernel: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]],
+    alpha: float,
+    t: float,
+    spec: QuadratureSpec,
+) -> LogValue:
+    """t^{-a} * integral_0^inf K(s) W_{-a,1-a}(-t^{-a} s) ds in log space.
+
+    ``log_kernel`` maps an array of s to the arrays (sign, log|K|).  The
+    Wright factor is evaluated only where K is nonzero, and raises
+    NonConvergence where its estimate misses rel_tol / 4.
+    """
+    ta = t ** alpha
     tol = spec.rel_tol / 4.0
-    live = np.flatnonzero(sign != 0.0)
-    w_sign, w_log, est, _ = log_wright_array(alpha, 1.0 - alpha, x[live], tol)
-    if np.any(est > tol):
-        k = int(np.argmax(est > tol))
-        raise NonConvergence(
-            f"W_(-{alpha},{1.0 - alpha})(-{x[live][k]}): estimate {est[k]:.3g} > {tol:.3g}")
-    sign, log_abs = sign.copy(), log_abs.copy()
-    sign[live] *= w_sign
-    log_abs[live] += w_log
-    log_abs[sign == 0.0] = -math.inf
-    return sign, log_abs
+
+    def integrand(s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        sign, log_abs = log_kernel(s)
+        live = np.flatnonzero(sign != 0.0)
+        x = s[live] / ta
+        w_sign, w_log, est, _ = log_wright_array(alpha, 1.0 - alpha, x, tol)
+        if np.any(est > tol):
+            k = int(np.argmax(est > tol))
+            raise NonConvergence(
+                f"W_(-{alpha},{1.0 - alpha})(-{x[k]}): estimate {est[k]:.3g} > {tol:.3g}")
+        sign, log_abs = sign.copy(), log_abs.copy()
+        sign[live] *= w_sign
+        log_abs[live] += w_log
+        log_abs[sign == 0.0] = -math.inf
+        return sign, log_abs
+
+    total = _integrate_log(integrand, t, spec)
+    return LogValue(total.sign, total.log_abs - alpha * math.log(t))
+
+
+def _reject_divergent_origin(rho: float, d: int, r: float) -> None:
+    """Near s = 0 the integrand is about s^{-d/(2 rho)} / Gamma(1 - alpha),
+    so u(t, 0) is infinite when d >= 2 rho."""
+    if r == 0.0 and d >= 2.0 * rho:
+        raise DomainError(
+            f"u(t, 0) diverges for d = {d} >= 2 rho = {2.0 * rho}: the kernel's"
+            " center is not integrable against the subordination weight")
 
 
 def subordinate(
@@ -162,6 +164,7 @@ def subordinate(
 
     Requires an exact classical kernel (rho in {1/2, 1} any dimension, or
     rho > 1 with d = 1); for other rho in (0,1) use subordinate_envelope.
+    Raises DomainError at r = 0 when d >= 2 rho, where u(t, 0) diverges.
     """
     alpha = params.alpha
     if not 0.0 < alpha < 1.0:
@@ -170,14 +173,9 @@ def subordinate(
         raise Unsupported(
             f"no exact kernel at rho = {params.rho}; use subordinate_envelope"
         )
-    ta = t ** alpha
-
-    def integrand(s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        sign, log_abs = log_classical(params.rho, params.dim, s, r)
-        return _times_wright(sign, log_abs, alpha, s / ta, spec)
-
-    total = _integrate_log(integrand, t, spec)
-    return LogValue(total.sign, total.log_abs - alpha * math.log(t))
+    _reject_divergent_origin(params.rho, params.dim, r)
+    return _subordinated(
+        lambda s: log_classical(params.rho, params.dim, s, r), alpha, t, spec)
 
 
 def total_mass(
@@ -186,13 +184,7 @@ def total_mass(
     """Log of the spatial mass t^{-a} * integral e^s W_{-a,1-a}(-t^{-a} s) ds."""
     if not 0.0 < alpha < 1.0:
         raise Unsupported("total_mass is for alpha in (0,1)")
-    ta = t ** alpha
-
-    def integrand(s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        return _times_wright(np.ones(s.size), s, alpha, s / ta, spec)
-
-    total = _integrate_log(integrand, t, spec)
-    return LogValue(total.sign, total.log_abs - alpha * math.log(t))
+    return _subordinated(lambda s: (np.ones(s.size), s), alpha, t, spec)
 
 
 def subordinate_envelope(
@@ -210,19 +202,17 @@ def subordinate_envelope(
     Both sides of the stable envelope share the shape
     t / (r^2 + t^{1/rho})^{(d+2 rho)/2} and differ only by the constants
     c1 <= c2, so one integral of the c-free shape serves both: the bounds
-    are that integral plus log c1 and plus log c2.
+    are that integral plus log c1 and plus log c2.  Raises DomainError at
+    r = 0 when d >= 2 rho, where the bounds diverge.
     """
     if not 0.0 < rho < 1.0:
         raise Unsupported(f"envelope route requires rho in (0,1), got {rho}")
     if c1 <= 0.0 or c2 < c1:
         raise DomainError("require 0 < c1 <= c2")
-    ta = t ** alpha
-
-    def integrand(s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        return _times_wright(np.ones(s.size), log_envelope_shape(rho, s, r, d) + s,
-                             alpha, s / ta, spec)
-
-    base = _integrate_log(integrand, t, spec).log_abs - alpha * math.log(t)
+    _reject_divergent_origin(rho, d, r)
+    base = _subordinated(
+        lambda s: (np.ones(s.size), log_envelope_shape(rho, s, r, d) + s), alpha, t, spec
+    ).log_abs
     return BoundEnvelope(
         LogValue(1, base + math.log(c1)), LogValue(1, base + math.log(c2))
     )

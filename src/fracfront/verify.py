@@ -264,9 +264,8 @@ def _suite_subordination(tol: float) -> list[_Case]:
             err = abs(mass.log_abs - want.log_abs) / max(abs(want.log_abs), 1.0)
             cases.append(_Case(f"mass alpha={alpha} t={t}", err, tol))
     # Positivity of the subordinated solution for the exact kernels.  The
-    # origin is skipped for rho = 1/2: the Cauchy kernel grows like 1/(pi s)
-    # at its center as s -> 0 while the subordination weight stays positive
-    # there, so u(t, 0) is a genuine divergence, not a quadrature failure.
+    # origin is skipped for rho = 1/2: u(t, 0) diverges wherever d >= 2 rho,
+    # and subordinate raises DomainError there before integrating.
     for rho in (0.5, 1.0):
         for r in ((1.0, 3.0) if rho == 0.5 else (0.0, 1.0, 3.0)):
             lv = subordination.subordinate(FracParams(0.5, rho, 1), 2.0, r, spec)
