@@ -37,9 +37,9 @@ from .specfun import _log_wright  # noqa: E402,F401
 class QuadratureSpec:
     """Tolerance and tail cut of the subordination integral: rel_tol / 4
     bounds the panels' |sum of (coarse - halves)| relative to the integral
-    and each Wright factor's relative error; the window ends where the
-    integrand falls below e^{tail_cut_log} times the largest value on the
-    bracketing grid."""
+    and the relative error of the Wright factor at each panel node; the
+    window ends where the integrand falls below e^{tail_cut_log} times the
+    largest value on the bracketing grid."""
 
     rel_tol: float = 1e-6
     tail_cut_log: float = -40.0
@@ -57,22 +57,30 @@ DEFAULT_SPEC = QuadratureSpec()
 # in one call.
 _WALK_BLOCK = 16
 
+# Relative tolerance of the values that place the window: they only meet a
+# cut tail_cut_log nats down, and a walk block reaches past the window's
+# edge, where the Wright factor need not meet a tight rel_tol.
+_WINDOW_TOL = 1e-3
+
 
 def _integrate_log(
-    fn: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]], t: float, spec: QuadratureSpec
+    fn: Callable[[np.ndarray, float], tuple[np.ndarray, np.ndarray]], t: float, spec: QuadratureSpec
 ) -> LogValue:
     """integral_0^inf fn(s) ds in log space for a log-unimodal |fn|.
 
-    ``fn`` takes an array of s and returns the arrays (sign, log|fn|).
-    Works in w = log s: the extra +w Jacobian term removes any integrable
-    endpoint blow-up at s = 0 and makes the magnitude profile h(w) a clean
-    single bump.  Every call of fn is an array call: each 25-point
-    bracketing grid, each block of ``_WALK_BLOCK`` tail-walk steps and each
-    panel round of ``panel_integral_log``.
+    ``fn(s, tol)`` takes an array of s and a relative tolerance and returns
+    the arrays (sign, log|fn|).  Works in w = log s: the extra +w Jacobian
+    term removes any integrable endpoint blow-up at s = 0 and makes the
+    magnitude profile h(w) a clean single bump.  Every call of fn is an
+    array call: each 25-point bracketing grid and each block of
+    ``_WALK_BLOCK`` tail-walk steps at ``_WINDOW_TOL`` (or rel_tol / 4 if
+    looser), and each panel round of ``panel_integral_log`` at rel_tol / 4.
     """
+    panel_tol = spec.rel_tol / 4.0
+    window_tol = max(_WINDOW_TOL, panel_tol)
 
-    def f(w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        sign, log_abs = fn(np.exp(w))
+    def f(w: np.ndarray, tol: float = panel_tol) -> tuple[np.ndarray, np.ndarray]:
+        sign, log_abs = fn(np.exp(w), tol)
         return sign, log_abs + w
 
     # Coarse bracket around s in [t/4, 4t], expanded while the max sits on
@@ -80,7 +88,7 @@ def _integrate_log(
     w_lo, w_hi = math.log(t / 4.0), math.log(4.0 * t)
     for _ in range(80):
         grid = np.linspace(w_lo, w_hi, 25)
-        vals = f(grid)[1]
+        vals = f(grid, window_tol)[1]
         i = int(np.argmax(vals))
         if not math.isfinite(vals[i]):
             raise QuadratureFailure("integrand magnitude is nowhere finite")
@@ -103,7 +111,7 @@ def _integrate_log(
         below = 0
         for k in range(1, 401, _WALK_BLOCK):
             ws = grid[i] + step * np.arange(k, k + _WALK_BLOCK)
-            for w, sub in zip(ws.tolist(), (f(ws)[1] < cut).tolist()):
+            for w, sub in zip(ws.tolist(), (f(ws, window_tol)[1] < cut).tolist()):
                 below = below + 1 if sub else 0
                 if below >= 3:
                     return w
@@ -111,7 +119,7 @@ def _integrate_log(
 
     lo, hi = walk(-0.5), walk(+0.5)
     n = max(8, int(math.ceil((hi - lo) / 2.0)))
-    return panel_integral_log(f, np.linspace(lo, hi, n + 1), spec.rel_tol / 4.0)
+    return panel_integral_log(f, np.linspace(lo, hi, n + 1), panel_tol)
 
 
 def _subordinated(
@@ -124,12 +132,11 @@ def _subordinated(
 
     ``log_kernel`` maps an array of s to the arrays (sign, log|K|).  The
     Wright factor is evaluated only where K is nonzero, and raises
-    NonConvergence where its estimate misses rel_tol / 4.
+    NonConvergence where its estimate misses the tolerance of the call.
     """
     ta = t ** alpha
-    tol = spec.rel_tol / 4.0
 
-    def integrand(s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def integrand(s: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
         sign, log_abs = log_kernel(s)
         live = np.flatnonzero(sign != 0.0)
         x = s[live] / ta

@@ -64,6 +64,25 @@ class TestSubordinate:
         tight = subordinate(FracParams(0.5, 1.0, 1), 2.0, 1.0, QuadratureSpec(rel_tol=1e-8))
         assert loose.log_abs == approx(tight.log_abs, abs=1e-4)
 
+    @mark.parametrize("alpha, rho, d, t, r, rel_tol", [
+        (0.1, 0.5, 1, 2.8, 0.0217, 1e-9),
+        (0.05, 1.0, 1, 0.0788, 125.5, 1e-8),
+        (0.7, 0.9, 3, 0.0149, 7.9, 1e-9),
+    ])
+    def test_tight_tolerance_past_the_tail(self, alpha, rho, d, t, r, rel_tol):
+        # A walk block reaches past the window's edge, to Wright arguments
+        # where no regime meets rel_tol / 4 at these tolerances; only the
+        # panel nodes are held to it.
+        spec = QuadratureSpec(rel_tol=rel_tol)
+        if rho == 0.9:
+            tight = subordinate_envelope(alpha, rho, d, t, r, spec).lower
+            loose = subordinate_envelope(alpha, rho, d, t, r).lower
+        else:
+            tight = subordinate(FracParams(alpha, rho, d), t, r, spec)
+            loose = subordinate(FracParams(alpha, rho, d), t, r)
+        assert tight.sign == loose.sign == 1
+        assert tight.log_abs == approx(loose.log_abs, abs=1e-6 * max(1.0, abs(loose.log_abs)))
+
     def test_approaches_classical_solution_as_alpha_to_one(self):
         got = subordinate(FracParams(0.99, 1.0, 1), 1.0, 1.0)
         want = classical_solution(FracParams(1.0, 1.0, 1), 1.0, 1.0)
@@ -74,11 +93,13 @@ class TestSubordinate:
         (1.0, 1, False), (1.5, 1, False), (0.7, 1, False),
     ])
     def test_origin_diverges_when_d_at_least_two_rho(self, rho, d, diverges):
-        # Near s = 0 the integrand is about s^{-d/(2 rho)} / Gamma(1 - alpha).
-        if rho in (0.5, 1.0, 1.5):
-            value = lambda: subordinate(FracParams(0.8, rho, d), 3.0, 0.0)
-        else:
-            value = lambda: subordinate_envelope(0.8, rho, d, 3.0, 0.0).lower
+        # Near s = 0 the integrand is about s^{-d/(2 rho)} / Gamma(1 - alpha);
+        # rho without an exact kernel goes through the envelope route.
+        def value():
+            if rho in (0.5, 1.0, 1.5):
+                return subordinate(FracParams(0.8, rho, d), 3.0, 0.0)
+            return subordinate_envelope(0.8, rho, d, 3.0, 0.0).lower
+
         if diverges:
             with raises(DomainError, match=r"u\(t, 0\) diverges"):
                 value()
