@@ -71,7 +71,7 @@ class TestSubordinate:
     ])
     def test_tight_tolerance_past_the_tail(self, alpha, rho, d, t, r, rel_tol):
         # A walk block reaches past the window's edge, to Wright arguments
-        # where no regime meets rel_tol / 4 at these tolerances; only the
+        # where the factor misses rel_tol / 4 at these tolerances; only the
         # panel nodes are held to it.
         spec = QuadratureSpec(rel_tol=rel_tol)
         if rho == 0.9:
