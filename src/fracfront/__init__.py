@@ -26,7 +26,6 @@ from .specfun import (
     wright_neg,
 )
 from .kernels import (
-    BoundEnvelope,
     FracParams,
     cauchy_density,
     classical_solution,

@@ -26,7 +26,6 @@ from .invasion import (
     thresholds,
 )
 from .kernels import (
-    BoundEnvelope,
     FracParams,
     cauchy_density,
     gaussian_density,
@@ -258,9 +257,7 @@ def _cmd_kernel(args) -> int:
             raise _UsageError("rho > 1 kernels are only available in dimension 1")
         _print_logvalue("kernel", higher_order_kernel_1d(args.rho, args.t, args.r))
     else:
-        env = stable_envelope(args.rho, args.t, args.r, args.dim)
-        _print_logvalue("lower", env.lower)
-        _print_logvalue("upper", env.upper)
+        _print_logvalue("envelope", stable_envelope(args.rho, args.t, args.r, args.dim))
     return 0
 
 
@@ -271,11 +268,8 @@ def _cmd_solution(args) -> int:
         raise _UsageError("require rho > 0, dim >= 1, t > 0 and r >= 0")
     params = FracParams(args.alpha, args.rho, args.dim)
     if args.method == "envelope":
-        env = subordinate_envelope(
-            args.alpha, args.rho, args.dim, args.t, args.r
-        )
-        _print_logvalue("lower", env.lower)
-        _print_logvalue("upper", env.upper)
+        _print_logvalue(
+            "envelope", subordinate_envelope(args.alpha, args.rho, args.dim, args.t, args.r))
         return 0
     if args.method == "fourier1d":
         if args.dim != 1 or args.rho < 1.0:

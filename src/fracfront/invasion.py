@@ -124,11 +124,8 @@ def thresholds(alpha: float, rho: float, d: int) -> ThresholdReport:
 def _point_log_u(
     params: FracParams, t: float, x: float, method: Method, spec: QuadratureSpec
 ) -> LogValue:
-    # Envelopes reach here only with c1 = c2 = 1, where both sides coincide,
-    # so the lower side stands for the value.
     if params.alpha == 1.0:
-        value = classical_solution(params, t, x)
-        return value if isinstance(value, LogValue) else value.lower
+        return classical_solution(params, t, x)
     if method is Method.SUBORDINATION:
         return subordinate(params, t, x, spec)
     if method is Method.FOURIER1D:
@@ -144,9 +141,7 @@ def _point_log_u(
             params.alpha, params.rho, t, x, tol
         )
         return value
-    return subordinate_envelope(
-        params.alpha, params.rho, params.dim, t, x, spec
-    ).lower
+    return subordinate_envelope(params.alpha, params.rho, params.dim, t, x, spec)
 
 
 def trajectory(

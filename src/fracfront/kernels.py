@@ -1,8 +1,9 @@
 """Classical-time (first order in t) fundamental solutions and kernel bounds.
 
 Exact kernels exist at rho = 1 (Gaussian) and rho = 1/2 (Cauchy); for
-rho in (0,1) otherwise only the two-sided stable envelope
-C * t / (r^2 + t^{1/rho})^{(d+2 rho)/2} is available, and for rho > 1 in one
+rho in (0,1) otherwise only the constant-free shape
+t / (r^2 + t^{1/rho})^{(d+2 rho)/2} of the stable kernel is available (the
+kernel lies within constant factors of it), and for rho > 1 in one
 dimension the kernel is the (sign-changing) cosine transform of
 exp(-s^{2 rho}).  ``log_classical`` and ``log_envelope_shape`` take an array
 of times, for the subordination integrands; the scalar functions are their
@@ -35,18 +36,6 @@ class FracParams:
             raise DomainError(f"rho must be positive, got {self.rho}")
         if self.dim < 1:
             raise DomainError(f"dim must be >= 1, got {self.dim}")
-
-
-@dataclass(frozen=True)
-class BoundEnvelope:
-    """Two-sided log-domain bound on a nonnegative density."""
-
-    lower: LogValue
-    upper: LogValue
-
-    def __post_init__(self):
-        if self.upper < self.lower:
-            raise DomainError("envelope requires lower <= upper")
 
 
 def _log_gaussian(t, r: float, d: int):
@@ -90,114 +79,67 @@ def cauchy_density(t: float, r: float, d: int = 1) -> LogValue:
     return LogValue(1, float(_log_cauchy(t, r, d)))
 
 
-def stable_envelope(
-    rho: float,
-    t: float,
-    r: float,
-    d: int,
-    c1: float = 1.0,
-    c2: float = 1.0,
-) -> BoundEnvelope:
-    """Two-sided bound c * t / (r^2 + t^{1/rho})^{(d+2 rho)/2} on the stable kernel."""
+def stable_envelope(rho: float, t: float, r: float, d: int) -> LogValue:
+    """Log of the stable-envelope shape t / (r^2 + t^{1/rho})^{(d+2 rho)/2}:
+    the stable kernel lies between constant multiples of it."""
     if not 0.0 < rho < 1.0:
         raise DomainError(f"stable envelope only holds for rho in (0,1), got {rho}")
     if t <= 0.0 or r < 0.0:
         raise DomainError("require t > 0 and r >= 0")
-    if c1 <= 0.0 or c2 < c1:
-        raise DomainError("require 0 < c1 <= c2")
-    log_shape = float(log_envelope_shape(rho, t, r, d))
-    return BoundEnvelope(
-        LogValue(1, math.log(c1) + log_shape),
-        LogValue(1, math.log(c2) + log_shape),
-    )
+    return LogValue(1, float(log_envelope_shape(rho, t, r, d)))
 
 
-# Half-period segments per batch of the cosine transform, and rows per
-# (segments x 32) matrix: 64 KB a matrix, whatever the number of y.
+# Panels per batch of the cosine transform, and rows per (panels x 32)
+# matrix: 64 KB a matrix, whatever the number of y.
 _SEGMENT_CHUNK = 256
-
-
-def _half_period_end(j, y):
-    """The end (2j + 1) pi / 2y of the j-th half-period segment."""
-    return (2 * j + 1) * math.pi / (2.0 * y)
 
 
 def _f_transform(rho: float, ys) -> np.ndarray:
     """F(y) = (1/pi) * integral_0^inf exp(-s^{2 rho}) cos(s y) ds at every y
     of an array.
 
-    Integrated per half-period of the cosine so each segment is single
-    signed; the exp(-s^{2 rho}) factor kills the tail super-exponentially.
-    Below half an oscillation in range the segments are 8 equal ones, only
-    for resolution; otherwise they end at (2j + 1) pi / 2y for j = 0..last,
-    the first end at or past s_max being the last and cut to it.  The y go
-    in consecutive batches of about _SEGMENT_CHUNK segments, each laid out
-    at once and evaluated as (segments x 32) matrices; each F(y) is the
-    exactly rounded sum (math.fsum) of its own segments.
+    Each y gets n = max(4, ceil(y s_max / pi)) equal panels over [0, s_max],
+    at most one half period of the cosine long, so the 32-point
+    Gauss-Legendre rule resolves each; the exp(-s^{2 rho}) factor kills the
+    tail super-exponentially.  The y go in consecutive batches of about
+    _SEGMENT_CHUNK panels, evaluated as (panels x 32) matrices; each F(y) is
+    the exactly rounded sum (math.fsum) of its own panels.
     """
     ys = np.abs(np.asarray(ys, dtype=float))
     if not np.all(np.isfinite(ys)):
         raise QuadratureFailure(f"cosine transform did not terminate at y = {ys.max()}")
     # exp(-s^{2 rho}) < 1e-19 beyond this point.
     s_max = 44.0 ** (1.0 / (2.0 * rho))
-    # The guard goes on the float estimate of the last segment (exact up to
-    # one either way), before it is cast: a huge y would wrap round as an
-    # integer.
+    # The guard goes on the float panel count, before it is cast: a huge y
+    # would wrap round as an integer.
     with np.errstate(over="ignore"):
-        few = ys * s_max < math.pi
-        wide, y = np.flatnonzero(~few), ys[~few]
-        est = np.maximum(0.0, np.ceil((s_max * 2.0 * y / math.pi - 1.0) / 2.0))
+        est = np.maximum(4.0, np.ceil(ys * s_max / math.pi))
     if np.any(est > 200000):
-        raise QuadratureFailure(f"cosine transform did not terminate at y = {y[est > 200000][0]}")
-    last = np.zeros(ys.size, dtype=int)
-    last[wide] = est
-    while (back := (last[wide] > 0) & (_half_period_end(last[wide] - 1, y) >= s_max)).any():
-        last[wide[back]] -= 1
-    while (on := _half_period_end(last[wide], y) < s_max).any():
-        last[wide[on]] += 1
-    if np.any(last >= 200000):
-        raise QuadratureFailure(f"cosine transform did not terminate at y = {ys[last >= 200000][0]}")
-    counts = np.where(few, 8, last + 1)
+        raise QuadratureFailure(f"cosine transform did not terminate at y = {ys[est > 200000][0]}")
+    counts = est.astype(int)
     ends = np.cumsum(counts)
     totals, lo = np.empty(ys.size), 0
     while lo < ys.size:
         hi = max(lo + 1, int(np.searchsorted(ends, ends[lo] - counts[lo] + _SEGMENT_CHUNK, "right")))
-        totals[lo:hi] = _f_batch(rho, s_max, ys[lo:hi], few[lo:hi], last[lo:hi])
+        n = counts[lo:hi]
+        first = np.cumsum(n) - n
+        owner = np.repeat(np.arange(lo, hi), n)
+        i = np.arange(owner.size) - np.repeat(first, n)
+        half = 0.5 * s_max / counts[owner]
+        pieces = np.empty(owner.size)
+        for start in range(0, owner.size, _SEGMENT_CHUNK):
+            part = slice(start, start + _SEGMENT_CHUNK)
+            ss = ((2 * i[part] + 1) * half[part])[:, None] + half[part, None] * GL_NODES
+            vals = np.exp(-(ss ** (2.0 * rho))) * np.cos(ss * ys[owner[part], None])
+            pieces[part] = half[part] * (vals * GL_WEIGHTS).sum(axis=1)
+        totals[lo:hi] = [math.fsum(p) for p in np.split(pieces, first[1:])]
         lo = hi
+    totals /= math.pi
     # The tail beyond s_max is below e^{-44} by construction.
     if not np.all(np.isfinite(totals)):
         raise QuadratureFailure(
             f"cosine transform overflowed at y = {ys[~np.isfinite(totals)][0]}")
     return totals
-
-
-def _f_batch(rho, s_max, ys, few, last) -> np.ndarray:
-    """``_f_transform`` at a batch of y, given their last segment indices."""
-    owner = np.repeat(np.flatnonzero(~few), last[~few] + 1)
-    j = np.arange(owner.size) - np.repeat(np.cumsum(last[~few] + 1) - (last[~few] + 1),
-                                          last[~few] + 1)
-    y = ys[owner]
-    b = np.minimum(_half_period_end(j, y), s_max)
-    a = np.where(j == 0, 0.0, np.roll(b, 1))
-    # Sub-split long segments so 32 nodes always resolve them.
-    n_sub = np.maximum(1, ((b - a) * y / math.pi).astype(int) + 1)
-    i = np.arange(n_sub.sum()) - np.repeat(np.cumsum(n_sub) - n_sub, n_sub)
-    owner, a, b, n_sub = (np.repeat(v, n_sub) for v in (owner, a, b, n_sub))
-    step = (b - a) / n_sub
-    edges = np.linspace(0.0, s_max, 9)
-    owner = np.concatenate([np.repeat(np.flatnonzero(few), 8), owner])
-    lo = np.concatenate([np.tile(edges[:-1], few.sum()), i * step + a])
-    hi = np.concatenate([np.tile(edges[1:], few.sum()), np.where(i + 1 == n_sub, b, (i + 1) * step + a)])
-    pieces = np.empty(lo.size)
-    for start in range(0, lo.size, _SEGMENT_CHUNK):
-        part = slice(start, start + _SEGMENT_CHUNK)
-        mid, half = 0.5 * (lo[part] + hi[part]), 0.5 * (hi[part] - lo[part])
-        ss = mid[:, None] + half[:, None] * GL_NODES
-        vals = np.exp(-(ss ** (2.0 * rho))) * np.cos(ss * ys[owner[part], None])
-        pieces[part] = half * (vals * GL_WEIGHTS).sum(axis=1)
-    order = np.argsort(owner, kind="stable")
-    bounds = np.cumsum(np.bincount(owner, minlength=ys.size))[:-1]
-    return np.array([math.fsum(p) for p in np.split(pieces[order], bounds)]) / math.pi
 
 
 def higher_order_kernel_1d(rho: float, t: float, x: float) -> LogValue:
@@ -252,13 +194,13 @@ def log_classical(rho: float, d: int, s, r: float) -> tuple[np.ndarray, np.ndarr
     return sign, s + log_abs
 
 
-def classical_solution(params: FracParams, t: float, r: float):
+def classical_solution(params: FracParams, t: float, r: float) -> LogValue:
     """First-order-in-time solution e^t times the diffusion kernel.
 
-    BoundEnvelope for rho in (0,1) other than 1/2; otherwise the exact
-    LogValue, the one-point view of ``log_classical`` (Unsupported where it
-    has no kernel).  The kernel may vanish at zero crossings of the rho > 1
-    kernel, giving a Zero LogValue.
+    For rho in (0,1) other than 1/2, e^t times the envelope shape of
+    ``stable_envelope``; otherwise the exact value, the one-point view of
+    ``log_classical`` (Unsupported where it has no kernel).  The kernel may
+    vanish at zero crossings of the rho > 1 kernel, giving a Zero LogValue.
     """
     if params.alpha != 1.0:
         raise DomainError("classical_solution is the alpha = 1 solution")
@@ -266,10 +208,6 @@ def classical_solution(params: FracParams, t: float, r: float):
         raise DomainError("require t > 0 and r >= 0")
     rho, d = params.rho, params.dim
     if rho < 1.0 and rho != 0.5:
-        env = stable_envelope(rho, t, r, d)
-        return BoundEnvelope(
-            LogValue(1, t + env.lower.log_abs),
-            LogValue(1, t + env.upper.log_abs),
-        )
+        return LogValue(1, t + stable_envelope(rho, t, r, d).log_abs)
     sign, log_abs = log_classical(rho, d, np.array([float(t)]), r)
     return LogValue.from_log(float(log_abs[0]), int(sign[0]))

@@ -23,7 +23,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import DomainError, NonConvergence, QuadratureFailure, Unsupported
-from .kernels import BoundEnvelope, FracParams, log_classical, log_envelope_shape
+from .kernels import FracParams, log_classical, log_envelope_shape
 from .logvalue import LogValue, panel_integral_log
 from .specfun import log_wright_array
 
@@ -201,25 +201,19 @@ def subordinate_envelope(
     t: float,
     r: float,
     spec: QuadratureSpec = DEFAULT_SPEC,
-    c1: float = 1.0,
-    c2: float = 1.0,
-) -> BoundEnvelope:
-    """Subordinated two-sided bounds for rho in (0,1) without an exact kernel.
+) -> LogValue:
+    """Subordination of the stable-envelope shape, for rho in (0,1) without
+    an exact kernel.
 
-    Both sides of the stable envelope share the shape
-    t / (r^2 + t^{1/rho})^{(d+2 rho)/2} and differ only by the constants
-    c1 <= c2, so one integral of the c-free shape serves both: the bounds
-    are that integral plus log c1 and plus log c2.  Raises DomainError at
-    r = 0 when d >= 2 rho, where the bounds diverge.
+    The stable kernel lies within constant factors of the shape
+    t / (r^2 + t^{1/rho})^{(d+2 rho)/2}, so u lies within the same factors
+    of this value.  Raises DomainError at r = 0 when d >= 2 rho, where it
+    diverges.
     """
+    if not 0.0 < alpha < 1.0:
+        raise Unsupported("subordination integral is for alpha in (0,1)")
     if not 0.0 < rho < 1.0:
         raise Unsupported(f"envelope route requires rho in (0,1), got {rho}")
-    if c1 <= 0.0 or c2 < c1:
-        raise DomainError("require 0 < c1 <= c2")
     _reject_divergent_origin(rho, d, r)
-    base = _subordinated(
-        lambda s: (np.ones(s.size), log_envelope_shape(rho, s, r, d) + s), alpha, t, spec
-    ).log_abs
-    return BoundEnvelope(
-        LogValue(1, base + math.log(c1)), LogValue(1, base + math.log(c2))
-    )
+    return _subordinated(
+        lambda s: (np.ones(s.size), log_envelope_shape(rho, s, r, d) + s), alpha, t, spec)

@@ -95,7 +95,8 @@ class TestKernelAndThresholds:
     def test_stable_kernel_prints_envelope(self):
         proc = run_cli("kernel", "--rho", "0.7", "--dim", "1", "--t", "1", "--r", "1")
         assert proc.returncode == 0
-        assert "lower" in proc.stdout and "upper" in proc.stdout
+        assert proc.stdout.startswith("envelope sign=+1 log_abs=")
+        assert len(proc.stdout.splitlines()) == 1
 
     def test_higher_order_kernel_past_segment_guard(self):
         err = io.StringIO()
@@ -128,6 +129,15 @@ class TestSolution:
             assert proc.returncode == 0
             out[method] = float(proc.stdout.split("log_abs=")[1].split()[0])
         assert out["subordination"] == approx(out["fourier1d"], abs=1e-3)
+
+    def test_envelope_prints_one_line(self):
+        proc = run_cli(
+            "solution", "--alpha", "0.5", "--rho", "0.7", "--dim", "1",
+            "--t", "1", "--r", "1", "--method", "envelope",
+        )
+        assert proc.returncode == 0
+        assert proc.stdout.startswith("envelope sign=+1 log_abs=")
+        assert len(proc.stdout.splitlines()) == 1
 
     def test_unsupported_route_is_computation_failure(self):
         proc = run_cli(

@@ -1,12 +1,12 @@
 import math
 
+import mpmath as mp
 import numpy as np
 from pytest import approx, mark, raises
 from scipy.integrate import quad
 
 from fracfront.errors import DomainError, QuadratureFailure, Unsupported
 from fracfront.kernels import (
-    BoundEnvelope,
     FracParams,
     _f_transform,
     cauchy_density,
@@ -83,9 +83,10 @@ class TestStableEnvelope:
         # For rho = 1/2 the envelope shape equals the Poisson kernel up to
         # the constant 1/pi, so constants straddling 1/pi must bracket it.
         for t, r in ((0.5, 0.0), (1.0, 2.0), (3.0, 10.0)):
-            env = stable_envelope(0.5, t, r, 1, c1=0.31, c2=0.33)
+            shape = stable_envelope(0.5, t, r, 1)
             true = cauchy_density(t, r, 1)
-            assert env.lower <= true <= env.upper
+            assert shape.sign == true.sign == 1
+            assert shape.log_abs + math.log(0.31) <= true.log_abs <= shape.log_abs + math.log(0.33)
 
     def test_rejects_rho_outside_unit_interval(self):
         with raises(DomainError):
@@ -93,9 +94,28 @@ class TestStableEnvelope:
         with raises(DomainError):
             stable_envelope(1.5, 1.0, 1.0, 1)
 
-    def test_envelope_ordering_enforced(self):
-        with raises(DomainError):
-            BoundEnvelope(LogValue.from_float(2.0), LogValue.from_float(1.0))
+
+def _f_reference(rho, ys):
+    """F(y) at 30 digits at every y of a list, split at the half periods
+    (j + 1/2) pi / y of the cosine: tanh-sinh on the first piece, where
+    s^{2 rho} is not smooth at 0, and 24-point Gauss-Legendre on the others,
+    which are analytic; the tail past exp(-s^{2 rho}) = e^{-50} is dropped."""
+    with mp.workdps(30):
+        rho = mp.mpf(rho)
+        s_max = mp.mpf(50) ** (1 / (2 * rho))
+        nodes, weights = mp.gauss_quadrature(24, "legendre")
+        out = []
+        for y in map(mp.mpf, ys):
+            f = lambda s: mp.exp(-s ** (2 * rho)) * mp.cos(s * y)
+            ends = [] if y == 0 else [(j + mp.mpf(0.5)) * mp.pi / y
+                                      for j in range(int(s_max * y / mp.pi + 0.5) + 1)]
+            ends = [e for e in ends if e < s_max] + [s_max]
+            total = mp.quad(f, [0, ends[0]])
+            for a, b in zip(ends, ends[1:]):
+                mid, half = (a + b) / 2, (b - a) / 2
+                total += half * mp.fsum(w * f(mid + half * x) for x, w in zip(nodes, weights))
+            out.append(float(total / mp.pi))
+        return out
 
 
 class TestHigherOrderKernel:
@@ -129,10 +149,16 @@ class TestHigherOrderKernel:
         )
         assert 2.0 * mass == approx(1.0, abs=1e-5)
 
+    @mark.parametrize("rho, tol", [(1.05, 1e-10), (1.25, 1e-10), (1.5, 1e-15), (2.0, 1e-15),
+                                   (3.0, 1e-15)])
+    def test_transform_matches_mpmath(self, rho, tol):
+        ys = [0.0, 0.4, 1.3, 3.1, 7.5, 17.0, 38.0, 80.0]
+        assert np.abs(_f_transform(rho, ys) - _f_reference(rho, ys)).max() <= tol
+
     @mark.parametrize("y", [1e6, 1e20, 1e300, 1.7e308, math.inf, math.nan])
     def test_segment_guard_at_huge_arguments(self, y):
-        # Past 200 000 half-period segments the transform fails at once,
-        # also where the segment count is past integer range.
+        # Past 200 000 panels the transform fails at once, also where the
+        # panel count is past integer range.
         with raises(QuadratureFailure, match="did not terminate"):
             _f_transform(1.5, [0.5, y])
 
@@ -185,8 +211,8 @@ class TestClassicalSolution:
 
     def test_stable_case_returns_envelope(self):
         out = classical_solution(FracParams(1.0, 0.3, 2), 1.0, 1.0)
-        assert isinstance(out, BoundEnvelope)
-        assert out.lower <= out.upper
+        assert isinstance(out, LogValue)
+        assert out == LogValue(1, 1.0 + stable_envelope(0.3, 1.0, 1.0, 2).log_abs)
 
     def test_rejects_fractional_alpha(self):
         with raises(DomainError):
