@@ -8,10 +8,10 @@ u_{a,rho}(t, x) = (1/pi) sum_k (-1)^k a_k(t, x) with
 an alternating series with positive decreasing terms (k >= 1), so the first
 omitted term bounds the remainder.  Each segment, and the integral at the
 origin, is one call of ``logvalue.panel_integral_log``, the adaptive
-log-domain quadrature of the subordination integral too; each of its panel
-rounds evaluates E_a at all its nodes in one ``log_mittag_leffler_array``
-call.  Also houses the
-analytic a_0 lower / a_1 upper bounds and the divergence comparator they feed.
+Gauss-Kronrod quadrature of the subordination integral too: a segment starts
+as one K31 / G15 panel, and each panel round evaluates E_a at all its nodes
+in one ``log_mittag_leffler_array`` call.  Also houses the analytic a_0
+lower / a_1 upper bounds and the divergence comparator they feed.
 """
 
 from __future__ import annotations

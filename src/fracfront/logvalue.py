@@ -3,10 +3,12 @@
 Solution values along invasion curves behave like exp(c*t) with t up to ~60,
 so everything downstream of the kernels is carried as (sign, log|value|)
 pairs instead of raw floats, and every integral of them runs on the one
-adaptive panel quadrature ``panel_integral_log`` below.  Its integrands take
-an array of nodes and return the arrays (sign, log|value|), so each round
-of panels is one call, and ``log_sum`` adds such arrays without leaving
-log space.
+adaptive panel quadrature ``panel_integral_log`` below: Gauss-Kronrod K31 /
+G15 panels, whose nodes and weights are computed at import.  Its integrands
+take an array of nodes and return the arrays (sign, log|value|), so each
+round of panels is one call, and ``log_sum`` adds such arrays without
+leaving log space.  ``gl_panels`` lays out the 32-point Gauss-Legendre rule
+of the fixed (non-adaptive) rules elsewhere.
 """
 
 from __future__ import annotations
@@ -19,17 +21,79 @@ import numpy as np
 
 from .errors import QuadratureFailure
 
-# The 32-point Gauss-Legendre rule on [-1, 1] of every quadrature, and the
+# The 32-point Gauss-Legendre rule on [-1, 1] of the fixed rules, and the
 # panel budget of ``panel_integral_log``.
 GL_NODES, GL_WEIGHTS = np.polynomial.legendre.leggauss(32)
 MAX_PANELS = 4096
 
-# Columns of ``panel_integral_log``'s table of kept panels: a, midpoint, b,
-# then the (sign, log) pairs of its left half, right half, their total
-# (fine) and the total's distance to the panel's own sum (diff).
-_A, _M, _B = 0, 1, 2
-_HALVES = slice(3, 7)
-_FINE_SIGN, _FINE_LOG, _DIFF_SIGN, _DIFF_LOG = 7, 8, 9, 10
+
+def _kronrod_recurrence(n: int, a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Recurrence coefficients of the Jacobi-Kronrod matrix of order 2n + 1
+    from the first ceil(3n/2) + 1 coefficients (a_k, b_k) of the weight,
+    b_0 its integral: Laurie's algorithm (Math. Comp. 66, 1997), in the
+    form of Gautschi's ``r_kronrod``."""
+    known = -(-3 * n // 2) + 1
+    ak, bk = np.zeros(2 * n + 1), np.zeros(2 * n + 1)
+    ak[:known], bk[:known] = a[:known], b[:known]
+    s, t = np.zeros(n // 2 + 2), np.zeros(n // 2 + 2)
+    t[1] = bk[n]
+    for m in range(n - 1):
+        k = np.arange((m + 1) // 2, -1, -1)
+        l = m - k
+        s[k + 1] = np.cumsum((ak[k + n + 1] - ak[l]) * t[k + 1]
+                             + bk[k + n + 1] * s[k] - bk[l] * s[k + 1])
+        s, t = t, s
+    s[1:] = s[:-1].copy()
+    for m in range(n - 1, 2 * n - 2):
+        k = np.arange(m + 1 - n, (m - 1) // 2 + 1)
+        l = m - k
+        j = n - 1 - l
+        s[j + 1] = np.cumsum(-(ak[k + n + 1] - ak[l]) * t[j + 1]
+                             - bk[k + n + 1] * s[j + 1] + bk[l] * s[j + 2])
+        j, k = j[-1], (m + 1) // 2
+        if m % 2 == 0:
+            ak[k + n + 1] = ak[k] + (s[j + 1] - bk[k + n + 1] * s[j + 2]) / t[j + 2]
+        else:
+            bk[k + n + 1] = s[j + 1] / s[j + 2]
+        s, t = t, s
+    ak[2 * n] = ak[n - 1] - bk[2 * n] * s[1] / t[1]
+    return ak, bk
+
+
+def _gauss_kronrod(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Nodes and weights of the (2n + 1)-point Kronrod extension of the
+    n-point Gauss-Legendre rule on [-1, 1], and the Gauss weights, which
+    belong to the odd-indexed nodes.
+
+    The nodes are the eigenvalues of the Jacobi-Kronrod matrix of the
+    Legendre recurrence a_k = 0, b_0 = 2, b_k = k^2 / (4 k^2 - 1); the
+    weights are the Christoffel numbers 1 / sum_k q_k(x)^2 of its
+    orthonormal polynomials q_k, which equal b_0 times the squared first
+    components of the eigenvectors (Golub & Welsch, Math. Comp. 23, 1969).
+    The eigenvectors are not computed: LAPACK's eigenvector path wakes
+    the BLAS thread pool, whose threads then spin beside the first
+    integrals of every fresh process.
+    """
+    k = np.arange(2 * n + 1, dtype=float)
+    b = np.where(k == 0.0, 2.0, k * k / (4.0 * k * k - 1.0))
+    ak, bk = _kronrod_recurrence(n, np.zeros(k.size), b)
+    off = np.sqrt(bk[1:])
+    nodes = np.linalg.eigvalsh(np.diag(ak) + np.diag(off, 1) + np.diag(off, -1))
+    q_prev, q = np.zeros(nodes.size), np.full(nodes.size, 1.0 / math.sqrt(bk[0]))
+    christoffel = q * q
+    for j in range(2 * n):
+        q_prev, q = q, ((nodes - ak[j]) * q - (off[j - 1] if j else 0.0) * q_prev) / off[j]
+        christoffel += q * q
+    return nodes, 1.0 / christoffel, np.polynomial.legendre.leggauss(n)[1]
+
+
+# The Kronrod pair K31 / G15 of ``panel_integral_log``: G15 uses the nodes
+# KRONROD_NODES[1::2].
+KRONROD_NODES, KRONROD_WEIGHTS, GAUSS_WEIGHTS = _gauss_kronrod(15)
+
+# Columns of ``panel_integral_log``'s table of kept panels: a, b, then the
+# (sign, log) of the panel's K31 sum and the log of |K31 - G15|.
+_A, _B, _SIGN, _LOG, _ERR_SIGN, _ERR_LOG = range(6)
 
 
 @dataclass(frozen=True)
@@ -151,56 +215,46 @@ def panel_integral_log(
 
     ``f`` takes a float array of nodes and returns the arrays (sign, log|f|),
     sign 0 (with any log) where f vanishes.  Globally adaptive bisection (as
-    in QUADPACK) on the 32-point rule from the panels between ``edges``: each
-    panel's sum is compared with the sum over its halves.  Returns the sum of
-    the halves once |sum of (coarse - halves)| is at most tol * |total| (or
-    every sum is zero); otherwise bisects each panel whose |coarse - halves|
+    in QUADPACK) on the Gauss-Kronrod pair K31 / G15 from the panels between
+    ``edges``: each panel is evaluated once, at its 31 Kronrod nodes, and
+    K31 - G15 on the same nodes is its error estimate.  Returns the sum of
+    the K31 sums once |sum of (K31 - G15)| is at most tol * |total| (or
+    every sum is zero); otherwise bisects each panel whose |K31 - G15|
     exceeds its share tol * |total| / (panel count), at least the worst one.
-    A round evaluates all its new nodes in one call of f: the coarse panels
-    and their halves in the first round, the halves of the split panels
-    after it.  More than MAX_PANELS panels is a QuadratureFailure.  Sums stay
-    in log space, so f may exceed double range.
+    A round evaluates all its new nodes in one call of f: the starting
+    panels in the first round, the halves of the split panels after it.
+    More than MAX_PANELS panels is a QuadratureFailure.  Sums stay in log
+    space, so f may exceed double range.
     """
     edges = np.asarray(edges, dtype=float)
-    a, b, log_tol, k = edges[:-1], edges[1:], math.log(tol), len(GL_NODES)
-    kept = np.empty((0, _DIFF_LOG + 1))
-    coarse = None
+    a, b, log_tol, k = edges[:-1], edges[1:], math.log(tol), len(KRONROD_NODES)
+    kept = np.empty((0, _ERR_LOG + 1))
     while True:
-        m = 0.5 * (a + b)
-        los, his = [a, m], [m, b]
-        if coarse is None:  # the first round also sums the starting panels
-            los, his = [a] + los, [b] + his
-        lo, hi = np.concatenate(los), np.concatenate(his)
-        half = 0.5 * (hi - lo)
-        nodes = (0.5 * (lo + hi))[:, None] + half[:, None] * GL_NODES
+        half = 0.5 * (b - a)
+        nodes = (0.5 * (a + b))[:, None] + half[:, None] * KRONROD_NODES
         sign, log_abs = f(nodes.ravel())
         sign = np.asarray(sign, dtype=float).reshape(-1, k)
+        log_abs = np.where(sign == 0.0, -math.inf, np.asarray(log_abs).reshape(-1, k))
         with np.errstate(divide="ignore"):
-            log_w = np.log(half[:, None] * GL_WEIGHTS)
-        terms = np.where(sign == 0.0, -math.inf, np.asarray(log_abs).reshape(-1, k) + log_w)
-        s_sum, l_sum = log_sum(sign, terms)
-        sums = np.stack([s_sum, l_sum], axis=1).reshape(-1, a.size, 2)
-        if coarse is None:
-            coarse, sums = sums[0], sums[1:]
-        left, right = sums
-        fine = np.stack(_log_add(left[:, 0], left[:, 1], right[:, 0], right[:, 1]), axis=1)
-        diff = np.stack(_log_add(coarse[:, 0], coarse[:, 1], -fine[:, 0], fine[:, 1]), axis=1)
-        # In the column order of _A .. _DIFF_LOG.
-        kept = np.concatenate([kept, np.column_stack([a, m, b, left, right, fine, diff])])
-        total = log_sum(kept[:, _FINE_SIGN], kept[:, _FINE_LOG])
-        err = log_sum(kept[:, _DIFF_SIGN], kept[:, _DIFF_LOG])
+            log_half = np.log(half)[:, None]
+            kronrod = log_sum(sign, log_abs + np.log(KRONROD_WEIGHTS) + log_half)
+            gauss = log_sum(sign[:, 1::2], log_abs[:, 1::2] + np.log(GAUSS_WEIGHTS) + log_half)
+        diff = _log_add(kronrod[0], kronrod[1], -gauss[0], gauss[1])
+        # In the column order of _A .. _ERR_LOG.
+        kept = np.concatenate([kept, np.column_stack([a, b, *kronrod, *diff])])
+        total = log_sum(kept[:, _SIGN], kept[:, _LOG])
+        err = log_sum(kept[:, _ERR_SIGN], kept[:, _ERR_LOG])
         if err[0] == 0.0 or err[1] <= log_tol + total[1]:
             return LogValue.from_log(float(total[1]), int(total[0]))
         share = log_tol + total[1] - math.log(len(kept))
         # At least the worst panel, should rounding leave none above its share.
-        kept = kept[np.argsort(-kept[:, _DIFF_LOG], kind="stable")]
-        n_split = max(1, int(np.count_nonzero(kept[:, _DIFF_LOG] > share)))
+        kept = kept[np.argsort(-kept[:, _ERR_LOG], kind="stable")]
+        n_split = max(1, int(np.count_nonzero(kept[:, _ERR_LOG] > share)))
         if len(kept) + n_split > MAX_PANELS:
             raise QuadratureFailure(
                 f"integral over [{edges[0]:.6g}, {edges[-1]:.6g}] did not converge in {MAX_PANELS}"
                 f" panels (log(error / total) {err[1] - total[1]:.3g})")
         split, kept = kept[:n_split], kept[n_split:]
-        # A split panel's halves become panels whose own sums are known.
-        a = split[:, [_A, _M]].ravel()
-        b = split[:, [_M, _B]].ravel()
-        coarse = split[:, _HALVES].reshape(-1, 2)
+        mid = 0.5 * (split[:, _A] + split[:, _B])
+        a = np.column_stack([split[:, _A], mid]).ravel()
+        b = np.column_stack([mid, split[:, _B]]).ravel()

@@ -34,7 +34,6 @@ import sys
 from dataclasses import dataclass
 from enum import Enum
 
-import mpmath
 import numpy as np
 
 from .errors import DomainError, NonConvergence
@@ -329,8 +328,9 @@ def _log_wright_rules(nu, mu, x, y, tol, sign, est, regime) -> np.ndarray:
         if tail.any():
             try:
                 a1, a2, a3 = _wright_tail_correction(nu, mu)
-            except NonConvergence:  # no fit: the tail's estimate is infinite
-                a1 = a2 = a3 = math.inf
+            except NonConvergence:  # no fit: the tail cannot answer
+                tail[:] = False
+        if tail.any():
             yt = y[tail]
             with np.errstate(over="ignore"):
                 corr = 1.0 + a1 / yt + a2 / (yt * yt) + a3 / (yt * yt * yt)
@@ -561,6 +561,8 @@ def mittag_leffler(alpha: float, beta: float, z: float) -> EvalResult:
     if z < 0.0 and alpha == 1.0:
         # E_{1,b}(z) = 1F1(1; b; z)/Gamma(b).  At 30 digits the double is
         # correctly rounded, so 4 ulps bound it.
+        import mpmath  # imported here: no other path needs its import time
+
         with mpmath.workdps(30):
             value = float(mpmath.hyp1f1(1, beta, z) * mpmath.rgamma(beta))
         return EvalResult(value, 4.0 * _EPS * abs(value) + math.ulp(0.0), 0,
@@ -641,6 +643,8 @@ def gamma_upper_incomplete(s: float, x: float) -> float:
         raise DomainError(f"s must be finite, got {s}")
     if not x >= 0.0:
         raise DomainError(f"x must be >= 0, got {x}")
+    import mpmath  # imported here: no other path needs its import time
+
     if x == 0.0:
         if s <= 0.0:
             raise DomainError("Gamma(s, 0) diverges for s <= 0")

@@ -7,8 +7,8 @@ exp(-const * (s t^{-a})^{1/(1-a)}) decay, so the peak migrates to s of order
 t and the values leave double range long before the experiment horizons.
 Everything here is therefore computed as (sign, log|.|) pairs: the integral
 is taken in w = log s (which also flattens the s -> 0 endpoint) over a window
-found around the peak, where ``logvalue.panel_integral_log`` (32-point
-Gauss-Legendre panels, bisected where needed) integrates it.  The integrands
+found around the peak, where ``logvalue.panel_integral_log`` (Gauss-Kronrod
+K31 / G15 panels, bisected where needed) integrates it.  The integrands
 take arrays of s: the kernel (``kernels.log_classical`` or the envelope
 shape) and the Wright factor (``specfun.log_wright_array``) are evaluated
 once per panel round, not once per node.
@@ -36,8 +36,8 @@ from .specfun import _log_wright  # noqa: E402,F401
 @dataclass(frozen=True)
 class QuadratureSpec:
     """Tolerance and tail cut of the subordination integral: rel_tol / 4
-    bounds the panels' |sum of (coarse - halves)| relative to the integral
-    and the relative error of the Wright factor at each panel node; the
+    bounds the panels' |sum of (K31 - G15)| relative to the integral and
+    the relative error of the Wright factor at each panel node; the
     window ends where the integrand falls below e^{tail_cut_log} times the
     largest value on the bracketing grid."""
 

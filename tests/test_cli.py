@@ -21,9 +21,12 @@ def run_cli(*args):
 
 
 def test_import_loads_no_scipy():
+    # Nor mpmath, which only the alpha = 1 closed form and the incomplete
+    # gamma import, when they run.
     proc = subprocess.run(
         [sys.executable, "-c",
-         "import sys, fracfront.cli; print([m for m in sys.modules if m.startswith('scipy')])"],
+         "import sys, fracfront.cli;"
+         " print([m for m in sys.modules if m.startswith(('scipy', 'mpmath'))])"],
         capture_output=True,
         text=True,
     )

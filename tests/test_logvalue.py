@@ -7,7 +7,10 @@ from hypothesis import strategies as st
 
 from fracfront.errors import QuadratureFailure
 from fracfront.logvalue import (
+    GAUSS_WEIGHTS,
     GL_NODES,
+    KRONROD_NODES,
+    KRONROD_WEIGHTS,
     MAX_PANELS,
     LogValue,
     gl_panels,
@@ -118,9 +121,9 @@ def test_panel_integral_all_zero():
 
     got = panel_integral_log(f, [-1.0, -0.25, 0.5, 1.25, 2.0], 1e-9)
     assert got == LogValue.zero()
-    # Zero sums on the 4 starting panels and on their 8 halves, all in the
+    # Zero sums on the 4 starting panels, at their Kronrod nodes, all in the
     # first round's one call.
-    assert calls == [(4 + 8) * len(GL_NODES)]
+    assert calls == [4 * len(KRONROD_NODES)]
 
 
 def test_panel_integral_localises_a_jump():
@@ -146,7 +149,7 @@ def test_panel_integral_exhausts_budget():
 
 def test_panel_rounds_make_one_call_each():
     # The jump keeps one panel splitting: every round after the first
-    # evaluates the halves of the split panels, 64 new nodes each, in one
+    # evaluates the halves of the split panels, 62 new nodes each, in one
     # call, never one node at a time.
     sizes = []
 
@@ -155,9 +158,83 @@ def test_panel_rounds_make_one_call_each():
         return np.ones(x.size), np.where(x < 1.0 / 3.0, 0.0, math.log(2.0))
 
     panel_integral_log(step, [0.0, 1.0], 1e-12)
-    assert sizes[0] == 3 * len(GL_NODES)
+    assert sizes[0] == len(KRONROD_NODES) == 31
     assert len(sizes) > 5
-    assert all(n % (2 * len(GL_NODES)) == 0 for n in sizes[1:])
+    assert all(n % (2 * len(KRONROD_NODES)) == 0 for n in sizes[1:])
+
+
+class TestKronrodRule:
+    """The K31 / G15 pair built at import by Laurie's algorithm."""
+
+    @staticmethod
+    def _moment_error(nodes, weights, k):
+        exact = 0.0 if k % 2 else 2.0 / (k + 1)
+        return abs(math.fsum(weights * nodes ** k) - exact)
+
+    def test_kronrod_exact_to_degree_47(self):
+        assert KRONROD_NODES.shape == KRONROD_WEIGHTS.shape == (31,)
+        for k in range(48):
+            assert self._moment_error(KRONROD_NODES, KRONROD_WEIGHTS, k) <= 1e-14, k
+
+    def test_weights_positive_and_nodes_inside(self):
+        assert (KRONROD_WEIGHTS > 0.0).all() and (GAUSS_WEIGHTS > 0.0).all()
+        assert (np.diff(KRONROD_NODES) > 0.0).all()
+        assert -1.0 < KRONROD_NODES[0] and KRONROD_NODES[-1] < 1.0
+
+    def test_gauss_rule_on_odd_nodes(self):
+        gauss_nodes, gauss_weights = np.polynomial.legendre.leggauss(15)
+        assert np.abs(KRONROD_NODES[1::2] - gauss_nodes).max() <= 2e-15
+        assert np.array_equal(GAUSS_WEIGHTS, gauss_weights)
+        for k in range(30):
+            assert self._moment_error(KRONROD_NODES[1::2], GAUSS_WEIGHTS, k) <= 1e-14, k
+
+
+def _bump(centre, width, shift):
+    """e^{shift} exp(-(x - centre)^2 / (2 width^2)) as (sign, log) arrays."""
+
+    def f(x):
+        return np.ones(x.size), shift - 0.5 * ((x - centre) / width) ** 2
+
+    return f
+
+
+def _bump_integral_log(centre, width, shift, lo, hi):
+    # erfc differences keep the digits when both ends sit on one side.
+    u, v = (lo - centre) / (width * math.sqrt(2.0)), (hi - centre) / (width * math.sqrt(2.0))
+    mass = math.erfc(u) - math.erfc(v) if u > 0.0 else math.erfc(-v) - math.erfc(-u)
+    return shift + math.log(width * math.sqrt(0.5 * math.pi) * mass)
+
+
+def _closed_form_cases():
+    """Seeded (name, f, edges, log|integral|, sign) cases."""
+    rng = np.random.default_rng(2024)
+    cases = []
+    for i in range(24):
+        centre, width = rng.uniform(0.5, 9.5), 10.0 ** rng.uniform(-1.3, 0.3)
+        shift = rng.uniform(-700.0, 700.0)
+        edges = np.linspace(0.0, 10.0, 1 + int(rng.integers(1, 9)))
+        cases.append((f"bump{i}", _bump(centre, width, shift), edges,
+                      _bump_integral_log(centre, width, shift, 0.0, 10.0), 1))
+    for i in range(8):
+        jump = rng.uniform(0.05, 0.95)
+
+        def step(x, jump=jump):
+            return np.ones(x.size), np.where(x < jump, 0.0, math.log(2.0))
+
+        cases.append((f"jump{i}", step, [0.0, 1.0], math.log(2.0 - jump), 1))
+    cases.append(("exp_cos", _exp_cos(2000.0), [0.0, 3.0 * math.pi],
+                  2000.0 + math.log((math.exp(3.0 * math.pi) + 1.0) / 2.0), -1))
+    return cases
+
+
+@pytest.mark.parametrize("tol", [1e-6, 1e-9, 1e-12])
+def test_error_within_tolerance_on_closed_forms(tol):
+    # The estimate is an upper bound: |true - returned| <= tol |true| on
+    # every seeded integrand, far outside double range included.
+    for name, f, edges, want, sign in _closed_form_cases():
+        got = panel_integral_log(f, edges, tol)
+        assert got.sign == sign, name
+        assert abs(math.expm1(got.log_abs - want)) <= tol, name
 
 
 def test_log_sum_rows():

@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+import warnings
 
 from pytest import approx, mark, raises
 
@@ -123,6 +124,41 @@ class TestSubordinate:
         with raises(NonConvergence):
             subordinate(FracParams(0.9, 1.0, 1), t, 0.0, QuadratureSpec(rel_tol=1e-9))
 
+    def test_known_limit_tight_tolerance_near_the_peak(self):
+        # Known limit, not only at small t: near x = 4.2 the Talbot estimate
+        # of W_(-0.9,0.1) is about 3.3e-10, above rel_tol / 4 = 2.5e-10.
+        with raises(NonConvergence):
+            subordinate(FracParams(0.9, 1.0, 1), 5.0, 5.0, QuadratureSpec(rel_tol=1e-9))
+
+    def test_known_limit_alpha_next_to_one(self):
+        # Known limit: the Wright factor has no regime at alpha = 0.99999 (its
+        # tail fit fails too); a typed error, and no numpy warning on the way.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with raises(NonConvergence):
+                subordinate(FracParams(0.99999, 1.0, 1), 1.0, 1.0)
+
+
+def _seeded_points():
+    """80 seeded (alpha, rho, t, r) points in d = 1."""
+    rng = random.Random(16)
+    points = []
+    for _ in range(80):
+        t = rng.uniform(1.0, 60.0)
+        points.append((rng.uniform(0.3, 0.99), rng.choice([0.5, 1.0, 1.5]), t,
+                       t * rng.uniform(0.01, 2.0)))
+    return points
+
+
+def test_default_tolerance_agrees_with_tight_reference():
+    # The default rel_tol against rel_tol = 1e-8 at seeded points of the
+    # three exact kernels; rho = 3/2 changes sign, so u may be negative.
+    for alpha, rho, t, r in _seeded_points():
+        got = subordinate(FracParams(alpha, rho, 1), t, r)
+        want = subordinate(FracParams(alpha, rho, 1), t, r, QuadratureSpec(rel_tol=1e-8))
+        assert got.sign == want.sign != 0, (alpha, rho, t, r)
+        assert got.log_abs == approx(want.log_abs, rel=0, abs=1e-6), (alpha, rho, t, r)
+
 
 def _near_classical_points():
     # Three (t, r) per alpha drawn from the grid: the Fourier reference alone
@@ -182,12 +218,12 @@ class TestWorkCounts:
         monkeypatch.setattr(subordination, "log_wright_array", counting)
         subordinate(FracParams(0.6, 1.0, 1), 2.0, 1.5)
         # One 25-point bracketing grid, one 16-step block per tail walk, and
-        # one panel round: 8 panels, each with its two halves, 96 nodes
-        # apiece.  A per-node loop over the panel nodes would make 768 more
-        # calls, and a one-node peak search or walk would add size-1 calls.
+        # one panel round: 8 panels of 31 Kronrod nodes.  A per-node loop
+        # over the panel nodes would make 248 more calls, and a one-node
+        # peak search or walk would add size-1 calls.
         assert min(sizes) > 1
-        assert sorted(sizes, reverse=True) == [768, 25, 16, 16]
-        assert sum(sizes) == 825
+        assert sorted(sizes, reverse=True) == [248, 25, 16, 16]
+        assert sum(sizes) == 305
 
 
 class TestSubordinateEnvelope:
