@@ -22,6 +22,7 @@ from .invasion import (
     Method,
     ProfileKind,
     SpeedProfile,
+    _point_log_u,
     run_experiment,
     thresholds,
 )
@@ -34,8 +35,7 @@ from .kernels import (
 )
 from .logvalue import LogValue
 from .specfun import mittag_leffler, wright_neg
-from .subordination import subordinate, subordinate_envelope
-from . import fourier1d
+from .subordination import DEFAULT_SPEC
 from .verify import SuiteName, run_suite
 
 
@@ -121,30 +121,21 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _config_from_file(path: str) -> ExperimentConfig:
-    with open(path) as fh:
-        raw = json.load(fh)
-    unknown = set(raw) - {f.name for f in dataclasses.fields(ExperimentConfig)}
-    if unknown:
-        raise _UsageError(f"unknown config keys: {sorted(unknown)}")
-    params_raw = raw.get("params", {})
-    unknown = set(params_raw) - {"alpha", "rho", "dim"}
-    if unknown:
-        raise _UsageError(f"unknown params keys: {sorted(unknown)}")
-    profile_raw = raw.get("profile", {})
-    unknown = set(profile_raw) - {"kind", "m", "beta"}
-    if unknown:
-        raise _UsageError(f"unknown profile keys: {sorted(unknown)}")
+def _experiment_config(raw: dict) -> ExperimentConfig:
+    """The ExperimentConfig of the nested dict a --config file holds, or the
+    invade flags make; keys left out take the dataclass defaults."""
+    if not isinstance(raw, dict):
+        raise _UsageError(f"bad config: not a JSON object: {raw!r}")
     try:
-        params = FracParams(**params_raw)
-        profile = SpeedProfile(
-            ProfileKind(profile_raw["kind"]),
-            profile_raw["m"],
-            profile_raw["beta"],
-        )
-        # Keys left out take the dataclass defaults.
-        rest = {k: v for k, v in raw.items() if k not in ("params", "profile")}
-        return ExperimentConfig(params=params, profile=profile, **rest)
+        for label, section, cls in (("config", raw, ExperimentConfig),
+                                    ("params", raw.get("params", {}), FracParams),
+                                    ("profile", raw.get("profile", {}), SpeedProfile)):
+            unknown = set(section) - {f.name for f in dataclasses.fields(cls)}
+            if unknown:
+                raise _UsageError(f"unknown {label} keys: {sorted(unknown)}")
+        profile = {**raw["profile"], "kind": ProfileKind(raw["profile"]["kind"])}
+        return ExperimentConfig(**{**raw, "params": FracParams(**raw.get("params", {})),
+                                   "profile": SpeedProfile(**profile)})
     except (KeyError, ValueError, TypeError, DomainError) as exc:
         raise _UsageError(f"bad config: {exc}") from exc
 
@@ -176,58 +167,23 @@ def _samples_csv(samples) -> str:
 
 
 def _report_json(report) -> str:
-    payload = {
-        "config": {
-            "params": {
-                "alpha": report.config.params.alpha,
-                "rho": report.config.params.rho,
-                "dim": report.config.params.dim,
-            },
-            "profile": {
-                "kind": report.config.profile.kind.value,
-                "m": report.config.profile.m,
-                "beta": report.config.profile.beta,
-            },
-            "t_start": report.config.t_start,
-            "t_end": report.config.t_end,
-            "n_samples": report.config.n_samples,
-            "method": report.config.method,
-            "output_path": report.config.output_path,
-            "format": report.config.format,
-        },
-        "thresholds": {
-            "gamma_alpha": report.thresholds.gamma_alpha,
-            "m_alpha": report.thresholds.m_alpha,
-            "power_lower": report.thresholds.power_lower,
-            "power_upper": report.thresholds.power_upper,
-            "exp_lower": report.thresholds.exp_lower,
-            "exp_upper": report.thresholds.exp_upper,
-        },
-        "classification": {
-            "verdict": report.classification.verdict.value,
-            "slope": report.classification.slope,
-            "window": list(report.classification.window),
-        },
-        "predicted": report.predicted,
-        "agreement": report.agreement,
-        "samples": [
-            {
-                "t": s.t,
-                "theta": s.theta,
-                "sign": 0 if s.log_u is None else s.log_u.sign,
-                "log_u": None if s.log_u is None else s.log_u.log_abs,
-                "method": s.method.value,
-                "failure": s.failure,
-            }
-            for s in sorted(report.samples, key=lambda s: s.t)
-        ],
-    }
-    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+    """Every field of the report, enums by value, and one row per sample."""
+    payload = dataclasses.asdict(report)
+    payload["samples"] = [
+        {
+            "t": s.t,
+            "theta": s.theta,
+            "sign": 0 if s.log_u is None else s.log_u.sign,
+            "log_u": None if s.log_u is None else s.log_u.log_abs,
+            "method": s.method.value,
+            "failure": s.failure,
+        }
+        for s in sorted(report.samples, key=lambda s: s.t)
+    ]
+    return json.dumps(payload, sort_keys=True, indent=2, default=lambda e: e.value) + "\n"
 
 
 def _cmd_eval(args) -> int:
-    if not math.isfinite(args.z):
-        raise _UsageError(f"z must be finite, got {args.z}")
     if args.function == "ml":
         if not 0.0 < args.alpha <= 1.0 or args.beta <= 0.0:
             raise _UsageError("require 0 < alpha <= 1 and beta > 0")
@@ -266,21 +222,12 @@ def _cmd_solution(args) -> int:
         raise _UsageError("require 0 < alpha < 1")
     if args.t <= 0.0 or args.r < 0.0 or args.dim < 1 or args.rho <= 0.0:
         raise _UsageError("require rho > 0, dim >= 1, t > 0 and r >= 0")
+    method = Method(args.method)
     params = FracParams(args.alpha, args.rho, args.dim)
-    if args.method == "envelope":
-        _print_logvalue(
-            "envelope", subordinate_envelope(args.alpha, args.rho, args.dim, args.t, args.r))
+    lv = _point_log_u(params, args.t, args.r, method, DEFAULT_SPEC)
+    if method is Method.ENVELOPE:
+        _print_logvalue("envelope", lv)
         return 0
-    if args.method == "fourier1d":
-        if args.dim != 1 or args.rho < 1.0:
-            raise _UsageError("fourier1d requires dim = 1 and rho >= 1")
-        if args.r == 0.0:
-            res = fourier1d.solution_at_origin(args.alpha, args.rho, args.t)
-        else:
-            res = fourier1d.solution_series(args.alpha, args.rho, args.t, args.r, 1e-8)
-        lv = LogValue.from_float(res.value)
-    else:
-        lv = subordinate(params, args.t, args.r)
     _print_logvalue("solution", lv)
     if lv.sign != 0 and abs(lv.log_abs) < 700.0:
         print(f"value={_fmt(lv.to_float())}")
@@ -289,42 +236,27 @@ def _cmd_solution(args) -> int:
 
 def _cmd_invade(args) -> int:
     if args.config:
-        config = _config_from_file(args.config)
+        try:
+            with open(args.config) as fh:
+                raw = json.load(fh)
+        except (OSError, ValueError) as exc:
+            raise _UsageError(f"bad config: {exc}") from exc
     else:
-        missing = [
-            flag
-            for flag, value in (
-                ("--alpha", args.alpha),
-                ("--rho", args.rho),
-                ("--profile", args.profile),
-                ("--m", args.m),
-                ("--beta", args.beta),
-            )
-            if value is None
-        ]
+        missing = [flag for flag in ("--alpha", "--rho", "--profile", "--m", "--beta")
+                   if getattr(args, flag[2:]) is None]
         if missing:
             raise _UsageError(f"missing required flags: {' '.join(missing)}")
-        dim = {} if args.dim is None else {"dim": args.dim}
-        given = {
-            name: value
-            for name, value in (
-                ("t_start", args.t_start),
-                ("t_end", args.t_end),
-                ("n_samples", args.n_samples),
-                ("method", args.method),
-                ("output_path", args.output),
-                ("format", args.format),
-            )
-            if value is not None
-        }
-        try:
-            config = ExperimentConfig(
-                params=FracParams(args.alpha, args.rho, **dim),
-                profile=SpeedProfile(ProfileKind(args.profile), args.m, args.beta),
-                **given,
-            )
-        except DomainError as exc:
-            raise _UsageError(str(exc)) from exc
+
+        def given(**fields):
+            return {key: value for key, value in fields.items() if value is not None}
+
+        raw = given(
+            params=given(alpha=args.alpha, rho=args.rho, dim=args.dim),
+            profile=given(kind=args.profile, m=args.m, beta=args.beta),
+            t_start=args.t_start, t_end=args.t_end, n_samples=args.n_samples,
+            method=args.method, output_path=args.output, format=args.format,
+        )
+    config = _experiment_config(raw)
     report = run_experiment(config)
     print(
         f"verdict={report.classification.verdict.value} "
@@ -347,31 +279,15 @@ def _cmd_thresholds(args) -> int:
     if args.rho <= 0.0 or args.dim < 1:
         raise _UsageError("require rho > 0 and dim >= 1")
     rep = thresholds(args.alpha, args.rho, args.dim)
-    print(f"gamma_alpha={_fmt(rep.gamma_alpha)}")
-    print(f"m_alpha={rep.m_alpha}")
-    print(f"power_lower={_fmt(rep.power_lower)}")
-    print(f"power_upper={_fmt(rep.power_upper)}")
-    print(f"exp_lower={_fmt(rep.exp_lower)}")
-    print(f"exp_upper={_fmt(rep.exp_upper)}")
+    for name, value in dataclasses.asdict(rep).items():
+        print(f"{name}={value if isinstance(value, int) else _fmt(value)}")
     return 0
 
 
 def _cmd_verify(args) -> int:
     report = run_suite(args.suite)
     if args.json:
-        print(
-            json.dumps(
-                {
-                    "suite_name": report.suite_name,
-                    "cases_run": report.cases_run,
-                    "cases_passed": report.cases_passed,
-                    "worst_rel_error": report.worst_rel_error,
-                    "worst_case_inputs": report.worst_case_inputs,
-                },
-                sort_keys=True,
-                indent=2,
-            )
-        )
+        print(json.dumps(dataclasses.asdict(report), sort_keys=True, indent=2))
     else:
         print(
             f"suite={report.suite_name} passed={report.cases_passed}/"
@@ -389,6 +305,9 @@ def main(argv=None) -> int:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
     try:
+        for name, value in vars(args).items():
+            if isinstance(value, float) and not math.isfinite(value):
+                raise _UsageError(f"--{name.replace('_', '-')} must be finite, got {value}")
         if args.command == "eval":
             return _cmd_eval(args)
         if args.command == "kernel":

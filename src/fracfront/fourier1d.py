@@ -124,21 +124,30 @@ def solution_series(
     return EvalResult(value.to_float(), bound.to_float(), n, Regime.QUADRATURE)
 
 
+_ORIGIN_END = 1e6  # X, where the integral at the origin is cut
+
+
+def _log_solution_at_origin(alpha: float, rho: float, t: float) -> LogValue:
+    """Signed log of (1/pi) integral_0^X E_a(t^a (1 - xi^{2 rho})) d xi, one
+    adaptive integral from the panels [0, 1] and the decades up to X."""
+    edges = [0.0] + np.geomspace(1.0, _ORIGIN_END, 7).tolist()
+    seg = _segment_integral_log(alpha, rho, t, 0.0, *edges)
+    return LogValue(seg.sign, seg.log_abs - math.log(math.pi))
+
+
 def solution_at_origin(alpha: float, rho: float, t: float) -> EvalResult:
     """u_{a,rho}(t, 0) = (1/pi) integral_0^inf E_a(t^a (1 - xi^{2 rho})) d xi.
 
-    No oscillation at the origin, so one adaptive integral replaces the series,
-    from the panels [0, 1] and the decades up to X = 1e6.  The bound is its
+    No oscillation at the origin, so one adaptive integral up to X = 1e6
+    replaces the series (``_log_solution_at_origin``).  The bound is its
     tolerance 1e-9 relative plus the tail beyond X: E_a(-x) <= Gamma(1 + a)/x
     bounds it by Gamma(1 + a) X^{1 - 2 rho} / (pi t^a (2 rho - 1)(1 - X^{-2 rho})).
     """
     if not 0.0 < alpha < 1.0:
         raise DomainError(f"alpha must be in (0,1), got {alpha}")
-    end = 1e6
-    edges = [0.0] + np.geomspace(1.0, end, 7).tolist()
-    value = _segment_integral_log(alpha, rho, t, 0.0, *edges).to_float() / math.pi
-    tail = (math.gamma(1.0 + alpha) * end ** (1.0 - 2.0 * rho)
-            / (math.pi * t ** alpha * (2.0 * rho - 1.0) * (1.0 - end ** (-2.0 * rho))))
+    value = _log_solution_at_origin(alpha, rho, t).to_float()
+    tail = (math.gamma(1.0 + alpha) * _ORIGIN_END ** (1.0 - 2.0 * rho)
+            / (math.pi * t ** alpha * (2.0 * rho - 1.0) * (1.0 - _ORIGIN_END ** (-2.0 * rho))))
     return EvalResult(value, 1e-9 * abs(value) + tail, 0, Regime.QUADRATURE)
 
 

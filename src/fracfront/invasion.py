@@ -18,7 +18,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import DomainError, FracFrontError, InsufficientData, Unsupported
-from .fourier1d import _solution_series_log
+from .fourier1d import _log_solution_at_origin, _solution_series_log
 from .kernels import FracParams, classical_solution
 from .logvalue import LogValue
 from .specfun import gamma_alpha, log_mittag_leffler, m_alpha
@@ -56,8 +56,8 @@ class SpeedProfile:
     beta: float
 
     def __post_init__(self):
-        if self.m <= 0.0 or self.beta <= 0.0:
-            raise DomainError("speed profile requires m > 0 and beta > 0")
+        if not (0.0 < self.m < math.inf and 0.0 < self.beta < math.inf):
+            raise DomainError("speed profile requires finite m > 0 and beta > 0")
 
 
 def theta(profile: SpeedProfile, t: float) -> float:
@@ -107,8 +107,8 @@ def thresholds(alpha: float, rho: float, d: int) -> ThresholdReport:
     """
     if d < 1:
         raise DomainError(f"d must be >= 1, got {d}")
-    if rho <= 0.0:
-        raise DomainError(f"rho must be positive, got {rho}")
+    if not 0.0 < rho < math.inf:
+        raise DomainError(f"rho must be positive and finite, got {rho}")
     g = gamma_alpha(alpha)
     m_a = m_alpha(alpha)
     return ThresholdReport(
@@ -124,24 +124,34 @@ def thresholds(alpha: float, rho: float, d: int) -> ThresholdReport:
 def _point_log_u(
     params: FracParams, t: float, x: float, method: Method, spec: QuadratureSpec
 ) -> LogValue:
+    """Signed log of u(t, x) by ``method``: the one table of routes.
+
+    A route that cannot compute (params, method) raises Unsupported here,
+    before any integral: subordination needs an exact kernel (rho in
+    {1/2, 1}, or rho > 1 in d = 1), fourier1d needs d = 1 and rho >= 1, and
+    the envelope route rho in (0,1).  alpha = 1 is the classical solution
+    on every route.
+    """
+    rho, d = params.rho, params.dim
+    if method is Method.SUBORDINATION and not (rho in (0.5, 1.0) or (rho > 1.0 and d == 1)):
+        raise Unsupported(f"subordination route has no exact kernel for rho = {rho} in dimension {d}")
+    if method is Method.FOURIER1D and (d != 1 or rho < 1.0):
+        raise Unsupported("fourier1d route requires d = 1 and rho >= 1")
+    if method is Method.ENVELOPE and rho >= 1.0:
+        raise Unsupported("envelope route requires rho in (0,1)")
     if params.alpha == 1.0:
         return classical_solution(params, t, x)
     if method is Method.SUBORDINATION:
         return subordinate(params, t, x, spec)
-    if method is Method.FOURIER1D:
-        if params.dim != 1 or params.rho < 1.0:
-            raise Unsupported("fourier1d route requires d = 1 and rho >= 1")
-        if x <= 0.0:
-            raise Unsupported("fourier1d route requires theta > 0")
-        # Absolute series tolerance pinned a fixed number of nats below the
-        # total-mass scale, which dominates every a_k.
-        scale = log_mittag_leffler(params.alpha, t ** params.alpha).log_abs
-        tol = math.exp(min(scale - 22.0, 700.0))
-        value, _, _, _ = _solution_series_log(
-            params.alpha, params.rho, t, x, tol
-        )
-        return value
-    return subordinate_envelope(params.alpha, params.rho, params.dim, t, x, spec)
+    if method is Method.ENVELOPE:
+        return subordinate_envelope(params.alpha, rho, d, t, x, spec)
+    if x == 0.0:
+        return _log_solution_at_origin(params.alpha, rho, t)
+    # Absolute series tolerance pinned a fixed number of nats below the
+    # total-mass scale, which dominates every a_k.
+    scale = log_mittag_leffler(params.alpha, t ** params.alpha).log_abs
+    tol = math.exp(min(scale - 22.0, 700.0))
+    return _solution_series_log(params.alpha, rho, t, x, tol)[0]
 
 
 def trajectory(
@@ -154,38 +164,34 @@ def trajectory(
     """One sample of log u(t, theta(t)) per grid point.
 
     Per-point failures are recorded in the sample rather than aborting the
-    sweep; a method/parameter mismatch aborts immediately.
+    sweep; Unsupported, a route that cannot compute the cell, aborts it.
     """
     ts = [float(t) for t in t_grid]
     if any(b <= a for a, b in zip(ts, ts[1:])):
         raise DomainError("t_grid must be strictly increasing")
-    if method is Method.ENVELOPE:
-        if not 0.0 < params.rho < 1.0:
-            raise Unsupported("envelope route requires rho in (0,1)")
-    if method is Method.FOURIER1D and params.dim != 1:
-        raise Unsupported("fourier1d route requires d = 1")
     samples = []
     for t in ts:
         x = theta(profile, t)
         try:
-            lv = _point_log_u(params, t, x, method, spec)
-            samples.append(TrajectorySample(t, x, lv, method))
+            samples.append(TrajectorySample(t, x, _point_log_u(params, t, x, method, spec), method))
+        except Unsupported:
+            raise
         except FracFrontError as exc:
             samples.append(TrajectorySample(t, x, None, method, failure=str(exc)))
     return samples
 
 
-def classify(
-    samples: list[TrajectorySample],
-    window_fraction: float = 0.5,
-    slope_tol: float = 0.02,
-) -> Classification:
+# The trailing share of the samples whose slope decides the verdict, and the
+# slope below which it is inconclusive.
+_WINDOW_FRACTION = 0.5
+_SLOPE_TOL = 0.02
+
+
+def classify(samples: list[TrajectorySample]) -> Classification:
     """Least-squares slope of log u over the trailing window of samples."""
-    if not 0.0 < window_fraction <= 1.0:
-        raise DomainError("window_fraction must be in (0, 1]")
     # At least four samples (when available) so the slope fit below is
     # meaningful even for the shortest legal grids.
-    n_win = min(len(samples), max(4, math.ceil(window_fraction * len(samples))))
+    n_win = min(len(samples), max(4, math.ceil(_WINDOW_FRACTION * len(samples))))
     window = samples[len(samples) - n_win:]
     pts = [
         (s.t, s.log_u.log_abs)
@@ -202,9 +208,9 @@ def classify(
     ts = np.array([p[0] for p in pts])
     ys = np.array([p[1] for p in pts])
     slope = float(np.polyfit(ts, ys, 1)[0])
-    if slope > slope_tol:
+    if slope > _SLOPE_TOL:
         verdict = Verdict.DIVERGING
-    elif slope < -slope_tol:
+    elif slope < -_SLOPE_TOL:
         verdict = Verdict.VANISHING
     else:
         verdict = Verdict.INCONCLUSIVE
@@ -270,8 +276,8 @@ class ExperimentConfig:
     format: str = "csv"
 
     def __post_init__(self):
-        if not 0.0 < self.t_start < self.t_end:
-            raise DomainError("require 0 < t_start < t_end")
+        if not 0.0 < self.t_start < self.t_end < math.inf:
+            raise DomainError("require 0 < t_start < t_end < inf")
         # A JSON config can carry any number here; bool is an int subclass.
         if isinstance(self.n_samples, bool) or not isinstance(self.n_samples, numbers.Integral):
             raise DomainError(f"n_samples must be an integer, got {self.n_samples!r}")

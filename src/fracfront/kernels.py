@@ -32,10 +32,10 @@ class FracParams:
     def __post_init__(self):
         if not 0.0 < self.alpha <= 1.0:
             raise DomainError(f"alpha must be in (0,1], got {self.alpha}")
-        if self.rho <= 0.0:
-            raise DomainError(f"rho must be positive, got {self.rho}")
-        if self.dim < 1:
-            raise DomainError(f"dim must be >= 1, got {self.dim}")
+        if not 0.0 < self.rho < math.inf:
+            raise DomainError(f"rho must be positive and finite, got {self.rho}")
+        if not 1 <= self.dim < math.inf:
+            raise DomainError(f"dim must be >= 1 and finite, got {self.dim}")
 
 
 def _log_gaussian(t, r: float, d: int):
@@ -61,21 +61,22 @@ def log_envelope_shape(rho: float, t, r: float, d: int):
     return np.log(t) - 0.5 * (d + 2.0 * rho) * log_quad
 
 
+def _check_point(t: float, r: float) -> None:
+    if not 0.0 < t < math.inf:
+        raise DomainError(f"t must be positive and finite, got {t}")
+    if not 0.0 <= r < math.inf:
+        raise DomainError(f"radius must be >= 0 and finite, got {r}")
+
+
 def gaussian_density(t: float, r: float, d: int = 1) -> LogValue:
     """Log of the heat kernel e^{-r^2/4t} / (4 pi t)^{d/2} at radius r."""
-    if t <= 0.0:
-        raise DomainError(f"t must be positive, got {t}")
-    if r < 0.0:
-        raise DomainError(f"radius must be >= 0, got {r}")
+    _check_point(t, r)
     return LogValue(1, float(_log_gaussian(t, r, d)))
 
 
 def cauchy_density(t: float, r: float, d: int = 1) -> LogValue:
     """Log of the Poisson kernel c_d t / (r^2 + t^2)^{(d+1)/2}."""
-    if t <= 0.0:
-        raise DomainError(f"t must be positive, got {t}")
-    if r < 0.0:
-        raise DomainError(f"radius must be >= 0, got {r}")
+    _check_point(t, r)
     return LogValue(1, float(_log_cauchy(t, r, d)))
 
 
@@ -84,8 +85,7 @@ def stable_envelope(rho: float, t: float, r: float, d: int) -> LogValue:
     the stable kernel lies between constant multiples of it."""
     if not 0.0 < rho < 1.0:
         raise DomainError(f"stable envelope only holds for rho in (0,1), got {rho}")
-    if t <= 0.0 or r < 0.0:
-        raise DomainError("require t > 0 and r >= 0")
+    _check_point(t, r)
     return LogValue(1, float(log_envelope_shape(rho, t, r, d)))
 
 
@@ -150,8 +150,7 @@ def higher_order_kernel_1d(rho: float, t: float, x: float) -> LogValue:
     """
     if rho < 1.0:
         raise DomainError(f"higher-order kernel requires rho >= 1, got {rho}")
-    if t <= 0.0:
-        raise DomainError(f"t must be positive, got {t}")
+    _check_point(t, abs(x))
     sign, log_abs = _log_kernel(rho, 1, np.array([float(t)]), abs(x))
     return LogValue.from_log(float(log_abs[0]), int(sign[0]))
 
@@ -204,8 +203,7 @@ def classical_solution(params: FracParams, t: float, r: float) -> LogValue:
     """
     if params.alpha != 1.0:
         raise DomainError("classical_solution is the alpha = 1 solution")
-    if t <= 0.0 or r < 0.0:
-        raise DomainError("require t > 0 and r >= 0")
+    _check_point(t, r)
     rho, d = params.rho, params.dim
     if rho < 1.0 and rho != 0.5:
         return LogValue(1, t + stable_envelope(rho, t, r, d).log_abs)

@@ -399,29 +399,25 @@ def wright_neg(nu: float, mu: float, z: float) -> EvalResult:
 
 @functools.lru_cache(maxsize=64)
 def _bridge_rule(alpha: float, mu: float):
-    """Quadrature data for integral_0^inf e^{z s} W_{-a,mu}(-s) ds.
+    """Nodes s and weights times W_{-a,mu}(-s) of a fixed rule for
+    integral_0^inf e^{z s} W_{-a,mu}(-s) ds.
 
     The Laplace-Wright integral of E_{a,mu+a}(z): verify's cross-check of
     the Mittag-Leffler evaluation against the Wright evaluator, kept out of
     ``mittag_leffler`` itself.  The Wright factor does not depend on z, so
-    nodes, weights and Wright values over [0, S] (with Y(S) = 50, i.e. W
-    below e^{-50}) are built once per (alpha, mu), as a fine and a coarse
-    rule whose difference estimates the error.
+    the 64 Gauss-Legendre panels over [0, S] (with Y(S) = 50, i.e. W below
+    e^{-50}) and their Wright values are built once per (alpha, mu).
     """
     s_end = (50.0 / (1.0 - alpha)) ** (1.0 - alpha) / alpha ** alpha
-
-    def build(n_panels):
-        ss, ww = gl_panels(np.linspace(0.0, s_end, n_panels + 1))
-        # Deep-tail nodes are e^{-Y} down in relative weight, so their own
-        # tolerance can relax accordingly.
-        y = np.minimum(_wright_big_y(alpha, ss), 40.0)
-        tol = np.maximum(np.minimum(1e-2, 1e-9 * np.exp(y)), 1e-11)
-        sign, log_abs, est, _ = log_wright_array(alpha, mu, ss, tol)
-        if np.any(est == math.inf):
-            raise NonConvergence(f"no trustworthy regime for W_(-{alpha},{mu}) at a bridge node")
-        return ss, ww * sign * np.exp(log_abs)
-
-    return build(64), build(32)
+    ss, ww = gl_panels(np.linspace(0.0, s_end, 65))
+    # Deep-tail nodes are e^{-Y} down in relative weight, so their own
+    # tolerance can relax accordingly.
+    y = np.minimum(_wright_big_y(alpha, ss), 40.0)
+    tol = np.maximum(np.minimum(1e-2, 1e-9 * np.exp(y)), 1e-11)
+    sign, log_abs, est, _ = log_wright_array(alpha, mu, ss, tol)
+    if np.any(est == math.inf):
+        raise NonConvergence(f"no trustworthy regime for W_(-{alpha},{mu}) at a bridge node")
+    return ss, ww * sign * np.exp(log_abs)
 
 
 # The trapezoid rule on the hyperbola s(u) = mu (1 + sin(iu - 1.1721)) with

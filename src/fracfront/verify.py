@@ -98,7 +98,7 @@ def _suite_ml_identities(tol: float) -> list[_Case]:
     # pole's residue for z > 0) vs the transform quadrature over Wright values.
     for alpha in (0.3, 0.5, 0.7):
         for beta in (1.0, alpha):
-            (s_f, f_f), _ = _bridge_rule(alpha, beta - alpha)
+            s_f, f_f = _bridge_rule(alpha, beta - alpha)
             for z in (-3.0, -1.0, 0.0, 0.5, 1.0):
                 quad = float(np.dot(f_f, np.exp(z * s_f)))
                 direct = specfun.mittag_leffler(alpha, beta, z).value
@@ -326,7 +326,7 @@ def _suite_asymptotics(tol: float) -> list[_Case]:
     # Negative-axis contour rule against the Laplace-Wright transform at z = -30.
     for alpha in (0.4, 0.6):
         direct = specfun.mittag_leffler(alpha, 1.0, -30.0).value
-        (s_f, f_f), _ = _bridge_rule(alpha, 1.0 - alpha)
+        s_f, f_f = _bridge_rule(alpha, 1.0 - alpha)
         quad = float(np.dot(f_f, np.exp(-30.0 * s_f)))
         cases.append(_Case(f"ml-negative-tail alpha={alpha}", _rel(direct, quad), 1e-4))
     # Wright tail leading term within 5% at Y = 25, against the nu = 1/2 closed forms.
@@ -376,23 +376,17 @@ _SUITES = {
 }
 
 
-def run_suite(name, tol_overrides: dict | None = None) -> SuiteReport:
-    """Run one named suite (or "all") and report pass counts and worst error.
-
-    tol_overrides maps suite names to replacement default tolerances for
-    exploratory runs; acceptance always uses the built-in defaults.
-    """
+def run_suite(name) -> SuiteReport:
+    """Run one named suite (or "all") and report pass counts and worst error."""
     if not isinstance(name, SuiteName):
         name = SuiteName(str(name).lower())
-    overrides = tol_overrides or {}
     if name is SuiteName.ALL:
         sub_names = [s for s in SuiteName if s is not SuiteName.ALL]
     else:
         sub_names = [name]
     cases: list[_Case] = []
     for sub in sub_names:
-        fn, default_tol = _SUITES[sub]
-        tol = float(overrides.get(sub.value, default_tol))
+        fn, tol = _SUITES[sub]
         cases.extend(fn(tol))
     worst = max(cases, key=lambda c: c.error)
     return SuiteReport(

@@ -79,13 +79,30 @@ class TestEval:
         assert proc.returncode == 1
 
     def test_usage_error_on_non_finite_argument(self):
-        for function in (["ml", "--alpha", "0.5", "--beta", "1"],
-                         ["wright", "--nu", "0.5", "--mu", "0.5"]):
-            for z in ("--z=nan", "--z=-inf"):
-                err = io.StringIO()
-                with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
-                    assert main(["eval", *function, z]) == 1
-                assert "usage error" in err.getvalue()
+        argvs = [
+            ["eval", *function, z]
+            for function in (["ml", "--alpha", "0.5", "--beta", "1"],
+                             ["wright", "--nu", "0.5", "--mu", "0.5"])
+            for z in ("--z=nan", "--z=-inf")
+        ]
+        argvs += [
+            ["kernel", "--rho", "1", "--dim", "1", "--t", "nan", "--r", "1"],
+            ["kernel", "--rho", "1", "--dim", "1", "--t", "1", "--r", "inf"],
+            ["thresholds", "--alpha", "0.5", "--rho", "nan", "--dim", "1"],
+            ["invade", "--alpha", "0.5", "--rho", "1", "--profile", "power",
+             "--m", "nan", "--beta", "0.5"],
+            ["invade", "--alpha", "0.5", "--rho", "1", "--profile", "power",
+             "--m", "1", "--beta", "0.5", "--t-end", "inf"],
+            ["solution", "--alpha", "0.5", "--rho", "1", "--dim", "1",
+             "--t", "1", "--r", "nan"],
+        ]
+        for argv in argvs:
+            err, out = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stderr(err), contextlib.redirect_stdout(out):
+                assert main(argv) == 1, argv
+            assert "usage error" in err.getvalue()
+            assert "must be finite" in err.getvalue()
+            assert out.getvalue() == ""
 
 
 class TestKernelAndThresholds:
@@ -125,13 +142,16 @@ class TestKernelAndThresholds:
 
 class TestSolution:
     def test_routes_agree(self):
-        args = ["--alpha", "0.5", "--rho", "1", "--dim", "1", "--t", "1", "--r", "1"]
-        out = {}
-        for method in ("subordination", "fourier1d"):
-            proc = run_cli("solution", *args, "--method", method)
-            assert proc.returncode == 0
-            out[method] = float(proc.stdout.split("log_abs=")[1].split()[0])
-        assert out["subordination"] == approx(out["fourier1d"], abs=1e-3)
+        # At r = 0 the Fourier route is the one integral at the origin.
+        for r in ("1", "0"):
+            args = ["--alpha", "0.5", "--rho", "1", "--dim", "1", "--t", "1", "--r", r]
+            out = {}
+            for method in ("subordination", "fourier1d"):
+                proc = run_cli("solution", *args, "--method", method)
+                assert proc.returncode == 0
+                assert "value=" in proc.stdout
+                out[method] = float(proc.stdout.split("log_abs=")[1].split()[0])
+            assert out["subordination"] == approx(out["fourier1d"], abs=1e-3)
 
     def test_envelope_prints_one_line(self):
         proc = run_cli(
@@ -142,13 +162,31 @@ class TestSolution:
         assert proc.stdout.startswith("envelope sign=+1 log_abs=")
         assert len(proc.stdout.splitlines()) == 1
 
+    def test_fourier_route_is_log_domain(self):
+        # u is about e^757 here, past double range: the Fourier route sums
+        # the series in log space, as the trajectory does, and agrees with
+        # the subordination route.
+        args = ["--alpha", "0.9", "--rho", "2", "--dim", "1", "--t", "760"]
+        for r in ("1", "0"):
+            out = {}
+            for method in ("subordination", "fourier1d"):
+                buf = io.StringIO()
+                with contextlib.redirect_stdout(buf):
+                    assert main(["solution", *args, "--r", r, "--method", method]) == 0
+                lines = buf.getvalue().splitlines()
+                assert len(lines) == 1 and lines[0].startswith("solution sign=+1 log_abs=")
+                out[method] = float(lines[0].split("log_abs=")[1])
+            assert out["fourier1d"] == approx(out["subordination"], rel=1e-9)
+
     def test_unsupported_route_is_computation_failure(self):
-        proc = run_cli(
-            "solution", "--alpha", "0.5", "--rho", "0.7", "--dim", "1",
-            "--t", "1", "--r", "1", "--method", "subordination",
-        )
-        assert proc.returncode == 2
-        assert "computation failed" in proc.stderr
+        # Every route mismatch, on the route table's message.
+        for rho, dim, method in (("0.7", "1", "subordination"), ("0.7", "1", "fourier1d"),
+                                 ("1", "2", "fourier1d"), ("1", "1", "envelope")):
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+                assert main(["solution", "--alpha", "0.5", "--rho", rho, "--dim", dim,
+                             "--t", "1", "--r", "1", "--method", method]) == 2
+            assert "computation failed" in err.getvalue() and "route" in err.getvalue()
 
 
 class TestInvade:
@@ -203,6 +241,17 @@ class TestInvade:
         proc = run_cli("invade", "--config", str(path))
         assert proc.returncode == 1
         assert "t_stop" in proc.stderr
+
+    def test_malformed_config_is_usage_error(self, tmp_path):
+        path = tmp_path / "config.json"
+        nan_rho = json.dumps({"params": {"alpha": 0.5, "rho": math.nan},
+                              "profile": {"kind": "power", "m": 1.0, "beta": 0.5}})
+        for text in ("[1, 2]", "{", nan_rho):
+            path.write_text(text)
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err):
+                assert main(["invade", "--config", str(path)]) == 1
+            assert "usage error: bad config" in err.getvalue()
 
     def test_unknown_method_in_config_is_usage_error(self, tmp_path):
         path = tmp_path / "config.json"

@@ -18,7 +18,13 @@ from fracfront.invasion import (
     thresholds,
     trajectory,
 )
-from fracfront.kernels import FracParams
+from fracfront.kernels import (
+    FracParams,
+    cauchy_density,
+    gaussian_density,
+    higher_order_kernel_1d,
+    stable_envelope,
+)
 from fracfront.logvalue import LogValue
 
 
@@ -112,10 +118,6 @@ class TestClassify:
         with raises(InsufficientData):
             classify(samples)
 
-    def test_window_fraction_validation(self):
-        with raises(DomainError):
-            classify(_synthetic(0.5), window_fraction=0.0)
-
 
 class TestTrajectory:
     def test_one_sample_per_grid_point(self):
@@ -133,14 +135,26 @@ class TestTrajectory:
 
     def test_route_mismatch_aborts(self):
         profile = SpeedProfile(ProfileKind.POWER, 1.0, 0.5)
-        with raises(Unsupported):
-            trajectory(
-                FracParams(0.5, 1.0, 1), profile, [1.0, 2.0], Method.ENVELOPE
-            )
-        with raises(Unsupported):
-            trajectory(
-                FracParams(0.5, 1.0, 2), profile, [1.0, 2.0], Method.FOURIER1D
-            )
+        for method, rho, d in [
+            (Method.SUBORDINATION, 0.7, 1),
+            (Method.SUBORDINATION, 1.5, 2),
+            (Method.FOURIER1D, 0.7, 1),
+            (Method.FOURIER1D, 1.0, 2),
+            (Method.ENVELOPE, 1.0, 1),
+            (Method.ENVELOPE, 1.5, 1),
+        ]:
+            for alpha in (0.5, 1.0):
+                with raises(Unsupported, match="route"):
+                    trajectory(FracParams(alpha, rho, d), profile, [1.0, 2.0], method)
+
+    def test_other_failures_stay_per_sample(self):
+        # theta(10) = e^50 - 1 is past the cosine transform's panel guard: a
+        # QuadratureFailure in that sample, not an aborted sweep.
+        profile = SpeedProfile(ProfileKind.EXPONENTIAL, 5.0, 1.0)
+        first, last = trajectory(
+            FracParams(0.5, 1.5, 1), profile, [0.1, 10.0], Method.SUBORDINATION)
+        assert first.failure is None and first.log_u.sign == 1
+        assert last.log_u is None and "did not terminate" in last.failure
 
 
 class TestExperimentConfig:
@@ -158,6 +172,24 @@ class TestExperimentConfig:
         for bad in (4.5, True):
             with raises(DomainError):
                 ExperimentConfig(params, profile, n_samples=bad)
+        nan, inf = math.nan, math.inf
+        for make in (
+            lambda: ExperimentConfig(params, profile, t_end=inf),
+            lambda: ExperimentConfig(params, profile, t_start=nan),
+            lambda: FracParams(0.5, nan),
+            lambda: FracParams(0.5, inf),
+            lambda: FracParams(0.5, 1.0, nan),
+            lambda: SpeedProfile(ProfileKind.POWER, nan, 0.5),
+            lambda: SpeedProfile(ProfileKind.POWER, 1.0, inf),
+            lambda: gaussian_density(nan, 1.0),
+            lambda: gaussian_density(1.0, inf),
+            lambda: cauchy_density(inf, 1.0),
+            lambda: stable_envelope(0.7, 1.0, nan, 1),
+            lambda: higher_order_kernel_1d(1.5, 1.0, nan),
+            lambda: thresholds(0.5, nan, 1),
+        ):
+            with raises(DomainError):
+                make()
 
 
 class TestRunExperiment:
