@@ -13,6 +13,7 @@ one-point views.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,8 +35,10 @@ class FracParams:
             raise DomainError(f"alpha must be in (0,1], got {self.alpha}")
         if not 0.0 < self.rho < math.inf:
             raise DomainError(f"rho must be positive and finite, got {self.rho}")
-        if not 1 <= self.dim < math.inf:
-            raise DomainError(f"dim must be >= 1 and finite, got {self.dim}")
+        if isinstance(self.dim, bool) or not isinstance(self.dim, numbers.Integral):
+            raise DomainError(f"dim must be an integer, got {self.dim!r}")
+        if self.dim < 1:
+            raise DomainError(f"dim must be >= 1, got {self.dim}")
 
 
 def _log_gaussian(t, r: float, d: int):

@@ -17,10 +17,10 @@ function families against each other.
 W_{-nu,mu}(-x) has one evaluator, ``log_wright_array``, which takes an
 array of x: closed forms at x = 0 and nu = 1/2, one Talbot contour rule for
 the Hankel integral at saddle variable 0 < Y = (1-nu)(nu^nu x)^{1/(1-nu)}
-<= 1e5, evaluated as a (nodes x contour) matrix, and beyond it the
-saddle-point tail A0(nu, mu) Y^{1/2-mu} e^{-Y} with 1/Y corrections fitted
-once per (nu, mu) against the Talbot rule.  ``_log_wright`` is its one-point
-view, and ``wright_neg`` and ``log_wright_tail`` (the leading tail term
+<= 1e5, and beyond it the saddle-point tail A0(nu, mu) Y^{1/2-mu} e^{-Y}
+with 1/Y corrections, the first in closed form and three fitted once per
+(nu, mu) against the Talbot rule, whose nodes cluster at the saddle so that
+their count does not grow with Y.  ``_log_wright`` is its one-point view, and ``wright_neg`` and ``log_wright_tail`` (the leading tail term
 alone) are views of that.  Both families run in double precision with
 ``reciprocal_gamma`` as the one 1/Gamma; mpmath answers only
 1F1(1; b; z)/Gamma(b) at a = 1 and ``gamma_upper_incomplete``.
@@ -121,32 +121,33 @@ def log_wright_tail(nu: float, mu: float, z: float) -> LogValue:
     return LogValue(1, float(_log_wright_lead(nu, mu, y)))
 
 
-# Fit abscissas for the tail-correction coefficients; their product bounds
-# the leakage of the first neglected coefficient into the fitted a1.
+# Fit abscissas of the tail corrections a2..a4.
 _TAIL_FIT_YS = (20.0, 32.0, 50.0)
 
-# The neglected a4/Y^4 order of the tail leaks into the fitted a1 by about
-# a4/(y1 y2 y3), felt as a 1/Y relative error; this is that factor.
-_TAIL_LEAK = 1.0 / (_TAIL_FIT_YS[0] * _TAIL_FIT_YS[1] * _TAIL_FIT_YS[2])
-
-_TALBOT_MIN_N, _TALBOT_MAX_N = 64, 4096
+_TALBOT_MIN_N, _TALBOT_MAX_N = 32, 4096
 
 
-@functools.cache
-def _talbot_level(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Radius-1 Talbot nodes s = theta(cot theta + i), log s and ds/dtheta at
-    the theta = k pi/n the n-node trapezoid rule adds to the n/2-node one:
-    every k < n at n = 64, the odd k above.  s(0) = 1 and ds(0) = i, the
-    latter with the end weight 1/2."""
+@functools.lru_cache(maxsize=32)
+def _talbot_level(n: int, j: int, nu: float, mu: float) -> np.ndarray:
+    """The radius-1 Talbot path s = theta(cot theta + i) at
+    theta = u - (1 - e) sin u, e = 2^-j, for the u = k pi/n the n-node
+    trapezoid rule in u adds to the n/2-node one (every k < n at n = 32, the
+    odd k above), as the rows (Re s, Im s, Re s^nu, Im s^nu, Re c, Im c),
+    c = log ds/du - mu log s, of the terms of W_{-nu,mu}.  s(0) = 1 and
+    ds/du(0) = i e, the latter with the end weight 1/2."""
     k = np.arange(n) if n == _TALBOT_MIN_N else np.arange(1, n, 2)
-    theta = k * (math.pi / n)
+    u = k * (math.pi / n)
+    squeeze = 1.0 - 2.0 ** -j
+    theta = u - squeeze * np.sin(u)
     with np.errstate(divide="ignore", invalid="ignore"):
         cot = 1.0 / np.tan(theta)
         s = theta * (cot + 1j)
-        ds = cot - theta / np.sin(theta) ** 2 + 1j
+        ds = (cot - theta / np.sin(theta) ** 2 + 1j) * (1.0 - squeeze * np.cos(u))
     if k[0] == 0:
-        s[0], ds[0] = 1.0, 0.5j
-    return s, np.log(s), ds
+        s[0], ds[0] = 1.0, 0.5j * 2.0 ** -j
+    log_s = np.log(s)
+    s_nu, c = np.exp(nu * log_s), np.log(ds) - mu * log_s
+    return np.array([s.real, s.imag, s_nu.real, s_nu.imag, c.real, c.imag])
 
 
 def _wright_talbot(nu: float, mu: float, x: np.ndarray, y: np.ndarray,
@@ -155,31 +156,35 @@ def _wright_talbot(nu: float, mu: float, x: np.ndarray, y: np.ndarray,
     of the arrays x, y (the saddle variable) and tol.
 
     (1/2 pi i) int sigma^{-mu} e^{sigma - x sigma^nu} d sigma over
-    sigma(theta) = r theta(cot theta + i), by the trapezoid rule in theta.
-    r = nu Y/(1-nu) puts theta = 0 on the real-axis saddle, where the phase
-    is -Y, so e^{-Y} factors out and the sum stays O(1) for any Y.  At small
-    Y, r is floored at the largest of 1/(1-nu), 1/(2(1-nu)), ... where the
-    real-axis phase r - x r^nu + Y is at most 3, and at least 2: as nu -> 1
-    the integrand decays ever more slowly along the contour unless r grows
-    like 1/(1-nu), and the cap bounds the cancellation that brings.  The
-    node count doubles from 64 (and from at least 48 + 8 sqrt(Y), the saddle
-    peak being ~1/sqrt(Y) wide in theta) until the n- and n/2-node sums
-    agree to ``tol`` and either the estimate below meets ``tol`` or their
-    difference is under its rounding part, which more nodes only grow; or
-    until n = 4096.  Each doubling adds only the odd nodes, and evaluates
-    them at the nodes still running as (nodes x contour) matrices of at most
-    _WRIGHT_CHUNK x 64 entries: _WRIGHT_CHUNK nodes a matrix at the first
-    two levels (64 contour nodes each), fewer as the levels grow.
+    sigma(theta) = r theta(cot theta + i), by the trapezoid rule in u with
+    theta = u - (1 - e) sin u (``_talbot_level``).  r = nu Y/(1-nu) puts
+    theta = 0 on the real-axis saddle, where the phase is -Y, so e^{-Y}
+    factors out and the sum stays O(1) for any Y.  At small Y, r is floored
+    at the largest of 1/(1-nu), 1/(2(1-nu)), ... where the real-axis phase
+    r - x r^nu + Y is at most 3, and at least 2: as nu -> 1 the integrand
+    decays ever more slowly along the contour unless r grows like 1/(1-nu),
+    and the cap bounds the cancellation that brings.  The saddle peak is
+    ~1/sqrt(Y) wide in theta; e = 2^-j, j = max(0, ceil(log2(sqrt(Y)/4))),
+    keeps it a few nodes wide in u at any Y.  The node count doubles from 32
+    until the discretisation estimate below meets ``tol`` and either the
+    whole estimate does or the discretisation part is under the rounding
+    part, which more nodes only grow; or until n = 4096.  Each doubling adds
+    only the odd nodes.  A term Im(e^A ds/du) is e^{Re A + log|ds/du|}
+    sin(Im A + arg ds/du), from real (nodes x contour) matrices of at most
+    32 _WRIGHT_CHUNK entries, each node taking its class's rows.
 
-    The relative estimate is that difference plus eps (n + r + x r^nu + Y)
-    sum|terms|/|sum terms|: the phase of each term is rounded to eps times
-    its parts, which cancel near the saddle, the sum adds eps n, and the
-    cancellation between terms, as near zeros of W, scales both.  A sum
-    that is zero or not finite has an infinite estimate.  Returns the arrays
-    (sign, log|W|, estimate); a node's values do not depend on the others.
+    The relative estimate is 2 d_n + d_{n/2}^2 plus eps (n + r + x r^nu + Y)
+    sum|terms|/|sum terms|, d_n the relative difference of the n- and
+    n/2-node sums (of the 16- and 8-node sums below n = 32).  d_{n/2}^2 is
+    d_n as a geometrically converging rule would have it; it catches the
+    last two sums agreeing by chance before the saddle or the contour's
+    oscillating flank is resolved, and the 2 a level whose error still
+    grows.  In the rounding part the phase of each term is rounded to eps
+    times its parts, which cancel near the saddle, the sum adds eps n, and
+    cancellation between terms, as near zeros of W, scales both.  A zero or
+    non-finite sum has an infinite estimate.  Returns the arrays (sign,
+    log|W|, estimate); a node's values do not depend on the others.
     """
-    out = np.empty((3, x.size))
-    out[0], out[1], out[2] = 0.0, -math.inf, math.inf
     r = np.full(x.size, 1.0 / (1.0 - nu))
     while nu > 0.5:  # else 1/(1 - nu) <= 2 and no radius shrinks
         shrink = (r > 2.0) & (r - x * r ** nu + y > 3.0)
@@ -188,76 +193,96 @@ def _wright_talbot(nu: float, mu: float, x: np.ndarray, y: np.ndarray,
         r[shrink] *= 0.5
     r = np.maximum(np.maximum(nu * y / (1.0 - nu), r), 2.0)
     xr = x * r ** nu
-    min_n = 48.0 + 8.0 * np.sqrt(y)
-    at, total, total_abs = np.arange(x.size), np.zeros(x.size), np.zeros(x.size)
+    value, est = np.zeros(x.size), np.full(x.size, math.inf)
+    with np.errstate(divide="ignore"):
+        at, cls = np.arange(x.size), np.maximum(np.ceil(0.5 * np.log2(y) - 2.0), 0).astype(int)
+    # The nodes whose sums are still doubling, one row per quantity: r,
+    # x r^nu, Y, tol, eps (r + x r^nu + Y), the sum of the terms and of
+    # their magnitudes, and the relative difference at the level before.
+    run = np.vstack([r, xr, y, tol, _EPS * (r + xr + y), np.zeros((3, x.size))])
     n = _TALBOT_MIN_N // 2
-    # The arrays hold the nodes whose sums are still doubling.
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         while at.size:
             n *= 2
-            s, log_s, ds = _talbot_level(n)
-            s_nu, mu_log_s = np.exp(nu * log_s), mu * log_s
-            sums, abs_sums, even = np.empty(at.size), np.empty(at.size), np.empty(at.size)
-            rows = max(1, _WRIGHT_CHUNK * _TALBOT_MIN_N // s.size)
+            r_run, xr_run, y_run, tol_run, size, total, total_abs, step = run
+            present = np.flatnonzero(np.bincount(cls))
+            table = np.stack([_talbot_level(n, j, nu, mu) for j in present])
+            slot = np.searchsorted(present, cls)
+            sums, abs_sums, even, fourth = np.empty((4, at.size))
+            rows = max(1, _WRIGHT_CHUNK * _TALBOT_MIN_N // table.shape[2])
             for lo in range(0, at.size, rows):
                 part = slice(lo, lo + rows)
-                arg = np.multiply.outer(r[part], s)
-                arg -= np.multiply.outer(xr[part], s_nu)
-                arg -= mu_log_s
-                arg += y[part, None]
-                np.exp(arg, out=arg)
-                arg *= ds
-                terms = arg.imag
-                sums[part], abs_sums[part] = terms.sum(axis=1), np.abs(terms).sum(axis=1)
+                t = table[slot[part]] if present.size > 1 else table
+                mag = t[:, 0] * r_run[part, None]
+                mag -= t[:, 2] * xr_run[part, None]
+                mag += t[:, 4]
+                mag += y_run[part, None]
+                np.exp(mag, out=mag)
+                phase = t[:, 1] * r_run[part, None]
+                phase -= t[:, 3] * xr_run[part, None]
+                phase += t[:, 5]
+                terms = np.sin(phase, out=phase)
+                terms *= mag
+                sums[part] = terms.sum(axis=1)
                 if n == _TALBOT_MIN_N:
                     even[part] = terms[:, ::2].sum(axis=1)
-            half = total / (n // 2) if n > _TALBOT_MIN_N else 2.0 * even / n
-            total = total + sums
-            total_abs = total_abs + abs_sums
+                    fourth[part] = terms[:, ::4].sum(axis=1)
+                abs_sums[part] = np.abs(terms, out=terms).sum(axis=1)
+            half = total / (n // 2)
+            total += sums
+            total_abs += abs_sums
             full = total / n
+            if n == _TALBOT_MIN_N:  # the 16- and 8-node sums
+                half = even * (2.0 / n)
+                step[:] = np.abs(half - fourth * (4.0 / n)) / np.abs(full)
             diff = np.abs(full - half) / np.abs(full)
-            rounding = _EPS * (n + r + xr + y) * total_abs / np.abs(total)
+            disc = 2.0 * diff + step * step
+            rounding = (size + _EPS * n) * total_abs / np.abs(total)
             ok = np.isfinite(full) & (full != 0.0)
-            done = ~ok | ((n >= min_n) & (diff <= tol)
-                          & ((diff + rounding <= tol) | (diff <= rounding)))
+            done = ~ok | ((disc <= tol_run) & ((disc + rounding <= tol_run) | (disc <= rounding)))
             if n >= _TALBOT_MAX_N:
                 done[:] = True
+            step[:] = diff
             if not done.any():
                 continue
             fin = done & ok
-            out[0, at[fin]] = np.sign(full[fin])
-            out[1, at[fin]] = np.log(np.abs(full[fin])) + (1.0 - mu) * np.log(r[fin]) - y[fin]
-            out[2, at[fin]] = diff[fin] + rounding[fin]
-            run = ~done
-            at, r, xr, y, tol, min_n, total, total_abs = (
-                v[run] for v in (at, r, xr, y, tol, min_n, total, total_abs))
-    return out[0], out[1], out[2]
+            value[at[fin]] = full[fin]
+            est[at[fin]] = disc[fin] + rounding[fin]
+            keep = ~done
+            run, at, cls = run[:, keep], at[keep], cls[keep]
+    with np.errstate(divide="ignore"):
+        return np.sign(value), np.log(np.abs(value)) + (1.0 - mu) * np.log(r) - y, est
 
 
 @functools.lru_cache(maxsize=256)
-def _wright_tail_correction(nu: float, mu: float) -> tuple[float, float, float]:
-    """Fit the first three 1/Y correction coefficients of the tail expansion.
+def _wright_tail_correction(nu: float, mu: float) -> tuple[tuple[float, ...], tuple[float, ...]]:
+    """The corrections (a1, a2, a3, a4) of W/leading ~ 1 + a1/Y + ... +
+    a4/Y^4 and bounds (b2, b3, b4) on the errors of a2..a4.
 
-    Matching the Talbot rule at three moderate Y values pins
-    W/leading ~ 1 + a1/Y + a2/Y^2 + a3/Y^3; only the leading constant A0 is
-    known in closed form, so the corrections are calibrated numerically once
-    per (nu, mu) pair.  Raises NonConvergence when the rule's estimate at a
-    fit point is above 1e-9.
+    a1 is the closed form of the saddle-point expansion of the Hankel
+    integral; a2..a4 match the Talbot rule at _TAIL_FIT_YS.  The
+    neglected orders move them by about c5/(y1 y2 y3), and a fit at twice
+    the abscissas by an eighth of that, so twice the distance between the
+    fits bounds the error.  Raises NonConvergence when the rule's estimate
+    at a fit point is above 1e-9.
     """
-    ys = np.array(_TAIL_FIT_YS)
+    ys = np.array(_TAIL_FIT_YS + tuple(2.0 * y for y in _TAIL_FIT_YS))
     xs = (ys / (1.0 - nu)) ** (1.0 - nu) / nu ** nu
     sign, log_abs, est = _wright_talbot(nu, mu, xs, ys, np.full(ys.size, 1e-13))
     if not np.all(est <= 1e-9):
-        raise NonConvergence(f"W_(-{nu},{mu}) tail fit: estimates {est} at Y = {_TAIL_FIT_YS}")
-    rs = sign * np.exp(log_abs - _log_wright_lead(nu, mu, ys)) - 1.0
-    vander = np.vstack([1.0 / ys, 1.0 / ys ** 2, 1.0 / ys ** 3]).T
-    a1, a2, a3 = np.linalg.solve(vander, rs)
-    return float(a1), float(a2), float(a3)
+        raise NonConvergence(f"W_(-{nu},{mu}) tail fit: estimates {est} at Y = {ys}")
+    a1 = (-mu * (mu + 1.0) / 2.0 - mu * (nu - 2.0) / 2.0 + (nu - 2.0) * (nu - 3.0) / 8.0
+          - 5.0 * (nu - 2.0) ** 2 / 24.0) / nu
+    # (W/leading - 1 - a1/Y) Y^2 = a2 + a3/Y + a4/Y^2 at each fit point.
+    rs = (sign * np.exp(log_abs - _log_wright_lead(nu, mu, ys)) - 1.0 - a1 / ys) * ys * ys
+    vander = np.vstack([np.ones(ys.size), 1.0 / ys, 1.0 / ys ** 2]).T
+    fit, check = np.linalg.solve(vander[:3], rs[:3]), np.linalg.solve(vander[3:], rs[3:])
+    return (a1, *fit.tolist()), tuple((2.0 * np.abs(fit - check)).tolist())
 
 
 # Nodes per (nodes x contour) matrix of the Talbot rule at its first two
-# levels; a level with L contour nodes takes 64 x _WRIGHT_CHUNK / L of them,
-# so no matrix exceeds 64 x _WRIGHT_CHUNK complex entries (64 KB).
+# levels; a level with L contour nodes takes 32 x _WRIGHT_CHUNK / L of them,
+# so no matrix exceeds 32 x _WRIGHT_CHUNK real entries (16 KB).
 _WRIGHT_CHUNK = 64
 
 # The regimes of ``log_wright_array``, indexed by its regime codes.
@@ -280,7 +305,8 @@ def log_wright_array(
     Returns the arrays (sign, log|W|, estimate, regime code), the codes
     indexing _WRIGHT_REGIMES: the closed forms count as series, the contour
     is ``QUADRATURE`` and the tail ``ASYMPTOTIC_NEG``.  A node's values do
-    not depend on the other nodes of the call.
+    not depend on the other nodes of the call.  Past Y = 1e5 the tail's
+    estimate leaves out ``_tail_rounding``: 1e-9 near Y = 4e5, 1 near 1e14.
     """
     x = np.asarray(x, dtype=float).ravel()
     if (x < 0.0).any():
@@ -310,8 +336,8 @@ def _log_wright_rules(nu, mu, x, y, tol, sign, est, regime) -> np.ndarray:
     log_abs = np.full(x.size, -math.inf)
     pos = x > 0.0
     sign[pos], est[pos], regime[pos] = 0.0, math.inf, 1
-    # Above Y ~ 1e5 the contour peak outgrows the node cap, and the
-    # corrected tail is already at ~3e-10 relative there.
+    # Above Y = 1e5 the corrected tail answers: its fitted part is 4e-10 or
+    # less there, and falls like 1/Y^2.
     near = pos & (y <= 1e5)
     if near.any():
         sign[near], log_abs[near], est[near] = _wright_talbot(nu, mu, x[near], y[near], tol[near])
@@ -321,34 +347,44 @@ def _log_wright_rules(nu, mu, x, y, tol, sign, est, regime) -> np.ndarray:
     gone = pos & ~(y < 1e300)
     missed = pos & ~gone & ~(est <= tol)
     if missed.any():
-        # The tail's fit is skipped where its estimate, at least _TAIL_LEAK/Y,
-        # cannot beat the contour's.
         tail = missed & (y >= 12.0)
-        tail[tail] = est[tail] > _TAIL_LEAK / y[tail]
         if tail.any():
             try:
-                a1, a2, a3 = _wright_tail_correction(nu, mu)
+                tail_log, tail_est = _corrected_tail(nu, mu, y[tail])
             except NonConvergence:  # no fit: the tail cannot answer
                 tail[:] = False
         if tail.any():
+            # Against the contour, whose estimate holds its rounding, so does
+            # the tail's.
             yt = y[tail]
-            with np.errstate(over="ignore"):
-                corr = 1.0 + a1 / yt + a2 / (yt * yt) + a3 / (yt * yt * yt)
-                # The neglected a4/Y^4 order and its leak into a1, with
-                # 1 + 3|a3| as the proxy for the unknown |a4|.  y^4 may
-                # overflow to inf, which harmlessly zeroes that term.
-                tail_est = np.maximum((1.0 + 3.0 * abs(a3))
-                                      * (1.0 / (yt * yt * yt * yt) + _TAIL_LEAK / yt), 1e-14)
-            wins = (corr > 0.0) & (tail_est < np.minimum(est[tail], 1.0))
+            tail_est = np.where(yt <= 1e5, tail_est + _tail_rounding(nu, yt), tail_est)
+            wins = tail_est < np.minimum(est[tail], 1.0)
             at = np.flatnonzero(tail)[wins]
-            sign[at], est[at], regime[at] = 1.0, tail_est[wins], 2
-            log_abs[at] = _log_wright_lead(nu, mu, yt[wins]) + np.log(corr[wins])
+            sign[at], log_abs[at], est[at], regime[at] = 1.0, tail_log[wins], tail_est[wins], 2
             missed[at] = False
         # A contour estimate of 1 or more leaves not even the sign.
         lost = missed & ~(est < 1.0)
         sign[lost], log_abs[lost], est[lost] = 0.0, -math.inf, math.inf
     sign[gone], est[gone], regime[gone] = 0.0, 1e-14, 2
     return log_abs
+
+
+def _corrected_tail(nu: float, mu: float, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """log W_{-nu,mu} from the corrected tail at an array of Y >= 12, and
+    the fitted corrections' error (at least 1e-14; inf where the value is
+    not positive).  Raises NonConvergence where no fit is found."""
+    (a1, a2, a3, a4), (b2, b3, b4) = _wright_tail_correction(nu, mu)
+    h = 1.0 / y
+    corr = 1.0 + h * (a1 + h * (a2 + h * (a3 + h * a4)))
+    est = np.where(corr > 0.0, np.maximum(h * h * (b2 + h * (b3 + h * b4)), 1e-14), math.inf)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        return _log_wright_lead(nu, mu, y) + np.log(corr), est
+
+
+def _tail_rounding(nu: float, y):
+    """The rounding of the tail's log|W| = -Y + ... by forming Y out of x,
+    for a float or an array Y; the contour cancels its e^{-Y} exactly."""
+    return _EPS * y * (2.0 * np.abs(np.log(y / (1.0 - nu))) + 2.0)
 
 
 def _log_wright(
@@ -397,7 +433,7 @@ def wright_neg(nu: float, mu: float, z: float) -> EvalResult:
 # Mittag-Leffler
 
 
-@functools.lru_cache(maxsize=64)
+@functools.lru_cache(maxsize=32)
 def _bridge_rule(alpha: float, mu: float):
     """Nodes s and weights times W_{-a,mu}(-s) of a fixed rule for
     integral_0^inf e^{z s} W_{-a,mu}(-s) ds.

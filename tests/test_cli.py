@@ -34,6 +34,29 @@ def test_import_loads_no_scipy():
     assert proc.stdout.strip() == "[]"
 
 
+def test_routes_load_no_numpy_ma():
+    # np.unique and friends import numpy.ma lazily, which costs the
+    # benchmark's children about 1 MB; no route of the package may pull it.
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, fracfront.cli\n"
+         "from fracfront import FracParams\n"
+         "from fracfront.fourier1d import solution_series\n"
+         "from fracfront.specfun import wright_neg\n"
+         "from fracfront.subordination import subordinate, subordinate_envelope\n"
+         "subordinate(FracParams(0.6, 1.0, 1), 2.0, 1.5)\n"
+         "subordinate_envelope(0.7, 0.3, 2, 2.0, 1.5)\n"
+         "subordinate(FracParams(0.6, 1.5, 1), 5.0, 1.0)\n"
+         "solution_series(0.6, 2.0, 2.0, 1.0, 1e-6)\n"
+         "wright_neg(0.6, 0.4, -3.0)\n"
+         "print([m for m in sys.modules if m.split('.')[:2] == ['numpy', 'ma']])"],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
 class TestEval:
     def test_ml_point(self):
         proc = run_cli("eval", "ml", "--alpha", "0.5", "--beta", "1", "--z", "1")
@@ -270,6 +293,14 @@ class TestInvade:
         proc = run_cli("invade", "--config", str(path))
         assert proc.returncode == 1
         assert "usage error" in proc.stderr
+
+    def test_fractional_dim_in_config_is_usage_error(self, tmp_path):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({"params": {"alpha": 0.5, "rho": 1.0, "dim": 1.5},
+                                    "profile": {"kind": "power", "m": 1.0, "beta": 0.5}}))
+        proc = run_cli("invade", "--config", str(path))
+        assert proc.returncode == 1
+        assert "usage error: bad config: dim must be an integer" in proc.stderr
 
     def test_left_out_flags_take_the_config_defaults(self, tmp_path):
         # No --dim, --n-samples, --t-end, --method or --format: the values

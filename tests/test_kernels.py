@@ -32,6 +32,11 @@ class TestFracParams:
         with raises(DomainError):
             FracParams(alpha, rho, dim)
 
+    @mark.parametrize("dim", [1.5, 2.0, True, "2", math.inf])
+    def test_dim_must_be_an_integer(self, dim):
+        with raises(DomainError):
+            FracParams(0.5, 1.0, dim)
+
 
 class TestGaussian:
     def test_closed_form_point(self):

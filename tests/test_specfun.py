@@ -566,24 +566,50 @@ class TestLogWrightTail:
                 log_wright_tail(0.5, 0.5, z)
 
 
-def _a1_saddle(nu: float, mu: float) -> float:
-    """The closed-form first correction of the saddle-point tail expansion."""
-    return (-mu * (mu + 1.0) / 2.0 - mu * (nu - 2.0) / 2.0 + (nu - 2.0) * (nu - 3.0) / 8.0
-            - 5.0 * (nu - 2.0) ** 2 / 24.0) / nu
-
-
 class TestTailFit:
-    """The 1/Y corrections fitted against the Talbot rule."""
+    """The 1/Y corrections of the tail: a1 in closed form, a2..a4 fitted
+    against the Talbot rule."""
 
-    @mark.parametrize("nu,mu,a1,tol", [
-        (0.5, 0.5, 0.0, 1e-9),  # W equals its leading term at nu = 1/2 ...
-        (0.5, 0.0, 0.0, 1e-9),  # ... for mu = 1/2 and mu = 0
-        (0.5, 1.0, -0.5, 1e-3),
-        (0.999, 0.001, 0.041667, 1e-4),
+    @mark.parametrize("nu,mu,a1", [
+        (0.5, 0.5, 0.0),  # W equals its leading term at nu = 1/2 ...
+        (0.5, 0.0, 0.0),  # ... for mu = 1/2 and mu = 0
+        (0.5, 1.0, -0.5),
+        (0.999, 0.001, 0.041667),
+        (0.05, 1.5, -9.7125),
     ])
-    def test_a1_matches_saddle_coefficient(self, nu, mu, a1, tol):
-        assert _a1_saddle(nu, mu) == approx(a1, abs=1e-6)
-        assert specfun._wright_tail_correction(nu, mu)[0] == approx(a1, abs=tol)
+    def test_a1_matches_saddle_coefficient(self, nu, mu, a1):
+        assert specfun._wright_tail_correction(nu, mu)[0][0] == approx(a1, abs=1e-6)
+        # (W/leading - 1) Y = a1 + a2/Y + ... on the Talbot rule, with the
+        # a2/Y order cancelled between Y = 2e3 and 1e4.
+        ys = np.array([2e3, 1e4])
+        xs = np.array([_x_at_saddle(nu, y) for y in ys])
+        ys = specfun._wright_big_y(nu, xs)
+        sign, log_abs, est = specfun._wright_talbot(nu, mu, xs, ys, np.full(2, 1e-13))
+        rs = np.expm1(log_abs - specfun._log_wright_lead(nu, mu, ys)) * ys
+        limit = (rs[1] * ys[1] - rs[0] * ys[0]) / (ys[1] - ys[0])
+        assert limit == approx(a1, rel=1e-5, abs=1e-5)
+
+    def test_estimate_covers_error(self):
+        # The corrected tail against the Talbot rule at tolerance 1e-13 over
+        # Y in [12, 1e5], where the rule is the reference: the small nu and
+        # the mu = 1.5 the old a1-leak estimate missed by up to 8.9x, and
+        # seeded nu.  The rounding of forming Y out of x is left out of the
+        # estimate by design, as is the rule's own error.
+        rng = np.random.default_rng(1818)
+        nus = [0.05, 0.1, *rng.uniform(0.05, 0.98, 8).tolist()]
+        failures = []
+        for nu in nus:
+            for mu in (0.0, 0.5, 0.95, 1.0 - nu, 1.5):
+                ys = 10.0 ** rng.uniform(math.log10(12.0), 5.0, 40)
+                xs = np.array([_x_at_saddle(nu, y) for y in ys])
+                ys = specfun._wright_big_y(nu, xs)
+                _, ref, ref_est = specfun._wright_talbot(nu, mu, xs, ys, np.full(ys.size, 1e-13))
+                log_abs, est = specfun._corrected_tail(nu, mu, ys)
+                err = np.abs(np.expm1(log_abs - ref))
+                allowed = est + ref_est + specfun._tail_rounding(nu, ys)
+                for k in np.flatnonzero(~(err <= allowed)):
+                    failures.append((nu, mu, ys[k], err[k], est[k], ref_est[k]))
+        assert failures == []
 
     def test_no_mpmath_reachable_from_log_wright(self, monkeypatch):
         class NoMpmath:
@@ -630,6 +656,59 @@ class TestTalbotStop:
                 for tol in (2.5e-7, 1e-9):
                     est = specfun._log_wright(nu, 1.0 - nu, x, tol=tol)[1]
                     assert 0.0 < est <= tol, (nu, x, tol, est)
+
+
+class TestMappedContour:
+    """The Talbot rule with its nodes squeezed toward the saddle."""
+
+    def test_estimate_covers_error(self):
+        # Seeded nu, mu and Y = 10^U(-6, 5) at three tolerances against the
+        # mpmath contour reference; exp() adds eps |log W| to the estimate.
+        rng = np.random.default_rng(18)
+        points = []
+        for i in range(24):
+            nu = float(rng.uniform(0.05, 0.98))
+            points.append((nu, (1.0 - nu, 0.0, 0.5, 1.0, 1.5)[i % 5],
+                           10.0 ** rng.uniform(-6.0, 5.0)))
+        # Where the last two sums agree by chance before the rule resolves
+        # the saddle or the contour's oscillating flank, and their
+        # difference alone underestimates the error up to 18x.
+        points += [(0.7599625519354745, 0.24003744806452554, 2.907039185171853),
+                   (0.9174293593002681, 0.0, 1.044174118362809),
+                   (0.7083756634003852, 1.5, 90645.8336565579),
+                   (0.6527785568245897, 1.0, 84429.90614828472)]
+        failures = []
+        for nu, mu, y in points:
+            x = np.array([_x_at_saddle(nu, y)])
+            ref = _wright_contour_reference(nu, mu, float(x[0]))
+            y = specfun._wright_big_y(nu, x)
+            for tol in (1e-3, 2.5e-7, 1e-10):
+                sign, log_abs, est = specfun._wright_talbot(nu, mu, x, y, np.array([tol]))
+                with mpmath.workdps(40):
+                    err = float(abs(sign[0] * mpmath.exp(log_abs[0]) / ref - 1))
+                if not err <= est[0] + 2.0 ** -52 * abs(log_abs[0]):
+                    failures.append((nu, mu, float(y[0]), tol, err, est[0]))
+        assert failures == []
+
+    def test_node_count_does_not_grow_with_y(self, monkeypatch):
+        level = specfun._talbot_level
+        sizes = []
+
+        def counting(*args):
+            rows = level(*args)
+            sizes.append(rows.shape[1])
+            return rows
+
+        monkeypatch.setattr(specfun, "_talbot_level", counting)
+        nu, mu = 0.6, 0.4
+        for y, most in ((1e4, 128), (1e2, 128), (1e5, 256)):
+            sizes.clear()
+            x = np.array([_x_at_saddle(nu, y)])
+            _, _, est = specfun._wright_talbot(
+                nu, mu, x, specfun._wright_big_y(nu, x), np.array([2.5e-7]))
+            assert 0.0 < est[0] <= 2.5e-7
+            # Evenly spaced nodes took 1024 contour terms at Y = 1e4.
+            assert sum(sizes) <= most, (y, sizes)
 
 
 class TestNoNegativeAxisSeries:
