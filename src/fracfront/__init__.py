@@ -27,11 +27,10 @@ from .specfun import (
 )
 from .kernels import (
     FracParams,
-    cauchy_density,
     classical_solution,
+    exact_kernel,
     f_bound,
-    gaussian_density,
-    higher_order_kernel_1d,
+    kernel,
     stable_envelope,
 )
 from .subordination import (

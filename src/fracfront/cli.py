@@ -26,16 +26,9 @@ from .invasion import (
     run_experiment,
     thresholds,
 )
-from .kernels import (
-    FracParams,
-    cauchy_density,
-    gaussian_density,
-    higher_order_kernel_1d,
-    stable_envelope,
-)
+from .kernels import FracParams, exact_kernel, kernel, stable_envelope
 from .logvalue import LogValue
 from .specfun import mittag_leffler, wright_neg
-from .subordination import DEFAULT_SPEC
 from .verify import SuiteName, run_suite
 
 
@@ -204,16 +197,12 @@ def _cmd_eval(args) -> int:
 def _cmd_kernel(args) -> int:
     if args.t <= 0.0 or args.r < 0.0 or args.dim < 1 or args.rho <= 0.0:
         raise _UsageError("require rho > 0, dim >= 1, t > 0 and r >= 0")
-    if args.rho == 1.0:
-        _print_logvalue("kernel", gaussian_density(args.t, args.r, args.dim))
-    elif args.rho == 0.5:
-        _print_logvalue("kernel", cauchy_density(args.t, args.r, args.dim))
-    elif args.rho > 1.0:
-        if args.dim != 1:
-            raise _UsageError("rho > 1 kernels are only available in dimension 1")
-        _print_logvalue("kernel", higher_order_kernel_1d(args.rho, args.t, args.r))
-    else:
+    if exact_kernel(args.rho, args.dim):
+        _print_logvalue("kernel", kernel(args.rho, args.dim, args.t, args.r))
+    elif args.rho < 1.0:
         _print_logvalue("envelope", stable_envelope(args.rho, args.t, args.r, args.dim))
+    else:
+        raise _UsageError(f"no exact kernel for rho = {args.rho} in dimension {args.dim}")
     return 0
 
 
@@ -224,7 +213,7 @@ def _cmd_solution(args) -> int:
         raise _UsageError("require rho > 0, dim >= 1, t > 0 and r >= 0")
     method = Method(args.method)
     params = FracParams(args.alpha, args.rho, args.dim)
-    lv = _point_log_u(params, args.t, args.r, method, DEFAULT_SPEC)
+    lv = _point_log_u(params, args.t, args.r, method)
     if method is Method.ENVELOPE:
         _print_logvalue("envelope", lv)
         return 0

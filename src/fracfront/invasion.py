@@ -19,15 +19,10 @@ import numpy as np
 
 from .errors import DomainError, FracFrontError, InsufficientData, Unsupported
 from .fourier1d import _log_solution_at_origin, _solution_series_log
-from .kernels import FracParams, classical_solution
+from .kernels import FracParams, classical_solution, exact_kernel, stable_envelope
 from .logvalue import LogValue
 from .specfun import gamma_alpha, log_mittag_leffler, m_alpha
-from .subordination import (
-    DEFAULT_SPEC,
-    QuadratureSpec,
-    subordinate,
-    subordinate_envelope,
-)
+from .subordination import subordinate, subordinate_envelope
 
 
 class ProfileKind(Enum):
@@ -121,30 +116,31 @@ def thresholds(alpha: float, rho: float, d: int) -> ThresholdReport:
     )
 
 
-def _point_log_u(
-    params: FracParams, t: float, x: float, method: Method, spec: QuadratureSpec
-) -> LogValue:
+def _point_log_u(params: FracParams, t: float, x: float, method: Method) -> LogValue:
     """Signed log of u(t, x) by ``method``: the one table of routes.
 
     A route that cannot compute (params, method) raises Unsupported here,
-    before any integral: subordination needs an exact kernel (rho in
-    {1/2, 1}, or rho > 1 in d = 1), fourier1d needs d = 1 and rho >= 1, and
-    the envelope route rho in (0,1).  alpha = 1 is the classical solution
-    on every route.
+    before any integral: subordination needs an exact kernel
+    (``kernels.exact_kernel``), fourier1d needs d = 1 and rho >= 1, and the
+    envelope route rho in (0,1).  At alpha = 1 the envelope route gives
+    e^t times the envelope shape it subordinates below 1, and the other
+    routes the classical solution.
     """
     rho, d = params.rho, params.dim
-    if method is Method.SUBORDINATION and not (rho in (0.5, 1.0) or (rho > 1.0 and d == 1)):
+    if method is Method.SUBORDINATION and not exact_kernel(rho, d):
         raise Unsupported(f"subordination route has no exact kernel for rho = {rho} in dimension {d}")
     if method is Method.FOURIER1D and (d != 1 or rho < 1.0):
         raise Unsupported("fourier1d route requires d = 1 and rho >= 1")
     if method is Method.ENVELOPE and rho >= 1.0:
         raise Unsupported("envelope route requires rho in (0,1)")
     if params.alpha == 1.0:
+        if method is Method.ENVELOPE:
+            return LogValue(1, t + stable_envelope(rho, t, x, d).log_abs)
         return classical_solution(params, t, x)
     if method is Method.SUBORDINATION:
-        return subordinate(params, t, x, spec)
+        return subordinate(params, t, x)
     if method is Method.ENVELOPE:
-        return subordinate_envelope(params.alpha, rho, d, t, x, spec)
+        return subordinate_envelope(params.alpha, rho, d, t, x)
     if x == 0.0:
         return _log_solution_at_origin(params.alpha, rho, t)
     # Absolute series tolerance pinned a fixed number of nats below the
@@ -159,7 +155,6 @@ def trajectory(
     profile: SpeedProfile,
     t_grid,
     method: Method,
-    spec: QuadratureSpec = DEFAULT_SPEC,
 ) -> list[TrajectorySample]:
     """One sample of log u(t, theta(t)) per grid point.
 
@@ -173,7 +168,7 @@ def trajectory(
     for t in ts:
         x = theta(profile, t)
         try:
-            samples.append(TrajectorySample(t, x, _point_log_u(params, t, x, method, spec), method))
+            samples.append(TrajectorySample(t, x, _point_log_u(params, t, x, method), method))
         except Unsupported:
             raise
         except FracFrontError as exc:
@@ -300,9 +295,7 @@ class ExperimentReport:
     agreement: bool | None = field(default=None)
 
 
-def run_experiment(
-    config: ExperimentConfig, spec: QuadratureSpec = DEFAULT_SPEC
-) -> ExperimentReport:
+def run_experiment(config: ExperimentConfig) -> ExperimentReport:
     """Run one cell end to end: trajectory, classification, prediction check.
 
     Every route, the envelope route included, samples one trajectory and
@@ -324,9 +317,7 @@ def run_experiment(
             exp_lower=exp_threshold,
             exp_upper=exp_threshold,
         )
-    samples = trajectory(
-        params, config.profile, t_grid, Method(config.method), spec
-    )
+    samples = trajectory(params, config.profile, t_grid, Method(config.method))
     cls = classify(samples)
 
     predicted = predicted_verdict(params, config.profile, report)

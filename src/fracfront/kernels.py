@@ -1,13 +1,15 @@
 """Classical-time (first order in t) fundamental solutions and kernel bounds.
 
-Exact kernels exist at rho = 1 (Gaussian) and rho = 1/2 (Cauchy); for
-rho in (0,1) otherwise only the constant-free shape
+The one table of exact kernels K_t(r) is ``exact_kernel``: the Gaussian at
+rho = 1 and the Cauchy kernel at rho = 1/2 in any dimension, and for rho > 1
+in one dimension the (sign-changing) cosine transform of exp(-s^{2 rho}).
+For rho in (0,1) otherwise only the constant-free shape
 t / (r^2 + t^{1/rho})^{(d+2 rho)/2} of the stable kernel is available (the
-kernel lies within constant factors of it), and for rho > 1 in one
-dimension the kernel is the (sign-changing) cosine transform of
-exp(-s^{2 rho}).  ``log_classical`` and ``log_envelope_shape`` take an array
-of times, for the subordination integrands; the scalar functions are their
-one-point views.
+kernel lies within constant factors of it).  ``log_kernel`` and
+``log_envelope_shape`` take an array of times, for the subordination
+integrands; ``kernel``, ``stable_envelope`` and ``classical_solution`` are
+their one-point views.  The reaction factor e^t is added by
+``classical_solution`` and by the subordination integral, not here.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, QuadratureFailure, Unsupported
-from .logvalue import GL_NODES, GL_WEIGHTS, LogValue
+from .logvalue import LogValue, kronrod_panels
 
 
 @dataclass(frozen=True)
@@ -71,18 +73,6 @@ def _check_point(t: float, r: float) -> None:
         raise DomainError(f"radius must be >= 0 and finite, got {r}")
 
 
-def gaussian_density(t: float, r: float, d: int = 1) -> LogValue:
-    """Log of the heat kernel e^{-r^2/4t} / (4 pi t)^{d/2} at radius r."""
-    _check_point(t, r)
-    return LogValue(1, float(_log_gaussian(t, r, d)))
-
-
-def cauchy_density(t: float, r: float, d: int = 1) -> LogValue:
-    """Log of the Poisson kernel c_d t / (r^2 + t^2)^{(d+1)/2}."""
-    _check_point(t, r)
-    return LogValue(1, float(_log_cauchy(t, r, d)))
-
-
 def stable_envelope(rho: float, t: float, r: float, d: int) -> LogValue:
     """Log of the stable-envelope shape t / (r^2 + t^{1/rho})^{(d+2 rho)/2}:
     the stable kernel lies between constant multiples of it."""
@@ -92,8 +82,8 @@ def stable_envelope(rho: float, t: float, r: float, d: int) -> LogValue:
     return LogValue(1, float(log_envelope_shape(rho, t, r, d)))
 
 
-# Panels per batch of the cosine transform, and rows per (panels x 32)
-# matrix: 64 KB a matrix, whatever the number of y.
+# Panels per batch of the cosine transform, and rows per (panels x 31)
+# matrix: 62 KB a matrix, whatever the number of y.
 _SEGMENT_CHUNK = 256
 
 
@@ -102,10 +92,10 @@ def _f_transform(rho: float, ys) -> np.ndarray:
     of an array.
 
     Each y gets n = max(4, ceil(y s_max / pi)) equal panels over [0, s_max],
-    at most one half period of the cosine long, so the 32-point
-    Gauss-Legendre rule resolves each; the exp(-s^{2 rho}) factor kills the
-    tail super-exponentially.  The y go in consecutive batches of about
-    _SEGMENT_CHUNK panels, evaluated as (panels x 32) matrices; each F(y) is
+    at most one half period of the cosine long, so the 31-point Kronrod
+    rule K31 resolves each; the exp(-s^{2 rho}) factor kills the tail
+    super-exponentially.  The y go in consecutive batches of about
+    _SEGMENT_CHUNK panels, evaluated as (panels x 31) matrices; each F(y) is
     the exactly rounded sum (math.fsum) of its own panels.
     """
     ys = np.abs(np.asarray(ys, dtype=float))
@@ -128,13 +118,13 @@ def _f_transform(rho: float, ys) -> np.ndarray:
         first = np.cumsum(n) - n
         owner = np.repeat(np.arange(lo, hi), n)
         i = np.arange(owner.size) - np.repeat(first, n)
-        half = 0.5 * s_max / counts[owner]
+        width = s_max / counts[owner]
         pieces = np.empty(owner.size)
         for start in range(0, owner.size, _SEGMENT_CHUNK):
             part = slice(start, start + _SEGMENT_CHUNK)
-            ss = ((2 * i[part] + 1) * half[part])[:, None] + half[part, None] * GL_NODES
+            ss, ww = kronrod_panels(i[part] * width[part], (i[part] + 1) * width[part])
             vals = np.exp(-(ss ** (2.0 * rho))) * np.cos(ss * ys[owner[part], None])
-            pieces[part] = half[part] * (vals * GL_WEIGHTS).sum(axis=1)
+            pieces[part] = (vals * ww).sum(axis=1)
         totals[lo:hi] = [math.fsum(p) for p in np.split(pieces, first[1:])]
         lo = hi
     totals /= math.pi
@@ -143,19 +133,6 @@ def _f_transform(rho: float, ys) -> np.ndarray:
         raise QuadratureFailure(
             f"cosine transform overflowed at y = {ys[~np.isfinite(totals)][0]}")
     return totals
-
-
-def higher_order_kernel_1d(rho: float, t: float, x: float) -> LogValue:
-    """Signed log of the d = 1 kernel t^{-1/(2 rho)} F(t^{-1/(2 rho)} x), rho >= 1
-    (the Gaussian at rho = 1); the one-point view of ``_log_kernel``.
-
-    Sign-changing for rho > 1.
-    """
-    if rho < 1.0:
-        raise DomainError(f"higher-order kernel requires rho >= 1, got {rho}")
-    _check_point(t, abs(x))
-    sign, log_abs = _log_kernel(rho, 1, np.array([float(t)]), abs(x))
-    return LogValue.from_log(float(log_abs[0]), int(sign[0]))
 
 
 def f_bound(rho: float, y: float, k_const: float, omega: float) -> float:
@@ -167,48 +144,44 @@ def f_bound(rho: float, y: float, k_const: float, omega: float) -> float:
     return k_const * math.exp(-omega * abs(y) ** (2.0 * rho / (2.0 * rho - 1.0)))
 
 
-def _log_kernel(rho: float, d: int, s: np.ndarray, r: float) -> tuple[np.ndarray, np.ndarray]:
+def exact_kernel(rho: float, d: int) -> bool:
+    """Whether K_t has an exact evaluator: rho in {1/2, 1} in any dimension,
+    or rho > 1 in dimension 1."""
+    return rho in (0.5, 1.0) or (rho > 1.0 and d == 1)
+
+
+def log_kernel(rho: float, d: int, s: np.ndarray, r: float) -> tuple[np.ndarray, np.ndarray]:
     """Signed log of the exact kernel K_s(r) at every s of an array, as the
-    arrays (sign, log|.|): rho in {1/2, 1} in any dimension and rho > 1 with
-    d = 1, where the kernel may vanish at its zero crossings (sign 0).  The
-    rho > 1 kernels of all the s share one batch of cosine transforms."""
-    sign = np.ones(s.size)
+    arrays (sign, log|.|); Unsupported off the ``exact_kernel`` table.  The
+    rho > 1 kernel may vanish at its zero crossings (sign 0), and the
+    kernels of all the s share one batch of cosine transforms."""
+    if not exact_kernel(rho, d):
+        raise Unsupported(f"no exact kernel for rho = {rho} in dimension {d}")
     if rho == 1.0:
-        return sign, _log_gaussian(s, r, d)
+        return np.ones(s.size), _log_gaussian(s, r, d)
     if rho == 0.5:
-        return sign, _log_cauchy(s, r, d)
-    if rho > 1.0 and d == 1:
-        scale = s ** (-1.0 / (2.0 * rho))
-        f = _f_transform(rho, scale * r)
-        with np.errstate(divide="ignore"):
-            return np.sign(f), np.log(np.abs(f)) + np.log(scale)
-    raise Unsupported(f"no exact kernel for rho = {rho} in dimension {d}")
+        return np.ones(s.size), _log_cauchy(s, r, d)
+    scale = s ** (-1.0 / (2.0 * rho))
+    f = _f_transform(rho, scale * r)
+    with np.errstate(divide="ignore"):
+        return np.sign(f), np.log(np.abs(f)) + np.log(scale)
 
 
-def log_classical(rho: float, d: int, s, r: float) -> tuple[np.ndarray, np.ndarray]:
-    """Signed log of the first-order-in-time solution e^s K_s(r) at every
-    s > 0 of an array, as the arrays (sign, log|.|), for the exact kernels
-    of ``_log_kernel``."""
-    s = np.asarray(s, dtype=float)
-    if not np.all(s > 0.0) or r < 0.0:
-        raise DomainError("require t > 0 and r >= 0")
-    sign, log_abs = _log_kernel(rho, d, s, r)
-    return sign, s + log_abs
+def kernel(rho: float, d: int, t: float, r: float) -> LogValue:
+    """Signed log of the exact kernel K_t(r), the one-point view of
+    ``log_kernel``: e^{-r^2/4t} / (4 pi t)^{d/2} at rho = 1,
+    c_d t / (r^2 + t^2)^{(d+1)/2} at rho = 1/2, and
+    t^{-1/(2 rho)} F(t^{-1/(2 rho)} r) at rho > 1 in d = 1 (zero at its
+    zero crossings)."""
+    _check_point(t, r)
+    sign, log_abs = log_kernel(rho, d, np.array([float(t)]), r)
+    return LogValue.from_log(float(log_abs[0]), int(sign[0]))
 
 
 def classical_solution(params: FracParams, t: float, r: float) -> LogValue:
-    """First-order-in-time solution e^t times the diffusion kernel.
-
-    For rho in (0,1) other than 1/2, e^t times the envelope shape of
-    ``stable_envelope``; otherwise the exact value, the one-point view of
-    ``log_classical`` (Unsupported where it has no kernel).  The kernel may
-    vanish at zero crossings of the rho > 1 kernel, giving a Zero LogValue.
-    """
+    """The alpha = 1 solution e^t K_t(r) for the exact kernels of
+    ``exact_kernel`` (Unsupported off that table)."""
     if params.alpha != 1.0:
         raise DomainError("classical_solution is the alpha = 1 solution")
-    _check_point(t, r)
-    rho, d = params.rho, params.dim
-    if rho < 1.0 and rho != 0.5:
-        return LogValue(1, t + stable_envelope(rho, t, r, d).log_abs)
-    sign, log_abs = log_classical(rho, d, np.array([float(t)]), r)
-    return LogValue.from_log(float(log_abs[0]), int(sign[0]))
+    k = kernel(params.rho, params.dim, t, r)
+    return LogValue.from_log(t + k.log_abs, k.sign)

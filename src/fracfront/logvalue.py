@@ -7,8 +7,8 @@ adaptive panel quadrature ``panel_integral_log`` below: Gauss-Kronrod K31 /
 G15 panels, whose nodes and weights are computed at import.  Its integrands
 take an array of nodes and return the arrays (sign, log|value|), so each
 round of panels is one call, and ``log_sum`` adds such arrays without
-leaving log space.  ``gl_panels`` lays out the 32-point Gauss-Legendre rule
-of the fixed (non-adaptive) rules elsewhere.
+leaving log space.  ``kronrod_panels`` lays out the same K31 rule on given
+panels, for it and for the fixed (non-adaptive) rules elsewhere.
 """
 
 from __future__ import annotations
@@ -21,9 +21,7 @@ import numpy as np
 
 from .errors import QuadratureFailure
 
-# The 32-point Gauss-Legendre rule on [-1, 1] of the fixed rules, and the
-# panel budget of ``panel_integral_log``.
-GL_NODES, GL_WEIGHTS = np.polynomial.legendre.leggauss(32)
+# The panel budget of ``panel_integral_log``.
 MAX_PANELS = 4096
 
 
@@ -88,8 +86,17 @@ def _gauss_kronrod(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 # The Kronrod pair K31 / G15 of ``panel_integral_log``: G15 uses the nodes
-# KRONROD_NODES[1::2].
+# KRONROD_NODES[1::2].  K31 alone is the rule of the fixed quadratures.
 KRONROD_NODES, KRONROD_WEIGHTS, GAUSS_WEIGHTS = _gauss_kronrod(15)
+
+
+def kronrod_panels(a, b) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights of K31 on the panels [a[i], b[i]], as
+    (panels x 31) arrays: row i holds panel i."""
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    mid, half = (0.5 * (a + b))[:, None], (0.5 * (b - a))[:, None]
+    return mid + half * KRONROD_NODES, half * KRONROD_WEIGHTS
+
 
 # Columns of ``panel_integral_log``'s table of kept panels: a, b, then the
 # (sign, log) of the panel's K31 sum and the log of |K31 - G15|.
@@ -137,29 +144,6 @@ class LogValue:
         except OverflowError:
             return self.sign * math.inf
 
-    def __mul__(self, other: "LogValue") -> "LogValue":
-        if self.sign == 0 or other.sign == 0:
-            return LogValue.zero()
-        return LogValue(self.sign * other.sign, self.log_abs + other.log_abs)
-
-    def scaled(self, factor: float) -> "LogValue":
-        """Multiply by a plain positive float."""
-        if factor <= 0:
-            raise ValueError("scaled() expects a positive factor")
-        if self.sign == 0:
-            return self
-        return LogValue(self.sign, self.log_abs + math.log(factor))
-
-    # Ordering compares the signed real values the pairs represent.
-    def _key(self):
-        return (self.sign, self.sign * self.log_abs)
-
-    def __lt__(self, other: "LogValue") -> bool:
-        return self._key() < other._key()
-
-    def __le__(self, other: "LogValue") -> bool:
-        return self._key() <= other._key()
-
 
 def signed_log_sum(values: Iterable[LogValue]) -> tuple[LogValue, float]:
     """Sum LogValues without leaving log space.
@@ -178,16 +162,6 @@ def signed_log_sum(values: Iterable[LogValue]) -> tuple[LogValue, float]:
         return LogValue.zero(), math.inf
     total = LogValue(1 if net > 0 else -1, m + math.log(abs(net)))
     return total, gross / abs(net)
-
-
-def gl_panels(edges) -> tuple[np.ndarray, np.ndarray]:
-    """Flat nodes and weights of the 32-point rule on the panels between
-    ``edges``, panel-major: entries [32 i, 32 i + 32) lie in panel i."""
-    edges = np.asarray(edges, dtype=float)
-    mids = 0.5 * (edges[:-1] + edges[1:])
-    halves = 0.5 * (edges[1:] - edges[:-1])
-    nodes = (mids[:, None] + halves[:, None] * GL_NODES[None, :]).ravel()
-    return nodes, (halves[:, None] * GL_WEIGHTS[None, :]).ravel()
 
 
 def log_sum(sign: np.ndarray, log_abs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -231,8 +205,7 @@ def panel_integral_log(
     kept = np.empty((0, _ERR_LOG + 1))
     while True:
         half = 0.5 * (b - a)
-        nodes = (0.5 * (a + b))[:, None] + half[:, None] * KRONROD_NODES
-        sign, log_abs = f(nodes.ravel())
+        sign, log_abs = f(kronrod_panels(a, b)[0].ravel())
         sign = np.asarray(sign, dtype=float).reshape(-1, k)
         log_abs = np.where(sign == 0.0, -math.inf, np.asarray(log_abs).reshape(-1, k))
         with np.errstate(divide="ignore"):

@@ -37,7 +37,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import DomainError, NonConvergence
-from .logvalue import LogValue, gl_panels
+from .logvalue import LogValue, kronrod_panels
 
 _EPS = 2.0 ** -52
 
@@ -441,11 +441,12 @@ def _bridge_rule(alpha: float, mu: float):
     The Laplace-Wright integral of E_{a,mu+a}(z): verify's cross-check of
     the Mittag-Leffler evaluation against the Wright evaluator, kept out of
     ``mittag_leffler`` itself.  The Wright factor does not depend on z, so
-    the 64 Gauss-Legendre panels over [0, S] (with Y(S) = 50, i.e. W below
+    the 64 equal K31 panels over [0, S] (with Y(S) = 50, i.e. W below
     e^{-50}) and their Wright values are built once per (alpha, mu).
     """
     s_end = (50.0 / (1.0 - alpha)) ** (1.0 - alpha) / alpha ** alpha
-    ss, ww = gl_panels(np.linspace(0.0, s_end, 65))
+    edges = np.linspace(0.0, s_end, 65)
+    ss, ww = (x.ravel() for x in kronrod_panels(edges[:-1], edges[1:]))
     # Deep-tail nodes are e^{-Y} down in relative weight, so their own
     # tolerance can relax accordingly.
     y = np.minimum(_wright_big_y(alpha, ss), 40.0)

@@ -9,9 +9,10 @@ Everything here is therefore computed as (sign, log|.|) pairs: the integral
 is taken in w = log s (which also flattens the s -> 0 endpoint) over a window
 found around the peak, where ``logvalue.panel_integral_log`` (Gauss-Kronrod
 K31 / G15 panels, bisected where needed) integrates it.  The integrands
-take arrays of s: the kernel (``kernels.log_classical`` or the envelope
-shape) and the Wright factor (``specfun.log_wright_array``) are evaluated
-once per panel round, not once per node.
+take arrays of s: the bare kernel (``kernels.log_kernel``, the envelope
+shape or the unit kernel of ``total_mass``), the reaction factor e^s and
+the Wright factor (``specfun.log_wright_array``) are evaluated once per
+panel round, not once per node.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import DomainError, NonConvergence, QuadratureFailure, Unsupported
-from .kernels import FracParams, log_classical, log_envelope_shape
+from .kernels import FracParams, _check_point, exact_kernel, log_envelope_shape, log_kernel
 from .logvalue import LogValue, panel_integral_log
 from .specfun import log_wright_array
 
@@ -46,9 +47,9 @@ class QuadratureSpec:
 
     def __post_init__(self):
         if not 0.0 < self.rel_tol < 1.0:
-            raise ValueError("rel_tol must be in (0,1)")
+            raise DomainError("rel_tol must be in (0,1)")
         if self.tail_cut_log >= 0.0:
-            raise ValueError("tail_cut_log must be negative")
+            raise DomainError("tail_cut_log must be negative")
 
 
 DEFAULT_SPEC = QuadratureSpec()
@@ -123,21 +124,23 @@ def _integrate_log(
 
 
 def _subordinated(
-    log_kernel: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]],
+    bare_kernel: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]],
     alpha: float,
     t: float,
     spec: QuadratureSpec,
 ) -> LogValue:
-    """t^{-a} * integral_0^inf K(s) W_{-a,1-a}(-t^{-a} s) ds in log space.
+    """t^{-a} * integral_0^inf e^s K(s) W_{-a,1-a}(-t^{-a} s) ds in log space.
 
-    ``log_kernel`` maps an array of s to the arrays (sign, log|K|).  The
-    Wright factor is evaluated only where K is nonzero, and raises
-    NonConvergence where its estimate misses the tolerance of the call.
+    ``bare_kernel`` maps an array of s to the arrays (sign, log|K|) of the
+    bare kernel; the reaction factor e^s is added here.  The Wright factor
+    is evaluated only where K is nonzero, and raises NonConvergence where
+    its estimate misses the tolerance of the call.
     """
     ta = t ** alpha
 
     def integrand(s: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
-        sign, log_abs = log_kernel(s)
+        sign, log_abs = bare_kernel(s)
+        log_abs = s + log_abs  # the reaction factor e^s
         live = np.flatnonzero(sign != 0.0)
         x = s[live] / ta
         w_sign, w_log, est, _ = log_wright_array(alpha, 1.0 - alpha, x, tol)
@@ -145,7 +148,7 @@ def _subordinated(
             k = int(np.argmax(est > tol))
             raise NonConvergence(
                 f"W_(-{alpha},{1.0 - alpha})(-{x[k]}): estimate {est[k]:.3g} > {tol:.3g}")
-        sign, log_abs = sign.copy(), log_abs.copy()
+        sign = sign.copy()
         sign[live] *= w_sign
         log_abs[live] += w_log
         log_abs[sign == 0.0] = -math.inf
@@ -169,20 +172,18 @@ def subordinate(
 ) -> LogValue:
     """Signed log of u_{alpha,rho}(t, r) through the subordination integral.
 
-    Requires an exact classical kernel (rho in {1/2, 1} any dimension, or
-    rho > 1 with d = 1); for other rho in (0,1) use subordinate_envelope.
-    Raises DomainError at r = 0 when d >= 2 rho, where u(t, 0) diverges.
+    Requires an exact classical kernel (``kernels.exact_kernel``); for other
+    rho in (0,1) use subordinate_envelope.  Raises DomainError at r = 0 when
+    d >= 2 rho, where u(t, 0) diverges.
     """
-    alpha = params.alpha
-    if not 0.0 < alpha < 1.0:
+    rho, d = params.rho, params.dim
+    if not 0.0 < params.alpha < 1.0:
         raise Unsupported("subordination integral is for alpha in (0,1)")
-    if 0.0 < params.rho < 1.0 and params.rho != 0.5:
-        raise Unsupported(
-            f"no exact kernel at rho = {params.rho}; use subordinate_envelope"
-        )
-    _reject_divergent_origin(params.rho, params.dim, r)
-    return _subordinated(
-        lambda s: log_classical(params.rho, params.dim, s, r), alpha, t, spec)
+    if not exact_kernel(rho, d):
+        raise Unsupported(f"no exact kernel for rho = {rho} in dimension {d}")
+    _check_point(t, r)
+    _reject_divergent_origin(rho, d, r)
+    return _subordinated(lambda s: log_kernel(rho, d, s, r), params.alpha, t, spec)
 
 
 def total_mass(
@@ -191,7 +192,8 @@ def total_mass(
     """Log of the spatial mass t^{-a} * integral e^s W_{-a,1-a}(-t^{-a} s) ds."""
     if not 0.0 < alpha < 1.0:
         raise Unsupported("total_mass is for alpha in (0,1)")
-    return _subordinated(lambda s: (np.ones(s.size), s), alpha, t, spec)
+    _check_point(t, 0.0)
+    return _subordinated(lambda s: (np.ones(s.size), np.zeros(s.size)), alpha, t, spec)
 
 
 def subordinate_envelope(
@@ -214,6 +216,7 @@ def subordinate_envelope(
         raise Unsupported("subordination integral is for alpha in (0,1)")
     if not 0.0 < rho < 1.0:
         raise Unsupported(f"envelope route requires rho in (0,1), got {rho}")
+    _check_point(t, r)
     _reject_divergent_origin(rho, d, r)
     return _subordinated(
-        lambda s: (np.ones(s.size), log_envelope_shape(rho, s, r, d) + s), alpha, t, spec)
+        lambda s: (np.ones(s.size), log_envelope_shape(rho, s, r, d)), alpha, t, spec)

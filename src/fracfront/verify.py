@@ -17,7 +17,7 @@ import numpy as np
 from . import fourier1d, specfun, subordination
 from .errors import FracFrontError, NonConvergence
 from .kernels import FracParams
-from .logvalue import GL_NODES, gl_panels
+from .logvalue import kronrod_panels
 from .specfun import _bridge_rule, log_wright_array, reciprocal_gamma
 
 
@@ -139,17 +139,13 @@ def _suite_wright_identities(tol: float) -> list[_Case]:
         w_end = math.sqrt(r_end)
         # Wright values are shared by every moment order, so evaluate the
         # density once per node (substitution r = w^2 flattens the origin).
-        ws, hw = gl_panels(np.linspace(0.0, w_end, 49))
-        sign, log_abs = _wright_checked(alpha, ws ** 2, 1e-9)
-        dens = sign * np.exp(log_abs)
+        edges = np.linspace(0.0, w_end, 49)
+        ws, hw = kronrod_panels(edges[:-1], edges[1:])
+        sign, log_abs = _wright_checked(alpha, ws.ravel() ** 2, 1e-9)
+        dens = (sign * np.exp(log_abs)).reshape(ws.shape)
         for nu in (0.0, 0.5, 1.0, 2.0, 3.5):
             vals = 2.0 * dens * ws ** (2.0 * nu + 1.0)
-            k = len(GL_NODES)
-            pieces = [
-                float(np.dot(h, v))
-                for h, v in zip(hw.reshape(-1, k), vals.reshape(-1, k))
-            ]
-            got = math.fsum(pieces)
+            got = math.fsum((hw * vals).sum(axis=1))
             want = math.gamma(nu + 1.0) * reciprocal_gamma(nu * alpha + 1.0)
             cases.append(_Case(f"moment alpha={alpha} nu={nu}", _rel(got, want), tol))
     # Positivity, eventual decay, and the kappa e^{-sigma r^{1/(1-a)}} bound

@@ -3,6 +3,8 @@ import dataclasses
 import io
 import json
 import math
+import os
+import pathlib
 import subprocess
 import sys
 
@@ -12,24 +14,28 @@ from fracfront.cli import main
 from fracfront.invasion import ExperimentConfig
 
 
+# The child interpreters import fracfront from this checkout's src/, whether
+# or not the package is installed.
+_SRC = str(pathlib.Path(__file__).resolve().parent.parent / "src")
+_ENV = {**os.environ,
+        "PYTHONPATH": os.pathsep.join(filter(None, [_SRC, os.environ.get("PYTHONPATH")]))}
+
+
+def _python(*args):
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=_ENV)
+
+
 def run_cli(*args):
-    return subprocess.run(
-        [sys.executable, "-m", "fracfront.cli", *args],
-        capture_output=True,
-        text=True,
-    )
+    return _python("-m", "fracfront.cli", *args)
 
 
 def test_import_loads_no_scipy():
     # Nor mpmath, which only the alpha = 1 closed form and the incomplete
     # gamma import, when they run.
-    proc = subprocess.run(
-        [sys.executable, "-c",
-         "import sys, fracfront.cli;"
-         " print([m for m in sys.modules if m.startswith(('scipy', 'mpmath'))])"],
-        capture_output=True,
-        text=True,
-    )
+    proc = _python(
+        "-c",
+        "import sys, fracfront.cli;"
+        " print([m for m in sys.modules if m.startswith(('scipy', 'mpmath'))])")
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
 
@@ -37,22 +43,19 @@ def test_import_loads_no_scipy():
 def test_routes_load_no_numpy_ma():
     # np.unique and friends import numpy.ma lazily, which costs the
     # benchmark's children about 1 MB; no route of the package may pull it.
-    proc = subprocess.run(
-        [sys.executable, "-c",
-         "import sys, fracfront.cli\n"
-         "from fracfront import FracParams\n"
-         "from fracfront.fourier1d import solution_series\n"
-         "from fracfront.specfun import wright_neg\n"
-         "from fracfront.subordination import subordinate, subordinate_envelope\n"
-         "subordinate(FracParams(0.6, 1.0, 1), 2.0, 1.5)\n"
-         "subordinate_envelope(0.7, 0.3, 2, 2.0, 1.5)\n"
-         "subordinate(FracParams(0.6, 1.5, 1), 5.0, 1.0)\n"
-         "solution_series(0.6, 2.0, 2.0, 1.0, 1e-6)\n"
-         "wright_neg(0.6, 0.4, -3.0)\n"
-         "print([m for m in sys.modules if m.split('.')[:2] == ['numpy', 'ma']])"],
-        capture_output=True,
-        text=True,
-    )
+    proc = _python(
+        "-c",
+        "import sys, fracfront.cli\n"
+        "from fracfront import FracParams\n"
+        "from fracfront.fourier1d import solution_series\n"
+        "from fracfront.specfun import wright_neg\n"
+        "from fracfront.subordination import subordinate, subordinate_envelope\n"
+        "subordinate(FracParams(0.6, 1.0, 1), 2.0, 1.5)\n"
+        "subordinate_envelope(0.7, 0.3, 2, 2.0, 1.5)\n"
+        "subordinate(FracParams(0.6, 1.5, 1), 5.0, 1.0)\n"
+        "solution_series(0.6, 2.0, 2.0, 1.0, 1e-6)\n"
+        "wright_neg(0.6, 0.4, -3.0)\n"
+        "print([m for m in sys.modules if m.split('.')[:2] == ['numpy', 'ma']])")
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
 

@@ -12,19 +12,14 @@ from fracfront.invasion import (
     SpeedProfile,
     TrajectorySample,
     Verdict,
+    _point_log_u,
     classify,
     run_experiment,
     theta,
     thresholds,
     trajectory,
 )
-from fracfront.kernels import (
-    FracParams,
-    cauchy_density,
-    gaussian_density,
-    higher_order_kernel_1d,
-    stable_envelope,
-)
+from fracfront.kernels import FracParams, kernel, stable_envelope
 from fracfront.logvalue import LogValue
 
 
@@ -181,11 +176,11 @@ class TestExperimentConfig:
             lambda: FracParams(0.5, 1.0, nan),
             lambda: SpeedProfile(ProfileKind.POWER, nan, 0.5),
             lambda: SpeedProfile(ProfileKind.POWER, 1.0, inf),
-            lambda: gaussian_density(nan, 1.0),
-            lambda: gaussian_density(1.0, inf),
-            lambda: cauchy_density(inf, 1.0),
+            lambda: kernel(1.0, 1, nan, 1.0),
+            lambda: kernel(1.0, 1, 1.0, inf),
+            lambda: kernel(0.5, 1, inf, 1.0),
             lambda: stable_envelope(0.7, 1.0, nan, 1),
-            lambda: higher_order_kernel_1d(1.5, 1.0, nan),
+            lambda: kernel(1.5, 1, 1.0, nan),
             lambda: thresholds(0.5, nan, 1),
         ):
             with raises(DomainError):
@@ -231,3 +226,42 @@ class TestRunExperiment:
         assert report.classification.verdict is Verdict.DIVERGING
         assert report.agreement is True
         assert all(s.method is Method.ENVELOPE for s in report.samples)
+
+
+class TestAlphaOne:
+    """alpha = 1 on every route: the classical cells and the limit alpha -> 1."""
+
+    @mark.parametrize("method, rho, kind, m, beta", [
+        ("subordination", 1.0, ProfileKind.POWER, 1.0, 1.0),
+        ("subordination", 1.0, ProfileKind.POWER, 3.0, 1.0),
+        ("envelope", 0.3, ProfileKind.EXPONENTIAL, 0.1, 1.0),
+        ("fourier1d", 1.5, ProfileKind.POWER, 1.0, 0.2),
+    ])
+    def test_classical_cell_agrees(self, method, rho, kind, m, beta):
+        config = ExperimentConfig(
+            params=FracParams(1.0, rho, 1),
+            profile=SpeedProfile(kind, m, beta),
+            method=method,
+        )
+        report = run_experiment(config)
+        # The classical thresholds: 2 for power speeds, 1/(d + 2 rho) for
+        # exponential ones.
+        assert (report.thresholds.gamma_alpha, report.thresholds.power_lower) == (0.0, 2.0)
+        assert report.thresholds.exp_lower == approx(1.0 / (1.0 + 2.0 * rho), rel=1e-15)
+        assert report.agreement is True
+
+    @mark.parametrize("method, rho", [
+        (Method.SUBORDINATION, 1.0),
+        (Method.SUBORDINATION, 0.5),
+        (Method.SUBORDINATION, 1.5),
+        (Method.ENVELOPE, 0.5),
+        (Method.ENVELOPE, 0.3),
+        (Method.FOURIER1D, 1.5),
+    ])
+    def test_route_is_continuous_at_alpha_one(self, method, rho):
+        # The envelope route at rho = 1/2 gives the envelope shape, not the
+        # Cauchy kernel: the two differ by the factor pi.
+        near, at = (_point_log_u(FracParams(alpha, rho, 1), 2.0, 3.0, method)
+                    for alpha in (0.999, 1.0))
+        assert near.sign == at.sign == 1
+        assert abs(near.log_abs - at.log_abs) <= 0.01

@@ -9,11 +9,11 @@ from fracfront.errors import DomainError, QuadratureFailure, Unsupported
 from fracfront.kernels import (
     FracParams,
     _f_transform,
-    cauchy_density,
     classical_solution,
+    exact_kernel,
     f_bound,
-    gaussian_density,
-    higher_order_kernel_1d,
+    kernel,
+    log_kernel,
     stable_envelope,
 )
 from fracfront.logvalue import LogValue
@@ -40,7 +40,7 @@ class TestFracParams:
 
 class TestGaussian:
     def test_closed_form_point(self):
-        lv = gaussian_density(1.0, 0.0, 1)
+        lv = kernel(1.0, 1, 1.0, 0.0)
         assert lv.to_float() == approx(1.0 / math.sqrt(4.0 * math.pi), rel=1e-14)
 
     @mark.parametrize("t,d", [(0.5, 1), (2.0, 1), (1.0, 2), (3.0, 3)])
@@ -48,7 +48,7 @@ class TestGaussian:
         # Radial integral: surface area of S^{d-1} times r^{d-1} weight.
         area = 2.0 * math.pi ** (0.5 * d) / math.gamma(0.5 * d)
         mass, _ = quad(
-            lambda r: area * r ** (d - 1) * gaussian_density(t, r, d).to_float(),
+            lambda r: area * r ** (d - 1) * kernel(1.0, d, t, r).to_float(),
             0.0,
             np.inf,
         )
@@ -56,14 +56,14 @@ class TestGaussian:
 
     def test_domain_errors(self):
         with raises(DomainError):
-            gaussian_density(0.0, 1.0)
+            kernel(1.0, 1, 0.0, 1.0)
         with raises(DomainError):
-            gaussian_density(1.0, -1.0)
+            kernel(1.0, 1, 1.0, -1.0)
 
 
 class TestCauchy:
     def test_closed_form_point(self):
-        assert cauchy_density(2.0, 0.0, 1).to_float() == approx(
+        assert kernel(0.5, 1, 2.0, 0.0).to_float() == approx(
             1.0 / (2.0 * math.pi), rel=1e-14
         )
 
@@ -71,14 +71,14 @@ class TestCauchy:
     def test_unit_mass(self, t, d):
         area = 2.0 * math.pi ** (0.5 * d) / math.gamma(0.5 * d)
         mass, _ = quad(
-            lambda r: area * r ** (d - 1) * cauchy_density(t, r, d).to_float(),
+            lambda r: area * r ** (d - 1) * kernel(0.5, d, t, r).to_float(),
             0.0,
             np.inf,
         )
         assert mass == approx(1.0, rel=1e-9)
 
     def test_huge_radius_stays_finite(self):
-        lv = cauchy_density(1.0, 1e200, 1)
+        lv = kernel(0.5, 1, 1.0, 1e200)
         assert lv.sign == 1
         assert lv.log_abs == approx(math.log(1.0 / math.pi) - 2.0 * math.log(1e200))
 
@@ -89,7 +89,7 @@ class TestStableEnvelope:
         # the constant 1/pi, so constants straddling 1/pi must bracket it.
         for t, r in ((0.5, 0.0), (1.0, 2.0), (3.0, 10.0)):
             shape = stable_envelope(0.5, t, r, 1)
-            true = cauchy_density(t, r, 1)
+            true = kernel(0.5, 1, t, r)
             assert shape.sign == true.sign == 1
             assert shape.log_abs + math.log(0.31) <= true.log_abs <= shape.log_abs + math.log(0.33)
 
@@ -127,13 +127,15 @@ class TestHigherOrderKernel:
     @mark.parametrize("t", [0.5, 1.0, 4.0])
     @mark.parametrize("x", [0.0, 0.7, 2.0, 5.0])
     def test_rho_one_reduces_to_gaussian(self, t, x):
-        k = higher_order_kernel_1d(1.0, t, x)
-        g = gaussian_density(t, x, 1)
-        assert k.sign == g.sign
-        assert k.to_float() == approx(g.to_float(), rel=1e-8)
+        # The cosine transform of the rho > 1 kernels, taken at rho = 1.
+        scale = t ** -0.5
+        k = scale * _f_transform(1.0, [scale * x])[0]
+        g = kernel(1.0, 1, t, x)
+        assert g.sign == 1
+        assert k == approx(g.to_float(), rel=1e-8)
 
     def test_sign_change_for_rho_above_one(self):
-        signs = {higher_order_kernel_1d(1.5, 1.0, x).sign for x in np.linspace(0, 8, 33)}
+        signs = {kernel(1.5, 1, 1.0, x).sign for x in np.linspace(0, 8, 33)}
         assert 1 in signs and -1 in signs
 
     def test_self_similar_scaling(self):
@@ -141,20 +143,20 @@ class TestHigherOrderKernel:
         rho, t = 1.5, 16.0
         scale = t ** (-1.0 / (2.0 * rho))
         for x in (0.5, 1.3, 3.0):
-            a = higher_order_kernel_1d(rho, t, x).to_float()
-            b = scale * higher_order_kernel_1d(rho, 1.0, scale * x).to_float()
+            a = kernel(rho, 1, t, x).to_float()
+            b = scale * kernel(rho, 1, 1.0, scale * x).to_float()
             assert a == approx(b, rel=1e-9, abs=1e-12)
 
     def test_unit_mass(self):
         mass, _ = quad(
-            lambda x: higher_order_kernel_1d(1.5, 1.0, x).to_float(),
+            lambda x: kernel(1.5, 1, 1.0, x).to_float(),
             0.0,
             60.0,
             limit=400,
         )
         assert 2.0 * mass == approx(1.0, abs=1e-5)
 
-    @mark.parametrize("rho, tol", [(1.05, 1e-10), (1.25, 1e-10), (1.5, 1e-15), (2.0, 1e-15),
+    @mark.parametrize("rho, tol", [(1.05, 1e-12), (1.25, 1e-12), (1.5, 1e-15), (2.0, 1e-15),
                                    (3.0, 1e-15)])
     def test_transform_matches_mpmath(self, rho, tol):
         ys = [0.0, 0.4, 1.3, 3.1, 7.5, 17.0, 38.0, 80.0]
@@ -168,10 +170,10 @@ class TestHigherOrderKernel:
             _f_transform(1.5, [0.5, y])
 
     def test_domain_errors(self):
+        with raises(Unsupported):
+            kernel(0.9, 1, 1.0, 1.0)
         with raises(DomainError):
-            higher_order_kernel_1d(0.9, 1.0, 1.0)
-        with raises(DomainError):
-            higher_order_kernel_1d(1.5, 0.0, 1.0)
+            kernel(1.5, 1, 0.0, 1.0)
 
 
 class TestFBound:
@@ -189,15 +191,33 @@ class TestFBound:
         p = 2.0 * rho / (2.0 * rho - 1.0)
         fit_y = np.linspace(0.25, 3.0, 12)
         fit_f = np.array(
-            [abs(higher_order_kernel_1d(rho, 1.0, y).to_float()) for y in fit_y]
+            [abs(kernel(rho, 1, 1.0, y).to_float()) for y in fit_y]
         )
         # Slope of log|F| against y^p gives omega; intercept gives log K.
         slope, intercept = np.polyfit(fit_y ** p, np.log(fit_f), 1)
         omega = -0.8 * slope
         k_const = max(2.0, 4.0 * math.exp(intercept))
         for y in np.linspace(3.0, 6.0, 13):
-            f = abs(higher_order_kernel_1d(rho, 1.0, float(y)).to_float())
+            f = abs(kernel(rho, 1, 1.0, float(y)).to_float())
             assert f <= f_bound(rho, float(y), k_const, omega)
+
+
+class TestExactKernelTable:
+    @mark.parametrize("rho,d,exact", [
+        (1.0, 1, True), (1.0, 3, True), (0.5, 1, True), (0.5, 2, True), (1.5, 1, True),
+        (3.0, 1, True), (0.3, 1, False), (0.7, 2, False), (1.5, 2, False), (2.0, 3, False),
+    ])
+    def test_one_table(self, rho, d, exact):
+        # The predicate, the array evaluator and its scalar view agree.
+        assert exact_kernel(rho, d) is exact
+        if exact:
+            sign, log_abs = log_kernel(rho, d, np.array([2.0]), 0.5)
+            assert kernel(rho, d, 2.0, 0.5) == LogValue.from_log(log_abs[0], int(sign[0]))
+        else:
+            with raises(Unsupported):
+                log_kernel(rho, d, np.array([2.0]), 0.5)
+            with raises(Unsupported):
+                kernel(rho, d, 2.0, 0.5)
 
 
 class TestClassicalSolution:
@@ -211,13 +231,13 @@ class TestClassicalSolution:
 
     def test_higher_order_case(self):
         lv = classical_solution(FracParams(1.0, 2.0, 1), 2.0, 1.0)
-        want = higher_order_kernel_1d(2.0, 2.0, 1.0)
+        want = kernel(2.0, 1, 2.0, 1.0)
         assert lv.log_abs == approx(want.log_abs + 2.0, abs=1e-12)
 
-    def test_stable_case_returns_envelope(self):
-        out = classical_solution(FracParams(1.0, 0.3, 2), 1.0, 1.0)
-        assert isinstance(out, LogValue)
-        assert out == LogValue(1, 1.0 + stable_envelope(0.3, 1.0, 1.0, 2).log_abs)
+    def test_stable_case_is_unsupported(self):
+        # Off the exact-kernel table: the envelope shape is not the kernel.
+        with raises(Unsupported):
+            classical_solution(FracParams(1.0, 0.3, 2), 1.0, 1.0)
 
     def test_rejects_fractional_alpha(self):
         with raises(DomainError):

@@ -25,11 +25,11 @@ class TestQuadratureSpec:
         assert 0.0 < spec.rel_tol < 1.0
 
     def test_validation(self):
-        with raises(ValueError):
+        with raises(DomainError):
             QuadratureSpec(rel_tol=0.0)
-        with raises(ValueError):
+        with raises(DomainError):
             QuadratureSpec(rel_tol=2.0)
-        with raises(ValueError):
+        with raises(DomainError):
             QuadratureSpec(tail_cut_log=1.0)
 
 
@@ -58,7 +58,8 @@ class TestSubordinate:
         vals = [
             subordinate(FracParams(0.6, 0.5, 1), 1.0, r) for r in (0.5, 1.0, 2.0, 4.0)
         ]
-        assert all(b < a for a, b in zip(vals, vals[1:]))
+        assert all(lv.sign == 1 for lv in vals)
+        assert all(b.log_abs < a.log_abs for a, b in zip(vals, vals[1:]))
 
     def test_tolerance_consistency(self):
         loose = subordinate(FracParams(0.5, 1.0, 1), 2.0, 1.0, QuadratureSpec(rel_tol=1e-4))
@@ -108,6 +109,22 @@ class TestSubordinate:
             lv = value()
             assert lv.sign == 1
             assert math.isfinite(lv.log_abs)
+
+    @mark.parametrize("t, r", [(0.0, 1.0), (-1.0, 1.0), (math.inf, 1.0), (math.nan, 1.0),
+                               (1.0, -1.0), (1.0, math.inf), (1.0, math.nan)])
+    def test_entry_checks(self, t, r):
+        # Each entry point checks (t, r) before any integral.
+        with raises(DomainError):
+            subordinate(FracParams(0.5, 1.0, 1), t, r)
+        with raises(DomainError):
+            subordinate(FracParams(0.5, 1.5, 1), t, r)
+        with raises(DomainError):
+            subordinate_envelope(0.5, 0.7, 1, t, r)
+
+    @mark.parametrize("t", [0.0, -1.0, math.inf, math.nan])
+    def test_total_mass_entry_check(self, t):
+        with raises(DomainError):
+            total_mass(0.5, t)
 
     def test_unsupported_routes(self):
         with raises(Unsupported):
