@@ -16,7 +16,7 @@ import os
 import sys
 import tempfile
 
-from .errors import DomainError, FracFrontError
+from .errors import DomainError, FracFrontError, Unsupported
 from .invasion import (
     ExperimentConfig,
     Method,
@@ -26,7 +26,7 @@ from .invasion import (
     run_experiment,
     thresholds,
 )
-from .kernels import FracParams, exact_kernel, kernel, stable_envelope
+from .kernels import FracParams, _check_point, exact_kernel, kernel, stable_envelope
 from .logvalue import LogValue
 from .specfun import mittag_leffler, wright_neg
 from .verify import SuiteName, run_suite
@@ -194,25 +194,31 @@ def _cmd_eval(args) -> int:
     return 0
 
 
+def _point_params(alpha: float, args) -> FracParams:
+    """FracParams(alpha, rho, dim) of ``args`` after its point (t, r); a
+    DomainError is a usage error."""
+    try:
+        _check_point(args.t, args.r)
+        return FracParams(alpha, args.rho, args.dim)
+    except DomainError as exc:
+        raise _UsageError(str(exc)) from exc
+
+
 def _cmd_kernel(args) -> int:
-    if args.t <= 0.0 or args.r < 0.0 or args.dim < 1 or args.rho <= 0.0:
-        raise _UsageError("require rho > 0, dim >= 1, t > 0 and r >= 0")
+    _point_params(1.0, args)
     if exact_kernel(args.rho, args.dim):
         _print_logvalue("kernel", kernel(args.rho, args.dim, args.t, args.r))
-    elif args.rho < 1.0:
+        return 0
+    try:
         _print_logvalue("envelope", stable_envelope(args.rho, args.t, args.r, args.dim))
-    else:
-        raise _UsageError(f"no exact kernel for rho = {args.rho} in dimension {args.dim}")
+    except Unsupported as exc:
+        raise _UsageError(f"no exact kernel for rho = {args.rho} in dimension {args.dim}") from exc
     return 0
 
 
 def _cmd_solution(args) -> int:
-    if not 0.0 < args.alpha < 1.0:
-        raise _UsageError("require 0 < alpha < 1")
-    if args.t <= 0.0 or args.r < 0.0 or args.dim < 1 or args.rho <= 0.0:
-        raise _UsageError("require rho > 0, dim >= 1, t > 0 and r >= 0")
+    params = _point_params(args.alpha, args)
     method = Method(args.method)
-    params = FracParams(args.alpha, args.rho, args.dim)
     lv = _point_log_u(params, args.t, args.r, method)
     if method is Method.ENVELOPE:
         _print_logvalue("envelope", lv)

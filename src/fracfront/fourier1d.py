@@ -45,7 +45,7 @@ def _segment_integral_log(
         c = np.cos(x * xi)
         sign, log_abs = np.zeros(xi.size), np.full(xi.size, -math.inf)
         live = np.flatnonzero(c != 0.0)
-        ml_sign, ml_log = log_mittag_leffler_array(alpha, ta * (1.0 - xi[live] ** (2.0 * rho)))
+        ml_sign, ml_log, _, _ = log_mittag_leffler_array(alpha, 1.0, ta * (1.0 - xi[live] ** (2.0 * rho)))
         sign[live] = ml_sign * np.sign(c[live])
         log_abs[live] = ml_log + np.log(np.abs(c[live]))
         return sign, log_abs

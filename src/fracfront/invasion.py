@@ -100,10 +100,7 @@ def thresholds(alpha: float, rho: float, d: int) -> ThresholdReport:
     (rho in (0,1), beta = 1): divergence below (1 - g_a)/(d + 2 rho),
     vanishing above 1/(d + 2 rho).
     """
-    if d < 1:
-        raise DomainError(f"d must be >= 1, got {d}")
-    if not 0.0 < rho < math.inf:
-        raise DomainError(f"rho must be positive and finite, got {rho}")
+    FracParams(alpha, rho, d)  # checks alpha, rho and d
     g = gamma_alpha(alpha)
     m_a = m_alpha(alpha)
     return ThresholdReport(

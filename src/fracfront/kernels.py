@@ -37,10 +37,14 @@ class FracParams:
             raise DomainError(f"alpha must be in (0,1], got {self.alpha}")
         if not 0.0 < self.rho < math.inf:
             raise DomainError(f"rho must be positive and finite, got {self.rho}")
-        if isinstance(self.dim, bool) or not isinstance(self.dim, numbers.Integral):
-            raise DomainError(f"dim must be an integer, got {self.dim!r}")
-        if self.dim < 1:
-            raise DomainError(f"dim must be >= 1, got {self.dim}")
+        _check_dim(self.dim)
+
+
+def _check_dim(d) -> None:
+    if isinstance(d, bool) or not isinstance(d, numbers.Integral):
+        raise DomainError(f"dim must be an integer, got {d!r}")
+    if d < 1:
+        raise DomainError(f"dim must be >= 1, got {d}")
 
 
 def _log_gaussian(t, r: float, d: int):
@@ -77,7 +81,8 @@ def stable_envelope(rho: float, t: float, r: float, d: int) -> LogValue:
     """Log of the stable-envelope shape t / (r^2 + t^{1/rho})^{(d+2 rho)/2}:
     the stable kernel lies between constant multiples of it."""
     if not 0.0 < rho < 1.0:
-        raise DomainError(f"stable envelope only holds for rho in (0,1), got {rho}")
+        raise Unsupported(f"stable envelope only holds for rho in (0,1), got {rho}")
+    _check_dim(d)
     _check_point(t, r)
     return LogValue(1, float(log_envelope_shape(rho, t, r, d)))
 
@@ -173,6 +178,7 @@ def kernel(rho: float, d: int, t: float, r: float) -> LogValue:
     c_d t / (r^2 + t^2)^{(d+1)/2} at rho = 1/2, and
     t^{-1/(2 rho)} F(t^{-1/(2 rho)} r) at rho > 1 in d = 1 (zero at its
     zero crossings)."""
+    _check_dim(d)
     _check_point(t, r)
     sign, log_abs = log_kernel(rho, d, np.array([float(t)]), r)
     return LogValue.from_log(float(log_abs[0]), int(sign[0]))

@@ -100,7 +100,7 @@ def kronrod_panels(a, b) -> tuple[np.ndarray, np.ndarray]:
 
 # Columns of ``panel_integral_log``'s table of kept panels: a, b, then the
 # (sign, log) of the panel's K31 sum and the log of |K31 - G15|.
-_A, _B, _SIGN, _LOG, _ERR_SIGN, _ERR_LOG = range(6)
+_A, _B, _SIGN, _LOG, _ERR_LOG = range(5)
 
 
 @dataclass(frozen=True)
@@ -192,8 +192,9 @@ def panel_integral_log(
     in QUADPACK) on the Gauss-Kronrod pair K31 / G15 from the panels between
     ``edges``: each panel is evaluated once, at its 31 Kronrod nodes, and
     K31 - G15 on the same nodes is its error estimate.  Returns the sum of
-    the K31 sums once |sum of (K31 - G15)| is at most tol * |total| (or
-    every sum is zero); otherwise bisects each panel whose |K31 - G15|
+    the K31 sums once the sum of the |K31 - G15| is at most tol * |total|
+    (or every one is zero), so that errors of opposite sign do not cancel;
+    otherwise bisects each panel whose |K31 - G15|
     exceeds its share tol * |total| / (panel count), at least the worst one.
     A round evaluates all its new nodes in one call of f: the starting
     panels in the first round, the halves of the split panels after it.
@@ -214,9 +215,9 @@ def panel_integral_log(
             gauss = log_sum(sign[:, 1::2], log_abs[:, 1::2] + np.log(GAUSS_WEIGHTS) + log_half)
         diff = _log_add(kronrod[0], kronrod[1], -gauss[0], gauss[1])
         # In the column order of _A .. _ERR_LOG.
-        kept = np.concatenate([kept, np.column_stack([a, b, *kronrod, *diff])])
+        kept = np.concatenate([kept, np.column_stack([a, b, *kronrod, diff[1]])])
         total = log_sum(kept[:, _SIGN], kept[:, _LOG])
-        err = log_sum(kept[:, _ERR_SIGN], kept[:, _ERR_LOG])
+        err = log_sum(np.ones(len(kept)), kept[:, _ERR_LOG])
         if err[0] == 0.0 or err[1] <= log_tol + total[1]:
             return LogValue.from_log(float(total[1]), int(total[0]))
         share = log_tol + total[1] - math.log(len(kept))

@@ -5,9 +5,9 @@ F(s) = s^{a-b}/(s^a - z) at t = 1 by the trapezoid rule on a hyperbola, 17
 complex nodes built once at import (``_ml_contour``, which takes an array
 of z as one (z x nodes) matrix).  For z > 0 the residue term R e^p of F's
 pole p = z^{1/a}, R = p^{1-b}/a, is added and R/(s - p) subtracted from F,
-so the rule never meets the pole.  ``log_mittag_leffler_array`` takes the
-log of the same sum at an array of z, and ``log_mittag_leffler`` is its
-one-point view.  At a = 1 the closed forms e^z (b = 1) and, on the negative
+so the rule never meets the pole.  ``log_mittag_leffler_array`` is the one
+evaluator; ``mittag_leffler`` and ``log_mittag_leffler`` are its float and
+log views.  At a = 1 the closed forms e^z (b = 1) and, on the negative
 axis, E_{1,b}(z) = 1F1(1; b; z)/Gamma(b) answer instead.
 
 The Laplace-Wright integral of e^{z s} W_{-a,b-a}(-s) ds (``_bridge_rule``)
@@ -57,6 +57,17 @@ class EvalResult:
     abs_error_bound: float
     terms_used: int
     regime: Regime
+
+
+def _eval_result(lv: LogValue, est: float, regime: Regime, terms: int) -> EvalResult:
+    """The float view of a signed log with a relative estimate: the bound is
+    |value| times the estimate plus the rounding exp() adds to log|value|,
+    at least the smallest subnormal, and inf past double range."""
+    value = lv.to_float()
+    if math.isinf(value):
+        return EvalResult(value, math.inf, terms, regime)
+    rounding = abs(lv.log_abs) * _EPS if lv.sign != 0 else 0.0
+    return EvalResult(value, max(abs(value) * (est + rounding), math.ulp(0.0)), terms, regime)
 
 
 def reciprocal_gamma(x: float) -> float:
@@ -413,9 +424,8 @@ def wright_neg(nu: float, mu: float, z: float) -> EvalResult:
     """W_{-nu,mu}(z) for z <= 0, from ``_log_wright`` at tolerance 1e-10.
 
     For mu = 1 - nu and z < 0 the value is the (strictly positive)
-    subordination density.  The bound is |W| times the evaluator's estimate
-    plus the rounding exp() adds to log|W|, and at least the smallest
-    subnormal; the far tail uses the constant A0(nu, mu) with 1/Y corrections.
+    subordination density.  The bound is ``_eval_result``'s; the far tail
+    uses the constant A0(nu, mu) with 1/Y corrections.
     """
     if not 0.0 < nu < 1.0:
         raise DomainError(f"nu must be in (0,1), got {nu}")
@@ -423,10 +433,7 @@ def wright_neg(nu: float, mu: float, z: float) -> EvalResult:
         raise DomainError(f"wright_neg requires finite z, got {z}")
     if z > 0.0:
         raise DomainError("wright_neg requires z <= 0")
-    lv, est, regime, terms = _log_wright(nu, mu, -z, tol=_WRIGHT_NEG_TOL)
-    value = lv.to_float()
-    rounding = abs(lv.log_abs) * _EPS if lv.sign != 0 else 0.0
-    return EvalResult(value, max(abs(value) * (est + rounding), math.ulp(0.0)), terms, regime)
+    return _eval_result(*_log_wright(nu, mu, -z, tol=_WRIGHT_NEG_TOL))
 
 
 # ---------------------------------------------------------------------------
@@ -503,11 +510,11 @@ _ML_CHUNK = 256
 _LOG_MAX = math.log(sys.float_info.max)
 
 
-def _ml_contour(alpha: float, beta: float, z: np.ndarray, p: np.ndarray,
-                residue: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _ml_contour(alpha: float, beta: float, z: np.ndarray, p=None,
+                residue=None) -> tuple[np.ndarray, np.ndarray]:
     """The hyperbola rule for (1/2 pi i) int e^s (F(s) - R/(s - p)) ds with
     F(s) = s^{a-b}/(s^a - z), and an absolute error estimate, at every z
-    of an array (p and R = ``residue`` per z).
+    of an array (p and R = ``residue`` per z; R = 0 without them).
 
     F's one principal-sheet pole is p = z^{1/a} for z > 0.  With its residue
     R subtracted the integrand is analytic at p, so the sum is E_{a,b}(z)
@@ -525,9 +532,10 @@ def _ml_contour(alpha: float, beta: float, z: np.ndarray, p: np.ndarray,
         part = slice(lo, lo + _ML_CHUNK)
         f = s_ab / (s_a - z[part, None])
         size = np.abs(f[:, :n_fine])
-        pole = residue[part, None] / (_ML_S - p[part, None])
-        size += np.abs(pole[:, :n_fine])
-        f -= pole
+        if residue is not None:
+            pole = residue[part, None] / (_ML_S - p[part, None])
+            size += np.abs(pole[:, :n_fine])
+            f -= pole
         # Row sums, not a matrix product: a value does not depend on the
         # other arguments of its call.
         fine[part] = (f[:, :n_fine] * _ML_FINE[1]).real.sum(axis=1)
@@ -537,132 +545,110 @@ def _ml_contour(alpha: float, beta: float, z: np.ndarray, p: np.ndarray,
     return fine, est
 
 
-def _ml_sums(alpha: float, beta: float, z: np.ndarray):
-    """E_{a,b}(z) = R e^p + c at every finite nonzero z of an array:
-    (log(R e^p), p, c, estimate of c) with p = z^{1/a}, R = p^{1-b}/a past
-    the split (z > 0 with p^{max(1, b-1)} >= _POLE_SPLIT) and c the rule's
-    sum for F - R/(s - p); elsewhere log(R e^p) = -inf, p = 0 and c is the
-    raw rule's E_{a,b}(z).
-
-    p and log(R e^p) are formed from log z: the bare power z^{1/a} overflows
-    already at moderate z for small a.  Where p leaves double range both are
-    inf.  Where R e^p does (for a above 1e-45 that needs p > 600), c is
-    below e^{-p} R e^p and is returned as 0 with estimate 0.
-    """
-    log_lead, p = np.full(z.size, -math.inf), np.zeros(z.size)
-    c, est = np.zeros(z.size), np.zeros(z.size)
-    past = np.flatnonzero(z > 0.0)
-    log_p = np.log(z[past]) / alpha
-    keep = log_p * max(1.0, beta - 1.0) >= math.log(_POLE_SPLIT)
-    past, log_p = past[keep], log_p[keep]
-    p[past] = np.exp(np.minimum(log_p, _LOG_MAX))
-    p[past[log_p > _LOG_MAX]] = math.inf
-    log_lead[past] = p[past] + (1.0 - beta) * log_p - math.log(alpha)
-    rule = ~(log_lead > _LOG_MAX)
-    residue = np.where(np.isfinite(log_lead), np.exp(np.minimum(log_lead, _LOG_MAX) - p), 0.0)
-    c[rule], est[rule] = _ml_contour(alpha, beta, z[rule], p[rule], residue[rule])
-    return log_lead, p, c, est
+# The regimes of ``log_mittag_leffler_array``, indexed by its regime codes.
+_ML_REGIMES = (Regime.TAYLOR_SERIES, Regime.QUADRATURE, Regime.ASYMPTOTIC_POS)
 
 
-def mittag_leffler(alpha: float, beta: float, z: float) -> EvalResult:
-    """Two-parameter Mittag-Leffler function E_{a,b}(z) on the real line.
+def log_mittag_leffler_array(
+    alpha: float, beta: float, z
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Signed log of E_{a,b}(z) at every node of the array z, with
+    relative-error estimates: the one Mittag-Leffler evaluator, behind
+    ``mittag_leffler``, ``log_mittag_leffler`` and the fourier1d integrand.
 
-    One hyperbolic contour rule for the inverse Laplace transform of
-    s^{a-b}/(s^a - z) answers at every z != 0 but where a = 1 has a closed
-    form: e^z (b = 1) and, for z < 0, 1F1(1; b; z)/Gamma(b).  For z > 0
-    with p = z^{1/a} past the split (p^{max(1, b-1)} >= _POLE_SPLIT) the
-    value is the residue term R e^p, R = p^{1-b}/a, plus the rule applied to
-    the transform minus its pole part; the bound adds eps R e^p (4 + (p + |1-b|)(1 + |log p|)) for the
-    rounding of p through 1/a and exp.  Beyond double range the value is inf
-    (``ASYMPTOTIC_POS``); ``log_mittag_leffler`` is the log-domain route.
-    At b = a and z < -1 the 1/z terms of the rule cancel, so the value is
-    taken as E_{a,0}(z)/z, which keeps its relative accuracy.  Every bound
-    is at least the smallest subnormal.
+    Closed forms answer at z = 0 and at a = 1 (e^z for b = 1, and
+    1F1(1; b; z)/Gamma(b) for z < 0); the hyperbola rule elsewhere, at b = a
+    and z < -1 as E_{a,0}(z)/z, whose 1/z terms do not cancel.  For z > 0
+    with p = z^{1/a} past the split (p^{max(1, b-1)} >= _POLE_SPLIT) the log
+    is log(R e^p) + log1p(c/(R e^p)), R = p^{1-b}/a and c the rule's sum for
+    F - R/(s - p), with p formed from log z (z^{1/a} overflows at moderate z
+    for small a) and eps R e^p (4 + (p + |1-b|)(1 + |log p|)) added to the
+    estimate for its rounding.  Where R e^p leaves double range c (below
+    e^{-p} R e^p) is not computed; where its log does, log|E| = inf.
+    Returns the arrays (sign, log|E|, estimate, regime code), the codes
+    indexing _ML_REGIMES: closed forms count as series, the rule as
+    ``QUADRATURE``, a value past double range as ``ASYMPTOTIC_POS``.  A
+    node's values do not depend on the other nodes of the call.
     """
     if not 0.0 < alpha <= 1.0:
         raise DomainError(f"alpha must be in (0,1], got {alpha}")
     if beta <= 0.0:
         raise DomainError(f"beta must be positive, got {beta}")
-    if not math.isfinite(z):
-        raise DomainError(f"mittag_leffler requires finite z, got {z}")
-    if z == 0.0:
-        return EvalResult(reciprocal_gamma(beta), _EPS, 1, Regime.TAYLOR_SERIES)
-    if alpha == 1.0 and beta == 1.0 and z < 700.0:
-        value = math.exp(z)
-        return EvalResult(value, max(2.0 * _EPS * value, math.ulp(0.0)), 0,
-                          Regime.TAYLOR_SERIES)
-    if z < 0.0 and alpha == 1.0:
+    z = np.asarray(z, dtype=float).ravel()
+    if not np.isfinite(z).all():
+        raise DomainError(f"the Mittag-Leffler evaluator requires finite z, got "
+                          f"{z[~np.isfinite(z)][0]}")
+    sign, est, regime = np.ones(z.size), np.full(z.size, _EPS), np.zeros(z.size, dtype=int)
+    if alpha == 1.0 and beta == 1.0:
+        regime[z > _LOG_MAX] = 2
+        return sign, z.copy(), est, regime
+    log_abs = np.zeros(z.size)
+    at = np.flatnonzero(z)
+    if at.size < z.size:
+        at_zero = LogValue.from_float(reciprocal_gamma(beta))
+        sign[z == 0.0], log_abs[z == 0.0] = at_zero.sign, at_zero.log_abs
+    if alpha == 1.0:
         # E_{1,b}(z) = 1F1(1; b; z)/Gamma(b).  At 30 digits the double is
         # correctly rounded, so 4 ulps bound it.
         import mpmath  # imported here: no other path needs its import time
 
         with mpmath.workdps(30):
-            value = float(mpmath.hyp1f1(1, beta, z) * mpmath.rgamma(beta))
-        return EvalResult(value, 4.0 * _EPS * abs(value) + math.ulp(0.0), 0,
-                          Regime.TAYLOR_SERIES)
-    b = 0.0 if beta == alpha and z < -1.0 else beta
-    log_lead, p, c, est = (float(v[0]) for v in _ml_sums(alpha, b, np.array([z])))
-    if b != beta:
-        return EvalResult(c / z, est / -z, 0, Regime.QUADRATURE)
-    if log_lead > _LOG_MAX:
-        return EvalResult(math.inf, math.inf, 0, Regime.ASYMPTOTIC_POS)
-    if log_lead == -math.inf:
-        return EvalResult(c, est, 0, Regime.QUADRATURE)
-    lead = math.exp(log_lead)
-    rounding = _EPS * lead * (4.0 + (p + abs(1.0 - beta)) * (1.0 + abs(math.log(p))))
-    return EvalResult(lead + c, est + rounding, 0, Regime.QUADRATURE)
+            for k in at[z[at] < 0.0]:
+                e = LogValue.from_float(float(mpmath.hyp1f1(1, beta, z[k]) * mpmath.rgamma(beta)))
+                sign[k], log_abs[k], est[k] = e.sign, e.log_abs, 4.0 * _EPS
+        at = at[z[at] > 0.0]
+    regime[at] = 1
+    past = z[at] > 0.0
+    log_p = np.log(z[at[past]]) / alpha
+    split = log_p * max(1.0, beta - 1.0) >= math.log(_POLE_SPLIT)
+    past[past] = split  # now true past the split only
+    raw, past, log_p = at[~past], at[past], log_p[split]
+    below = z[raw] < -1.0 if beta == alpha else np.zeros(raw.size, dtype=bool)
+    with np.errstate(divide="ignore"):
+        for b, nodes in ((beta, raw[~below]), (0.0, raw[below])):
+            if nodes.size:
+                c, c_est = _ml_contour(alpha, b, z[nodes])
+                if b != beta:  # E_{a,a}(z) = E_{a,0}(z)/z
+                    c, c_est = c / z[nodes], c_est / -z[nodes]
+                sign[nodes], log_abs[nodes], est[nodes] = np.sign(c), np.log(np.abs(c)), c_est / np.abs(c)
+    if not past.size:
+        return sign, log_abs, est, regime
+    p = np.where(log_p > _LOG_MAX, math.inf, np.exp(np.minimum(log_p, _LOG_MAX)))
+    log_lead = p + (1.0 - beta) * log_p - math.log(alpha)
+    c, c_est = np.zeros(past.size), np.zeros(past.size)
+    fit = log_lead <= _LOG_MAX
+    c[fit], c_est[fit] = _ml_contour(alpha, beta, z[past[fit]], p[fit], np.exp(log_lead[fit] - p[fit]))
+    ratio = c * np.exp(-log_lead)
+    log_e = log_lead + np.log1p(ratio)
+    rounding = _EPS * (4.0 + (p + abs(1.0 - beta)) * (1.0 + np.abs(log_p)))
+    log_abs[past], est[past] = log_e, (c_est * np.exp(-log_lead) + rounding) / (1.0 + ratio)
+    regime[past[log_e > _LOG_MAX]] = 2
+    return sign, log_abs, est, regime
+
+
+def mittag_leffler(alpha: float, beta: float, z: float) -> EvalResult:
+    """Two-parameter Mittag-Leffler function E_{a,b}(z) on the real line: the
+    float view of ``log_mittag_leffler_array``, inf beyond double range."""
+    sign, log_abs, est, regime = log_mittag_leffler_array(alpha, beta, np.array([float(z)]))
+    return _eval_result(LogValue.from_log(float(log_abs[0]), int(sign[0])), float(est[0]),
+                        _ML_REGIMES[regime[0]], 1 if z == 0.0 else 0)
 
 
 def mittag_leffler_deriv(alpha: float, z: float) -> EvalResult:
     """d/dz E_a(z) = (1/a) E_{a,a}(z)."""
     inner = mittag_leffler(alpha, alpha, z)
-    return EvalResult(
-        inner.value / alpha,
-        inner.abs_error_bound / alpha,
-        inner.terms_used,
-        inner.regime,
-    )
-
-
-def log_mittag_leffler_array(alpha: float, z) -> tuple[np.ndarray, np.ndarray]:
-    """log E_a(z) at every finite z of an array, as the arrays (sign, log|E|).
-
-    a = 1 gives z itself.  For z > 0 with p = z^{1/a} >= _POLE_SPLIT this is
-    log(R e^p) + log1p(c/(R e^p)), R = 1/a, with ``_ml_sums``' contour sum
-    c, which holds for any such z without overflow; elsewhere the log of the
-    rule's value (1 at z = 0).  Raises DomainError where log E_a(z) itself
-    leaves double range.
-    """
-    if not 0.0 < alpha <= 1.0:
-        raise DomainError(f"alpha must be in (0,1], got {alpha}")
-    z = np.asarray(z, dtype=float).ravel()
-    if not np.all(np.isfinite(z)):
-        raise DomainError(f"log_mittag_leffler requires finite z, got {z[~np.isfinite(z)][0]}")
-    sign = np.ones(z.size)
-    if alpha == 1.0:
-        return sign, z.copy()
-    log_abs = np.zeros(z.size)
-    nonzero = np.flatnonzero(z != 0.0)
-    log_lead, _, c, _ = _ml_sums(alpha, 1.0, z[nonzero])
-    if np.any(log_lead == math.inf):
-        raise DomainError(f"log E_{alpha}(z) exceeds double range at z = "
-                          f"{z[nonzero][log_lead == math.inf][0]}")
-    residue = np.isfinite(log_lead)
-    if np.any(c[~residue] <= 0.0):  # numerically impossible for a in (0,1]; keep honest
-        raise NonConvergence(f"non-positive Mittag-Leffler value at z = "
-                             f"{z[nonzero][~residue & (c <= 0.0)][0]}")
-    lead = log_lead[residue]
-    log_abs[nonzero[residue]] = lead + np.log1p(c[residue] * np.exp(-lead))
-    log_abs[nonzero[~residue]] = np.log(c[~residue])
-    return sign, log_abs
+    return EvalResult(inner.value / alpha, inner.abs_error_bound / alpha, inner.terms_used,
+                      inner.regime)
 
 
 def log_mittag_leffler(alpha: float, z: float) -> LogValue:
-    """log E_a(z) as a LogValue for finite z: the one-point view of
-    ``log_mittag_leffler_array``."""
-    if not math.isfinite(z):
-        raise DomainError(f"log_mittag_leffler requires finite z, got {z}")
-    _, log_abs = log_mittag_leffler_array(alpha, np.array([float(z)]))
+    """log E_a(z) for finite z, the log view of ``log_mittag_leffler_array``
+    at b = 1; DomainError where log E_a(z) itself leaves double range."""
+    sign, log_abs, _, _ = log_mittag_leffler_array(alpha, 1.0, np.array([float(z)]))
+    if log_abs[0] == math.inf:
+        raise DomainError(f"log E_{alpha}(z) exceeds double range at z = {z}")
+    if sign[0] != 1.0:  # numerically impossible for a in (0,1]; keep honest
+        raise NonConvergence(f"non-positive Mittag-Leffler value at z = {z}")
     return LogValue(1, float(log_abs[0]))
 
 

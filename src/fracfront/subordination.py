@@ -24,7 +24,8 @@ from typing import Callable
 import numpy as np
 
 from .errors import DomainError, NonConvergence, QuadratureFailure, Unsupported
-from .kernels import FracParams, _check_point, exact_kernel, log_envelope_shape, log_kernel
+from .kernels import (FracParams, _check_dim, _check_point, exact_kernel, log_envelope_shape,
+                      log_kernel)
 from .logvalue import LogValue, panel_integral_log
 from .specfun import log_wright_array
 
@@ -37,7 +38,7 @@ from .specfun import _log_wright  # noqa: E402,F401
 @dataclass(frozen=True)
 class QuadratureSpec:
     """Tolerance and tail cut of the subordination integral: rel_tol / 4
-    bounds the panels' |sum of (K31 - G15)| relative to the integral and
+    bounds the sum of the panels' |K31 - G15| relative to the integral and
     the relative error of the Wright factor at each panel node; the
     window ends where the integrand falls below e^{tail_cut_log} times the
     largest value on the bracketing grid."""
@@ -216,6 +217,7 @@ def subordinate_envelope(
         raise Unsupported("subordination integral is for alpha in (0,1)")
     if not 0.0 < rho < 1.0:
         raise Unsupported(f"envelope route requires rho in (0,1), got {rho}")
+    _check_dim(d)
     _check_point(t, r)
     _reject_divergent_origin(rho, d, r)
     return _subordinated(

@@ -150,6 +150,12 @@ class TestKernelAndThresholds:
             assert main(["kernel", "--rho", "1.5", "--dim", "1", "--t", "1", "--r", "1e20"]) == 2
         assert "did not terminate" in err.getvalue()
 
+    def test_no_kernel_is_usage_error(self):
+        # rho > 1 has an exact kernel in d = 1 only, and no envelope.
+        proc = run_cli("kernel", "--rho", "1.5", "--dim", "2", "--t", "1", "--r", "1")
+        assert proc.returncode == 1
+        assert "usage error: no exact kernel" in proc.stderr
+
     def test_thresholds_out_of_integer_range(self):
         # m_alpha passes 2^62 below alpha ~ 0.018: a typed failure, not a
         # traceback.
@@ -203,6 +209,20 @@ class TestSolution:
                 assert len(lines) == 1 and lines[0].startswith("solution sign=+1 log_abs=")
                 out[method] = float(lines[0].split("log_abs=")[1])
             assert out["fourier1d"] == approx(out["subordination"], rel=1e-9)
+
+    def test_alpha_one(self):
+        # The classical solution e^t K_t(r) on the subordination route, and
+        # e^t times the envelope shape on the envelope route.
+        for rho, method, label, want in (
+                ("1", "subordination", "solution", 2.0 - 0.5 * math.log(8.0 * math.pi) - 9.0 / 8.0),
+                ("0.5", "envelope", "envelope", 2.0 + math.log(2.0) - math.log(13.0))):
+            buf = io.StringIO()
+            with contextlib.redirect_stdout(buf):
+                assert main(["solution", "--alpha", "1", "--rho", rho, "--dim", "1",
+                             "--t", "2", "--r", "3", "--method", method]) == 0
+            first = buf.getvalue().splitlines()[0]
+            assert first.startswith(f"{label} sign=+1 log_abs=")
+            assert float(first.split("log_abs=")[1]) == approx(want, abs=1e-9)
 
     def test_unsupported_route_is_computation_failure(self):
         # Every route mismatch, on the route table's message.

@@ -14,6 +14,7 @@ from fracfront.invasion import (
     Verdict,
     _point_log_u,
     classify,
+    predicted_verdict,
     run_experiment,
     theta,
     thresholds,
@@ -48,6 +49,35 @@ class TestThresholds:
             thresholds(0.5, 1.0, 0)
         with raises(DomainError):
             thresholds(0.5, 0.0, 1)
+
+
+# One row per return of predicted_verdict, in its order: (rho, d, profile,
+# m, beta, verdict).  At alpha 1/2 the power thresholds in m are sqrt(3) and
+# 17.75 (rho = 1), the exponential ones 0.375 and 0.5 (rho = 1/2, d = 1).
+_VERDICT_TABLE = [
+    (0.5, 1, "power", 1.0, 1.0, "diverging"),
+    (1.0, 1, "power", 1.0, 0.5, "diverging"),
+    (1.0, 1, "power", 1.0, 1.5, "vanishing"),
+    (1.0, 1, "power", 1.0, 1.0, "diverging"),
+    (1.0, 1, "power", 20.0, 1.0, "vanishing"),
+    (1.0, 1, "power", 5.0, 1.0, "gap"),
+    (1.5, 1, "power", 1.0, 1.5, "vanishing"),
+    (1.5, 1, "power", 1.0, 0.2, "diverging"),
+    (1.5, 2, "power", 1.0, 0.2, "gap"),
+    (1.0, 1, "exponential", 1.0, 1.0, "none"),
+    (0.5, 1, "exponential", 1.0, 0.5, "diverging"),
+    (0.5, 1, "exponential", 1.0, 1.5, "vanishing"),
+    (0.5, 1, "exponential", 0.3, 1.0, "diverging"),
+    (0.5, 1, "exponential", 0.6, 1.0, "vanishing"),
+    (0.5, 1, "exponential", 0.4, 1.0, "gap"),
+]
+
+
+@mark.parametrize("rho,d,kind,m,beta,want", _VERDICT_TABLE)
+def test_predicted_verdict_table(rho, d, kind, m, beta, want):
+    report = thresholds(0.5, rho, d)
+    profile = SpeedProfile(ProfileKind(kind), m, beta)
+    assert predicted_verdict(FracParams(0.5, rho, d), profile, report) == want
 
 
 class TestSpeedProfile:

@@ -6,6 +6,7 @@ from pytest import approx, mark, raises
 from scipy.integrate import quad
 
 from fracfront.errors import DomainError, QuadratureFailure, Unsupported
+from fracfront.invasion import thresholds
 from fracfront.kernels import (
     FracParams,
     _f_transform,
@@ -17,6 +18,7 @@ from fracfront.kernels import (
     stable_envelope,
 )
 from fracfront.logvalue import LogValue
+from fracfront.subordination import subordinate_envelope
 
 
 class TestFracParams:
@@ -36,6 +38,21 @@ class TestFracParams:
     def test_dim_must_be_an_integer(self, dim):
         with raises(DomainError):
             FracParams(0.5, 1.0, dim)
+
+    @mark.parametrize("call", [
+        lambda: kernel(1.0, 0, 1, 1),
+        lambda: kernel(1.0, 1.5, 1, 1),
+        lambda: kernel(0.5, -2, 1, 1),
+        lambda: kernel(1.0, True, 1, 1),
+        lambda: stable_envelope(0.3, 1, 1, 0),
+        lambda: subordinate_envelope(0.5, 0.3, 1.5, 2, 1),
+        lambda: thresholds(0.5, 1, 2.5),
+    ], ids=["kernel-d0", "kernel-d1.5", "kernel-d-2", "kernel-dTrue", "envelope-d0",
+            "subordinate_envelope-d1.5", "thresholds-d2.5"])
+    def test_bare_dimension_checked(self, call):
+        # The entry points that take a bare d check it as FracParams does.
+        with raises(DomainError):
+            call()
 
 
 class TestGaussian:
@@ -94,9 +111,10 @@ class TestStableEnvelope:
             assert shape.log_abs + math.log(0.31) <= true.log_abs <= shape.log_abs + math.log(0.33)
 
     def test_rejects_rho_outside_unit_interval(self):
-        with raises(DomainError):
+        # No evaluator for this rho: the error type of the exact-kernel table.
+        with raises(Unsupported):
             stable_envelope(1.0, 1.0, 1.0, 1)
-        with raises(DomainError):
+        with raises(Unsupported):
             stable_envelope(1.5, 1.0, 1.0, 1)
 
 

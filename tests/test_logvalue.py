@@ -113,6 +113,22 @@ def test_panel_integral_localises_a_jump():
     assert got.log_abs == pytest.approx(math.log(5.0 / 3.0), rel=0, abs=1e-12)
 
 
+def test_panel_errors_of_opposite_sign_do_not_cancel():
+    # 1 + sign(x) |x|^{1/2}: the odd part's K31 - G15 gaps on [-1, 0] and
+    # [0, 1] are equal and opposite, so their signed sum would pass any
+    # tolerance after one round.  Their magnitudes bisect both panels.
+    calls = []
+
+    def f(x):
+        calls.append(x.size)
+        with np.errstate(divide="ignore"):
+            return np.ones(x.size), np.log1p(np.sign(x) * np.sqrt(np.abs(x)))
+
+    got = panel_integral_log(f, [-1.0, 0.0, 1.0], 1e-10)
+    assert len(calls) > 1
+    assert got.sign == 1 and got.log_abs == pytest.approx(math.log(2.0), rel=0, abs=1e-10)
+
+
 def test_panel_integral_exhausts_budget():
     # About 1.6e5 periods on [0, 1]: a 32-point panel resolves a few, so
     # every panel keeps failing its halves test until the budget runs out.

@@ -404,7 +404,7 @@ class TestArrayEvaluators:
             p_split = specfun._POLE_SPLIT
             zs = [0.0, (p_split - 1e-9) ** alpha, (p_split + 1e-9) ** alpha, -40.0, -0.3,
                   2.0, 30.0 ** alpha * 40.0]
-            sign, log_abs = specfun.log_mittag_leffler_array(alpha, np.array(zs))
+            sign, log_abs, _, _ = specfun.log_mittag_leffler_array(alpha, 1.0, np.array(zs))
             assert np.all(sign == 1.0)
             for z, got in zip(zs, log_abs):
                 assert log_mittag_leffler(alpha, z).log_abs == approx(got, rel=1e-14, abs=1e-15)
@@ -416,10 +416,11 @@ class TestArrayEvaluators:
                 assert log_abs.tolist() == zs
 
     def test_log_ml_array_out_of_range_raises(self):
+        # log E leaves double range: an infinite log, reported as past it.
+        _, log_abs, _, regime = specfun.log_mittag_leffler_array(0.05, 1.0, np.array([1.0, 1e20]))
+        assert log_abs[1] == math.inf and specfun._ML_REGIMES[regime[1]] is Regime.ASYMPTOTIC_POS
         with raises(DomainError):
-            specfun.log_mittag_leffler_array(0.05, np.array([1.0, 1e20]))
-        with raises(DomainError):
-            specfun.log_mittag_leffler_array(0.5, np.array([1.0, math.inf]))
+            specfun.log_mittag_leffler_array(0.5, 1.0, np.array([1.0, math.inf]))
 
 
 def _ml_laplace_reference(alpha: float, beta: float, z: float) -> mpmath.mpf:
