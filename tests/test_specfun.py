@@ -415,6 +415,19 @@ class TestArrayEvaluators:
             if alpha == 1.0:
                 assert log_abs.tolist() == zs
 
+    @mark.parametrize("alpha", [0.4, 0.8, 1.0])
+    @mark.parametrize("beta", ["alpha", 1.0, 2.5])
+    def test_log_ml_array_nodes_are_independent(self, alpha, beta):
+        # Every branch in one call (z = 0, E_{a,0}(z)/z at beta = alpha,
+        # the raw rule, the residue form, overflow, the a = 1 closed forms)
+        # gives each node what a call with that node alone gives.
+        beta = alpha if beta == "alpha" else beta
+        zs = np.array([0.0, -30.0, -0.5, 1e-4, 0.8, 3.0, 700.0, -2.0])
+        whole = specfun.log_mittag_leffler_array(alpha, beta, zs)
+        for k, z in enumerate(zs):
+            alone = specfun.log_mittag_leffler_array(alpha, beta, np.array([z]))
+            assert [a[0] for a in alone] == [w[k] for w in whole], z
+
     def test_log_ml_array_out_of_range_raises(self):
         # log E leaves double range: an infinite log, reported as past it.
         _, log_abs, _, regime = specfun.log_mittag_leffler_array(0.05, 1.0, np.array([1.0, 1e20]))
