@@ -3,7 +3,8 @@
 Subcommands: eval ml / eval wright (point evaluations), kernel, solution,
 invade (trajectory experiments with CSV/JSON export), thresholds, verify.
 Exit codes: 0 success, 1 usage error, 2 computation failure, 3 verify-suite
-failure.
+failure.  Each command imports the modules it uses, so ``eval`` does not
+load the quadratures, the invasion experiments or the verify suites.
 """
 
 from __future__ import annotations
@@ -17,19 +18,14 @@ import sys
 import tempfile
 
 from .errors import DomainError, FracFrontError, Unsupported
-from .invasion import (
-    ExperimentConfig,
-    Method,
-    ProfileKind,
-    SpeedProfile,
-    _point_log_u,
-    run_experiment,
-    thresholds,
-)
-from .kernels import FracParams, _check_point, exact_kernel, kernel, stable_envelope
 from .logvalue import LogValue
 from .specfun import mittag_leffler, wright_neg
-from .verify import SuiteName, run_suite
+
+# The values of invasion.Method and verify.SuiteName, spelled out so that
+# building the parser imports neither module.
+_METHODS = ("subordination", "fourier1d", "envelope")
+_SUITES = ("ml-identities", "wright-identities", "estimate-lemmas", "leibniz-properties",
+           "subordination", "representations", "asymptotics", "all")
 
 
 class _UsageError(Exception):
@@ -76,11 +72,7 @@ def _build_parser() -> _Parser:
     p_sol.add_argument("--dim", type=int, required=True)
     p_sol.add_argument("--t", type=float, required=True)
     p_sol.add_argument("--r", type=float, required=True)
-    p_sol.add_argument(
-        "--method",
-        choices=[m.value for m in Method],
-        default="subordination",
-    )
+    p_sol.add_argument("--method", choices=_METHODS, default="subordination")
 
     # No defaults here: a flag left out takes the FracParams or
     # ExperimentConfig default.
@@ -95,7 +87,7 @@ def _build_parser() -> _Parser:
     p_inv.add_argument("--t-start", type=float)
     p_inv.add_argument("--t-end", type=float)
     p_inv.add_argument("--n-samples", type=int)
-    p_inv.add_argument("--method", choices=[m.value for m in Method])
+    p_inv.add_argument("--method", choices=_METHODS)
     p_inv.add_argument("--output")
     p_inv.add_argument("--format", choices=["csv", "json"])
 
@@ -105,11 +97,7 @@ def _build_parser() -> _Parser:
     p_thr.add_argument("--dim", type=int, required=True)
 
     p_ver = sub.add_parser("verify", help="run identity/inequality suites")
-    p_ver.add_argument(
-        "--suite",
-        required=True,
-        choices=[s.value for s in SuiteName],
-    )
+    p_ver.add_argument("--suite", required=True, choices=_SUITES)
     p_ver.add_argument("--json", action="store_true")
     return parser
 
@@ -117,6 +105,9 @@ def _build_parser() -> _Parser:
 def _experiment_config(raw: dict) -> ExperimentConfig:
     """The ExperimentConfig of the nested dict a --config file holds, or the
     invade flags make; keys left out take the dataclass defaults."""
+    from .invasion import ExperimentConfig, ProfileKind, SpeedProfile
+    from .kernels import FracParams
+
     if not isinstance(raw, dict):
         raise _UsageError(f"bad config: not a JSON object: {raw!r}")
     try:
@@ -197,6 +188,8 @@ def _cmd_eval(args) -> int:
 def _point_params(alpha: float, args) -> FracParams:
     """FracParams(alpha, rho, dim) of ``args`` after its point (t, r); a
     DomainError is a usage error."""
+    from .kernels import FracParams, _check_point
+
     try:
         _check_point(args.t, args.r)
         return FracParams(alpha, args.rho, args.dim)
@@ -205,6 +198,8 @@ def _point_params(alpha: float, args) -> FracParams:
 
 
 def _cmd_kernel(args) -> int:
+    from .kernels import exact_kernel, kernel, stable_envelope
+
     _point_params(1.0, args)
     if exact_kernel(args.rho, args.dim):
         _print_logvalue("kernel", kernel(args.rho, args.dim, args.t, args.r))
@@ -217,6 +212,8 @@ def _cmd_kernel(args) -> int:
 
 
 def _cmd_solution(args) -> int:
+    from .invasion import Method, _point_log_u
+
     params = _point_params(args.alpha, args)
     method = Method(args.method)
     lv = _point_log_u(params, args.t, args.r, method)
@@ -251,6 +248,8 @@ def _cmd_invade(args) -> int:
             t_start=args.t_start, t_end=args.t_end, n_samples=args.n_samples,
             method=args.method, output_path=args.output, format=args.format,
         )
+    from .invasion import run_experiment
+
     config = _experiment_config(raw)
     report = run_experiment(config)
     print(
@@ -269,6 +268,8 @@ def _cmd_invade(args) -> int:
 
 
 def _cmd_thresholds(args) -> int:
+    from .invasion import thresholds
+
     if not 0.0 < args.alpha < 1.0:
         raise _UsageError("require 0 < alpha < 1")
     if args.rho <= 0.0 or args.dim < 1:
@@ -280,6 +281,8 @@ def _cmd_thresholds(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    from .verify import run_suite
+
     report = run_suite(args.suite)
     if args.json:
         print(json.dumps(dataclasses.asdict(report), sort_keys=True, indent=2))

@@ -6,12 +6,13 @@ u_{a,rho}(t, x) = (1/pi) sum_k (-1)^k a_k(t, x) with
     a_k = (-1)^k integral over [(2k-1) pi/2x, (2k+1) pi/2x] of the same,
 
 an alternating series with positive decreasing terms (k >= 1), so the first
-omitted term bounds the remainder.  Each segment, and the integral at the
-origin, is one call of ``logvalue.panel_integral_log``, the adaptive
-Gauss-Kronrod quadrature of the subordination integral too: a segment starts
-as one K31 / G15 panel, and each panel round evaluates E_a at all its nodes
-in one ``log_mittag_leffler_array`` call.  Also houses the analytic a_0
-lower / a_1 upper bounds and the divergence comparator they feed.
+omitted term bounds the remainder.  The series takes its segments in blocks
+of up to 64; each block, and the integral at the origin, is one call of
+``logvalue.panel_integrals_log``, the adaptive Gauss-Kronrod quadrature of
+the subordination integral too: a segment starts as one K31 / G15 panel, and
+each panel round evaluates E_a at the new nodes of the whole block in one
+``log_mittag_leffler_array`` call.  Also houses the analytic a_0 lower / a_1
+upper bounds and the divergence comparator they feed.
 """
 
 from __future__ import annotations
@@ -21,20 +22,31 @@ import math
 import numpy as np
 
 from .errors import DomainError, NonConvergence
-from .logvalue import LogValue, panel_integral_log, signed_log_sum
+from .logvalue import LogValue, panel_integrals_log, signed_log_sum
 from .specfun import (EvalResult, Regime, dottie, log_mittag_leffler,
                       log_mittag_leffler_array, mittag_leffler, reciprocal_gamma)
 
 
-def _segment_integral_log(
-    alpha: float, rho: float, t: float, x: float, *edges: float
-) -> LogValue:
-    """Signed log of the integral of E_a(t^a (1 - xi^{2 rho})) cos(x xi) over
-    [edges[0], edges[-1]], starting from the panels between ``edges``.
+# The relative tolerance of each segment integral, and the largest relative
+# estimate a Mittag-Leffler value at one of its nodes may carry.  The node
+# limit is looser: near alpha = 1 the hyperbola rule's rounding grows like
+# 1e-12 / (1 - alpha) (9.9e-8 at alpha 0.9999), which no segment tolerance
+# removes; past 1e-6 the rule has missed rather than rounded.
+_SEGMENT_TOL, _NODE_TOL = 1e-9, 1e-6
 
-    The integrand takes each panel round's nodes as one array and evaluates
-    E_a at them with one call of ``log_mittag_leffler_array``; nodes where
-    the cosine vanishes are left out of it."""
+
+def _segment_integrals_log(
+    alpha: float, rho: float, t: float, x: float, edge_lists
+) -> list[LogValue]:
+    """Signed logs of the integrals of E_a(t^a (1 - xi^{2 rho})) cos(x xi)
+    over [edges[0], edges[-1]], one for each ``edges`` of ``edge_lists``,
+    each starting from the panels between its ``edges``.
+
+    The integrand takes a panel round's nodes, over every integral, as one
+    array and evaluates E_a at them with one call of
+    ``log_mittag_leffler_array``; nodes where the cosine vanishes are left
+    out of it, and a node whose value is not positive or whose estimate
+    exceeds ``_NODE_TOL`` raises NonConvergence."""
     if rho < 1.0:
         raise DomainError(f"representation stated for rho >= 1, got {rho}")
     if t <= 0.0:
@@ -45,56 +57,66 @@ def _segment_integral_log(
         c = np.cos(x * xi)
         sign, log_abs = np.zeros(xi.size), np.full(xi.size, -math.inf)
         live = np.flatnonzero(c != 0.0)
-        ml_sign, ml_log, _, _ = log_mittag_leffler_array(alpha, 1.0, ta * (1.0 - xi[live] ** (2.0 * rho)))
+        z = ta * (1.0 - xi[live] ** (2.0 * rho))
+        ml_sign, ml_log, est, _ = log_mittag_leffler_array(alpha, 1.0, z)
+        missed = (est > _NODE_TOL) | (ml_sign != 1.0)
+        if missed.any():
+            k = int(np.argmax(missed))
+            raise NonConvergence(f"E_{alpha}({z[k]}): sign {ml_sign[k]:+g},"
+                                 f" estimate {est[k]:.3g} (limit {_NODE_TOL:.3g})")
         sign[live] = ml_sign * np.sign(c[live])
         log_abs[live] = ml_log + np.log(np.abs(c[live]))
         return sign, log_abs
 
-    return panel_integral_log(integrand, edges, 1e-9)
+    return panel_integrals_log(integrand, edge_lists, _SEGMENT_TOL)
 
 
-def _a_coefficient_log(
-    k: int, alpha: float, rho: float, t: float, x: float
-) -> LogValue:
+def _a_coefficients_log(
+    k: int, n: int, alpha: float, rho: float, t: float, x: float
+) -> list[LogValue]:
+    """a_k, ..., a_{k+n-1}, their segments integrated in one call."""
     if x <= 0.0:
         raise DomainError("the radial Fourier representation requires x > 0")
     h = math.pi / (2.0 * x)
-    seg = _segment_integral_log(alpha, rho, t, x, max(2 * k - 1, 0) * h, (2 * k + 1) * h)
-    # a_k carries the sign (-1)^k that makes it positive.
-    return seg if seg.sign == 0 or k % 2 == 0 else LogValue(-seg.sign, seg.log_abs)
+    segs = _segment_integrals_log(
+        alpha, rho, t, x, [(max(2 * j - 1, 0) * h, (2 * j + 1) * h) for j in range(k, k + n)])
+    # a_j carries the sign (-1)^j that makes it positive.
+    return [seg if seg.sign == 0 or j % 2 == 0 else LogValue(-seg.sign, seg.log_abs)
+            for j, seg in enumerate(segs, k)]
 
 
 def a_coefficient(k: int, alpha: float, rho: float, t: float, x: float) -> float:
     """The k-th positive term a_k(t, x) of the alternating representation."""
     if not 0.0 < alpha < 1.0:
         raise DomainError(f"alpha must be in (0,1), got {alpha}")
-    return _a_coefficient_log(k, alpha, rho, t, x).to_float()
+    return _a_coefficients_log(k, 1, alpha, rho, t, x)[0].to_float()
 
 
 _MAX_TERMS = 100000  # of the alternating series
+# The largest block of a_k the series integrates in one call.  Its blocks
+# double from 2 (a_0 and a_1, which every series needs) up to this size.
+_MAX_BLOCK = 64
 
 
 def _solution_series_log(
     alpha: float, rho: float, t: float, x: float, tol: float
 ) -> tuple[LogValue, LogValue, int, float]:
-    """(value, remainder bound, terms, cancellation) of (1/pi) sum (-1)^k a_k."""
+    """(value, remainder bound, terms, cancellation) of (1/pi) sum (-1)^k a_k,
+    taking the a_k in blocks; those past the stop are discarded."""
     log_tol_pi = math.log(tol * math.pi) if tol > 0 else -math.inf
     terms: list[LogValue] = []
-    k = 0
-    while True:
-        ak = _a_coefficient_log(k, alpha, rho, t, x)
-        if ak.sign < 0:
-            # Numerically negative a_k: the Leibniz structure has bottomed
-            # out below quadrature noise; stop with |a_k| as the bound.
-            bound = LogValue.from_log(ak.log_abs)
-            break
-        if k >= 1 and ak.log_abs < log_tol_pi:
-            bound = LogValue.from_log(ak.log_abs)
-            break
-        terms.append(LogValue.from_log(ak.log_abs, 1 if k % 2 == 0 else -1))
-        k += 1
-        if k >= _MAX_TERMS:
-            raise NonConvergence(f"alternating series used {_MAX_TERMS} terms")
+    k, n, bound = 0, 2, None
+    while bound is None:
+        for j, ak in enumerate(_a_coefficients_log(k, n, alpha, rho, t, x), k):
+            # A numerically negative a_k: the Leibniz structure has bottomed
+            # out below quadrature noise.  Either stop takes |a_k| as bound.
+            if ak.sign < 0 or (j >= 1 and ak.log_abs < log_tol_pi):
+                bound = LogValue.from_log(ak.log_abs)
+                break
+            terms.append(LogValue.from_log(ak.log_abs, 1 if j % 2 == 0 else -1))
+            if len(terms) >= _MAX_TERMS:
+                raise NonConvergence(f"alternating series used {_MAX_TERMS} terms")
+        k, n = k + n, min(2 * n, _MAX_BLOCK)
     total, cancellation = signed_log_sum(terms)
     if cancellation > 1e12:
         raise NonConvergence(
@@ -131,7 +153,7 @@ def _log_solution_at_origin(alpha: float, rho: float, t: float) -> LogValue:
     """Signed log of (1/pi) integral_0^X E_a(t^a (1 - xi^{2 rho})) d xi, one
     adaptive integral from the panels [0, 1] and the decades up to X."""
     edges = [0.0] + np.geomspace(1.0, _ORIGIN_END, 7).tolist()
-    seg = _segment_integral_log(alpha, rho, t, 0.0, *edges)
+    seg = _segment_integrals_log(alpha, rho, t, 0.0, [edges])[0]
     return LogValue(seg.sign, seg.log_abs - math.log(math.pi))
 
 

@@ -98,9 +98,10 @@ def kronrod_panels(a, b) -> tuple[np.ndarray, np.ndarray]:
     return mid + half * KRONROD_NODES, half * KRONROD_WEIGHTS
 
 
-# Columns of ``panel_integral_log``'s table of kept panels: a, b, then the
-# (sign, log) of the panel's K31 sum and the log of |K31 - G15|.
-_A, _B, _SIGN, _LOG, _ERR_LOG = range(5)
+# Columns of ``panel_integrals_log``'s table of kept panels: a, b, then the
+# (sign, log) of the panel's K31 sum, the log of |K31 - G15| and the index
+# of the integral that owns the panel.
+_A, _B, _SIGN, _LOG, _ERR_LOG, _OWNER = range(6)
 
 
 @dataclass(frozen=True)
@@ -182,28 +183,56 @@ def _log_add(s1, l1, s2, l2):
     return log_sum(np.stack([s1, s2], axis=-1), np.stack([l1, l2], axis=-1))
 
 
+def _owner_log_sum(owner, sign, log_abs, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """``log_sum`` of the entries of each owner 0 .. n-1, in entry order, so
+    that one owner's sum does not depend on the others' entries."""
+    top = np.full(n, -math.inf)
+    np.maximum.at(top, owner, log_abs)
+    shift = np.where(np.isfinite(top), top, 0.0)
+    net = np.bincount(owner, weights=sign * np.exp(log_abs - shift[owner]), minlength=n)
+    with np.errstate(divide="ignore"):
+        return np.sign(net), np.where(net == 0.0, -math.inf, shift + np.log(np.abs(net)))
+
+
 def panel_integral_log(
     f: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]], edges, tol: float
 ) -> LogValue:
-    """Signed log of the integral of f over [edges[0], edges[-1]].
+    """The one-integral call of ``panel_integrals_log``."""
+    return panel_integrals_log(f, [edges], tol)[0]
+
+
+def panel_integrals_log(
+    f: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]], edge_lists, tol: float
+) -> list[LogValue]:
+    """Signed logs of the integrals of f over [edges[0], edges[-1]], one for
+    each ``edges`` of ``edge_lists``.
 
     ``f`` takes a float array of nodes and returns the arrays (sign, log|f|),
     sign 0 (with any log) where f vanishes.  Globally adaptive bisection (as
-    in QUADPACK) on the Gauss-Kronrod pair K31 / G15 from the panels between
-    ``edges``: each panel is evaluated once, at its 31 Kronrod nodes, and
-    K31 - G15 on the same nodes is its error estimate.  Returns the sum of
-    the K31 sums once the sum of the |K31 - G15| is at most tol * |total|
-    (or every one is zero), so that errors of opposite sign do not cancel;
-    otherwise bisects each panel whose |K31 - G15|
-    exceeds its share tol * |total| / (panel count), at least the worst one.
-    A round evaluates all its new nodes in one call of f: the starting
-    panels in the first round, the halves of the split panels after it.
-    More than MAX_PANELS panels is a QuadratureFailure.  Sums stay in log
-    space, so f may exceed double range.
+    in QUADPACK) on the Gauss-Kronrod pair K31 / G15, applied to each
+    integral on its own from the panels between its ``edges``: each panel
+    is evaluated once, at its 31 Kronrod nodes, and K31 - G15 on the same
+    nodes is its error estimate.  An integral returns the sum of its K31
+    sums once the sum of its |K31 - G15| is at most tol * |its total| (or
+    every one is zero), so that errors of opposite sign do not cancel;
+    otherwise it bisects each of its panels whose |K31 - G15| exceeds its
+    share tol * |its total| / (its panel count), at least its worst one.
+    A round evaluates all its new nodes, over every integral not yet done,
+    in one call of f: the starting panels in the first round, the halves
+    of the split panels after it.  More than MAX_PANELS panels in one
+    integral is a QuadratureFailure naming its interval.  Sums stay in log
+    space, so f may exceed double range.  An integral's value does not
+    depend on the others of the call, as long as f's values at a node do
+    not depend on the other nodes.
     """
-    edges = np.asarray(edges, dtype=float)
-    a, b, log_tol, k = edges[:-1], edges[1:], math.log(tol), len(KRONROD_NODES)
-    kept = np.empty((0, _ERR_LOG + 1))
+    edge_lists = [np.asarray(edges, dtype=float) for edges in edge_lists]
+    n = len(edge_lists)
+    a = np.concatenate([edges[:-1] for edges in edge_lists])
+    b = np.concatenate([edges[1:] for edges in edge_lists])
+    owner = np.repeat(np.arange(n), [len(edges) - 1 for edges in edge_lists])
+    log_tol, k = math.log(tol), len(KRONROD_NODES)
+    kept = np.empty((0, _OWNER + 1))
+    done: list[LogValue | None] = [None] * n
     while True:
         half = 0.5 * (b - a)
         sign, log_abs = f(kronrod_panels(a, b)[0].ravel())
@@ -214,21 +243,35 @@ def panel_integral_log(
             kronrod = log_sum(sign, log_abs + np.log(KRONROD_WEIGHTS) + log_half)
             gauss = log_sum(sign[:, 1::2], log_abs[:, 1::2] + np.log(GAUSS_WEIGHTS) + log_half)
         diff = _log_add(kronrod[0], kronrod[1], -gauss[0], gauss[1])
-        # In the column order of _A .. _ERR_LOG.
-        kept = np.concatenate([kept, np.column_stack([a, b, *kronrod, diff[1]])])
-        total = log_sum(kept[:, _SIGN], kept[:, _LOG])
-        err = log_sum(np.ones(len(kept)), kept[:, _ERR_LOG])
-        if err[0] == 0.0 or err[1] <= log_tol + total[1]:
-            return LogValue.from_log(float(total[1]), int(total[0]))
-        share = log_tol + total[1] - math.log(len(kept))
-        # At least the worst panel, should rounding leave none above its share.
-        kept = kept[np.argsort(-kept[:, _ERR_LOG], kind="stable")]
-        n_split = max(1, int(np.count_nonzero(kept[:, _ERR_LOG] > share)))
-        if len(kept) + n_split > MAX_PANELS:
+        # In the column order of _A .. _OWNER.
+        kept = np.concatenate([kept, np.column_stack([a, b, *kronrod, diff[1], owner])])
+        owner = kept[:, _OWNER].astype(int)
+        total = _owner_log_sum(owner, kept[:, _SIGN], kept[:, _LOG], n)
+        err = _owner_log_sum(owner, np.ones(len(kept)), kept[:, _ERR_LOG], n)
+        count = np.bincount(owner, minlength=n)
+        converged = (count > 0) & ((err[0] == 0.0) | (err[1] <= log_tol + total[1]))
+        for i in np.flatnonzero(converged):
+            done[i] = LogValue.from_log(float(total[1][i]), int(total[0][i]))
+        kept = kept[~converged[owner]]
+        if not len(kept):
+            return done
+        # Grouped by integral, each one's worst panels first (a stable sort,
+        # so its panels keep the order of a call of its own); at least its
+        # worst one splits, should rounding leave none above its share.
+        kept = kept[np.lexsort((-kept[:, _ERR_LOG], kept[:, _OWNER]))]
+        owner = kept[:, _OWNER].astype(int)
+        share = log_tol + total[1] - np.log(np.maximum(count, 1))
+        split = kept[:, _ERR_LOG] > share[owner]
+        split[0] = True
+        split[1:] |= owner[1:] != owner[:-1]
+        over = np.flatnonzero(count + np.bincount(owner[split], minlength=n) > MAX_PANELS)
+        if over.size:
+            i = over[0]
             raise QuadratureFailure(
-                f"integral over [{edges[0]:.6g}, {edges[-1]:.6g}] did not converge in {MAX_PANELS}"
-                f" panels (log(error / total) {err[1] - total[1]:.3g})")
-        split, kept = kept[:n_split], kept[n_split:]
+                f"integral over [{edge_lists[i][0]:.6g}, {edge_lists[i][-1]:.6g}] did not converge"
+                f" in {MAX_PANELS} panels (log(error / total) {err[1][i] - total[1][i]:.3g})")
+        split, kept = kept[split], kept[~split]
         mid = 0.5 * (split[:, _A] + split[:, _B])
         a = np.column_stack([split[:, _A], mid]).ravel()
         b = np.column_stack([mid, split[:, _B]]).ravel()
+        owner = np.repeat(split[:, _OWNER], 2)

@@ -40,6 +40,33 @@ def test_import_loads_no_scipy():
     assert proc.stdout.strip() == "[]"
 
 
+def test_eval_loads_only_special_functions():
+    # The package namespace and the CLI import a module when a name or
+    # command needs it, so a cold ``eval`` skips the quadratures.
+    proc = _python(
+        "-c",
+        "import sys, fracfront, fracfront.cli\n"
+        "fracfront.cli.main(['eval', 'ml', '--alpha', '0.5', '--beta', '1', '--z', '-2'])\n"
+        "print(sorted(m for m in sys.modules if m.startswith('fracfront.')))")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == str(
+        ["fracfront.cli", "fracfront.errors", "fracfront.logvalue", "fracfront.specfun"])
+
+
+def test_lazy_namespace_and_parser_choices():
+    import fracfront
+    from fracfront import cli
+    from fracfront.invasion import Method
+    from fracfront.verify import SuiteName
+
+    assert cli._METHODS == tuple(m.value for m in Method)
+    assert cli._SUITES == tuple(s.value for s in SuiteName)
+    for name in fracfront.__all__:
+        assert getattr(fracfront, name) is not None
+    assert fracfront.run_experiment.__module__ == "fracfront.invasion"
+    assert set(fracfront.__all__) <= set(dir(fracfront))
+
+
 def test_routes_load_no_numpy_ma():
     # np.unique and friends import numpy.ma lazily, which costs the
     # benchmark's children about 1 MB; no route of the package may pull it.
@@ -359,11 +386,11 @@ class TestVerifyCommand:
         assert payload["cases_passed"] == payload["cases_run"]
 
     def test_failing_suite_exits_three(self, monkeypatch):
-        from fracfront.verify import SuiteReport
-        import fracfront.cli as cli
+        import fracfront.verify as verify
 
+        # The verify command imports run_suite from its module when it runs.
         monkeypatch.setattr(
-            cli, "run_suite", lambda name: SuiteReport(name, 3, 2, 1.0, "case")
+            verify, "run_suite", lambda name: verify.SuiteReport(name, 3, 2, 1.0, "case")
         )
         with contextlib.redirect_stdout(io.StringIO()):
             assert main(["verify", "--suite", "all"]) == 3

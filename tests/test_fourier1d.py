@@ -2,9 +2,12 @@ import math
 
 from pytest import approx, mark, raises
 
-from fracfront.errors import DomainError
+from fracfront import fourier1d
+from fracfront.errors import DomainError, NonConvergence
 from fracfront.fourier1d import (
-    _segment_integral_log,
+    _a_coefficients_log,
+    _segment_integrals_log,
+    _solution_series_log,
     a0_lower_bound,
     a1_upper_bound,
     a_coefficient,
@@ -12,7 +15,9 @@ from fracfront.fourier1d import (
     solution_series,
     theorem17_comparator,
 )
+from fracfront.invasion import Method, _point_log_u
 from fracfront.kernels import FracParams, classical_solution
+from fracfront.logvalue import LogValue, signed_log_sum
 from fracfront.subordination import QuadratureSpec, subordinate
 
 
@@ -30,7 +35,7 @@ class TestCoefficients:
         # At t = 800, alpha = 0.3 the factor E_a(t^a (1 - xi^2)) passes
         # e^{690} while its argument is still below 25; the segment stays
         # in log space.
-        seg = _segment_integral_log(0.3, 2.0, 800.0, 1.0, 0.0, 0.01)
+        seg = _segment_integrals_log(0.3, 2.0, 800.0, 1.0, [(0.0, 0.01)])[0]
         assert seg.sign == 1
         assert seg.log_abs == approx(796.60, abs=0.01)
 
@@ -69,6 +74,68 @@ class TestSolutionSeries:
             solution_series(1.0, 1.0, 1.0, 1.0, 1e-6)
         with raises(DomainError):
             solution_series(0.5, 1.0, 1.0, 1.0, 0.0)
+
+
+class TestBlockedSeries:
+    """The series integrates its a_k in doubling blocks, one call each."""
+
+    @staticmethod
+    def _serial(alpha, rho, t, x, tol):
+        """The series one a_k (a block of one) at a time, with the stop
+        rules of ``_solution_series_log``."""
+        terms, k = [], 0
+        while True:
+            ak = _a_coefficients_log(k, 1, alpha, rho, t, x)[0]
+            if ak.sign < 0 or (k >= 1 and ak.log_abs < math.log(tol * math.pi)):
+                break
+            terms.append(LogValue.from_log(ak.log_abs, 1 if k % 2 == 0 else -1))
+            k += 1
+        total, cancellation = signed_log_sum(terms)
+        log_pi = math.log(math.pi)
+        return (LogValue(total.sign, total.log_abs - log_pi),
+                LogValue.from_log(ak.log_abs - log_pi), len(terms), cancellation)
+
+    # Blocks start at a_0, a_2, a_6, a_14, a_30, a_62, ...; these series
+    # stop at a_1, a_3, a_36 and a_44, inside a block.
+    @mark.parametrize("alpha,rho,t,x,tol", [(0.5, 1.5, 1.0, 2.0, 0.1),
+                                            (0.5, 1.5, 1.0, 2.0, 0.005),
+                                            (0.5, 1.5, 1.0, 2.0, 1e-6),
+                                            (0.7, 2.0, 0.5, 1.0, 1e-9)])
+    def test_equals_serial_loop(self, alpha, rho, t, x, tol):
+        got = _solution_series_log(alpha, rho, t, x, tol)
+        assert got[2] not in (0, 2, 6, 14, 30, 62)
+        assert got == self._serial(alpha, rho, t, x, tol)
+
+    def test_small_t_point_takes_few_evaluator_calls(self, monkeypatch):
+        # 5 713 terms at rho = 1: one Mittag-Leffler call per segment would
+        # make more than 5 713 calls; blocks of up to 64 segments make 94.
+        exact, calls = fourier1d.log_mittag_leffler_array, []
+
+        def counting(alpha, beta, z):
+            calls.append(z.size)
+            return exact(alpha, beta, z)
+
+        monkeypatch.setattr(fourier1d, "log_mittag_leffler_array", counting)
+        got = _point_log_u(FracParams(0.5, 1.0, 1), 0.361, 0.346, Method.FOURIER1D)
+        assert got.sign == 1
+        assert len(calls) <= 100
+
+    def test_loose_node_raises(self, monkeypatch):
+        exact = fourier1d.log_mittag_leffler_array
+
+        def one_loose_node(alpha, beta, z):
+            sign, log_abs, est, regime = exact(alpha, beta, z)
+            est = est.copy()
+            est[z.size // 2] = 1e-3
+            return sign, log_abs, est, regime
+
+        monkeypatch.setattr(fourier1d, "log_mittag_leffler_array", one_loose_node)
+        with raises(NonConvergence, match="estimate 0.001"):
+            solution_series(0.5, 1.5, 1.0, 2.0, 1e-6)
+        with raises(NonConvergence):
+            a_coefficient(3, 0.5, 1.5, 1.0, 2.0)
+        with raises(NonConvergence):
+            solution_at_origin(0.5, 1.5, 1.0)
 
 
 class TestSolutionAtOrigin:

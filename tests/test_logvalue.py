@@ -15,6 +15,7 @@ from fracfront.logvalue import (
     kronrod_panels,
     log_sum,
     panel_integral_log,
+    panel_integrals_log,
     signed_log_sum,
 )
 
@@ -153,6 +154,77 @@ def test_panel_rounds_make_one_call_each():
     assert sizes[0] == len(KRONROD_NODES) == 31
     assert len(sizes) > 5
     assert all(n % (2 * len(KRONROD_NODES)) == 0 for n in sizes[1:])
+
+
+
+class TestSeveralIntegrals:
+    """``panel_integrals_log`` runs one adaptive integral per interval in a
+    shared loop: one call of f per round, each integral on its own."""
+
+    @staticmethod
+    def _step(jump):
+        def f(x):
+            return np.ones(x.size), np.where(x < jump, 0.0, math.log(2.0))
+        return f
+
+    @staticmethod
+    def _mixed():
+        """Seeded (f, edges) cases over one integrand: smooth bumps,
+        sign-changing e^x cos x and jumps, each on its own interval."""
+        rng = np.random.default_rng(7)
+        centres = rng.uniform(0.5, 9.5, 6)
+        jumps = rng.uniform(20.05, 20.95, 4)
+
+        def f(x):
+            bump = np.log(np.exp(-0.5 * ((x[:, None] - centres) / 0.3) ** 2).sum(axis=1) + 1e-300)
+            c = np.cos(x)
+            with np.errstate(divide="ignore"):
+                wave = x + np.log(np.abs(c))
+            step = np.where((x[:, None] < jumps).sum(axis=1) % 2 == 0, math.log(2.0), 0.0)
+            sign = np.where(x < 10.0, 1.0, np.where(x < 20.0, np.sign(c), 1.0))
+            return sign, np.where(x < 10.0, bump, np.where(x < 20.0, wave, step))
+
+        edges = [np.linspace(0.0, 10.0, 1 + int(rng.integers(1, 5))) for _ in range(4)]
+        edges += [[10.0, 10.0 + 3.0 * math.pi], [10.5, 12.0, 19.0]]
+        edges += [[20.0, 21.0], [20.0, 20.5, 21.0], [20.3, 20.9]]
+        return f, edges
+
+    def test_each_integral_equals_its_one_integral_call(self):
+        f, edges = self._mixed()
+        for tol in (1e-6, 1e-12):
+            together = panel_integrals_log(f, edges, tol)
+            for one, got in zip(edges, together):
+                assert panel_integral_log(f, one, tol) == got  # bit for bit
+
+    def test_one_call_per_round_across_integrals(self):
+        jumps = [0.2, 1.0 / 3.0, 0.7]
+        rounds = []
+        for jump in jumps:
+            sizes = []
+            step = self._step(jump)
+            panel_integral_log(lambda x: (sizes.append(x.size), step(x))[1], [0.0, 1.0], 1e-12)
+            rounds.append(sizes)
+        sizes = []
+
+        def steps(x):
+            sizes.append(x.size)
+            # Integral i lies on [i, i + 1] with its jump at i + jumps[i].
+            i = np.floor(x)
+            return np.ones(x.size), np.where(x - i < np.take(jumps, i.astype(int)), 0.0, math.log(2.0))
+
+        panel_integrals_log(steps, [[i, i + 1.0] for i in range(3)], 1e-12)
+        # As many calls as the longest integral takes rounds, each holding
+        # the new nodes of every integral still running.
+        assert len(sizes) == max(map(len, rounds))
+        assert sizes == [sum(r[j] for r in rounds if j < len(r)) for j in range(len(sizes))]
+
+    def test_exhausted_budget_names_its_interval(self):
+        def f(x):
+            # Smooth on [0, 1], about 1.6e5 periods on [2, 3].
+            return np.ones(x.size), np.where(x < 1.5, x, np.log(2.0 + np.sin(1e6 * x)))
+
+        with pytest.raises(QuadratureFailure, match=rf"\[2, 3\].*{MAX_PANELS} panels"):
+            panel_integrals_log(f, [[0.0, 1.0], [2.0, 3.0]], 1e-12)
 
 
 class TestKronrodRule:

@@ -178,11 +178,10 @@ def test_default_tolerance_agrees_with_tight_reference():
 
 
 def _near_classical_points():
-    # Three (t, r) per alpha drawn from the grid: the Fourier reference alone
-    # takes up to 44 s at one grid point, so the whole grid is too slow.
-    rng = random.Random(0)
-    grid = list(itertools.product([0.5, 1.0, 2.0, 5.0], [0.25, 1.0, 3.0]))
-    return [(a,) + tr for a in (0.99, 0.999, 0.9999) for tr in rng.sample(grid, 3)]
+    # The whole 4 x 3 (t, r) grid per alpha: the Fourier reference takes
+    # 1.3 s over all 36 points (2-core machine, numpy 2.4).
+    grid = itertools.product([0.5, 1.0, 2.0, 5.0], [0.25, 1.0, 3.0])
+    return [(a,) + tr for tr in grid for a in (0.99, 0.999, 0.9999)]
 
 
 class TestNearClassicalAlpha:
