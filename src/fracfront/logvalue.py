@@ -3,11 +3,11 @@
 Solution values along invasion curves behave like exp(c*t) with t up to ~60,
 so everything downstream of the kernels is carried as (sign, log|value|)
 pairs instead of raw floats, and every integral of them runs on the one
-adaptive panel quadrature ``panel_integral_log`` below: Gauss-Kronrod K31 /
-G15 panels, whose nodes and weights are computed at import.  Its integrands
-take an array of nodes and return the arrays (sign, log|value|), so each
-round of panels is one call, and ``log_sum`` adds such arrays without
-leaving log space.  ``kronrod_panels`` lays out the same K31 rule on given
+adaptive panel quadrature ``panel_integrals_log`` below, several integrals of
+one integrand at a time: Gauss-Kronrod K31 / G15 panels, whose nodes and
+weights are computed at import.  Its integrands take an array of nodes and
+return the arrays (sign, log|value|), so each round of panels is one call,
+and ``log_sum`` adds such arrays without leaving log space.  ``kronrod_panels`` lays out the same K31 rule on given
 panels, for it and for the fixed (non-adaptive) rules elsewhere.
 """
 
