@@ -168,16 +168,14 @@ def _report_json(report) -> str:
 
 
 def _cmd_eval(args) -> int:
-    if args.function == "ml":
-        if not 0.0 < args.alpha <= 1.0 or args.beta <= 0.0:
-            raise _UsageError("require 0 < alpha <= 1 and beta > 0")
-        res = mittag_leffler(args.alpha, args.beta, args.z)
-    else:
-        if not 0.0 < args.nu < 1.0:
-            raise _UsageError("require 0 < nu < 1")
-        if args.z > 0.0:
-            raise _UsageError("wright evaluation requires z <= 0")
-        res = wright_neg(args.nu, args.mu, args.z)
+    # The evaluators check their arguments; a DomainError is a usage error.
+    try:
+        if args.function == "ml":
+            res = mittag_leffler(args.alpha, args.beta, args.z)
+        else:
+            res = wright_neg(args.nu, args.mu, args.z)
+    except DomainError as exc:
+        raise _UsageError(str(exc)) from exc
     print(
         f"value={_fmt(res.value)} abs_error_bound={_fmt(res.abs_error_bound)} "
         f"terms={res.terms_used} regime={res.regime.value}"
@@ -216,7 +214,7 @@ def _cmd_solution(args) -> int:
 
     params = _point_params(args.alpha, args)
     method = Method(args.method)
-    lv = _point_log_u(params, args.t, args.r, method)
+    lv = _point_log_u(params, [args.t], [args.r], method)[0]
     if method is Method.ENVELOPE:
         _print_logvalue("envelope", lv)
         return 0

@@ -53,7 +53,7 @@ def _segment_integrals_log(
         raise DomainError(f"t must be positive, got {t}")
     ta = t ** alpha
 
-    def integrand(xi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def integrand(xi: np.ndarray, _owner: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         c = np.cos(x * xi)
         sign, log_abs = np.zeros(xi.size), np.full(xi.size, -math.inf)
         live = np.flatnonzero(c != 0.0)

@@ -6,10 +6,11 @@ in one dimension the (sign-changing) cosine transform of exp(-s^{2 rho}).
 For rho in (0,1) otherwise only the constant-free shape
 t / (r^2 + t^{1/rho})^{(d+2 rho)/2} of the stable kernel is available (the
 kernel lies within constant factors of it).  ``log_kernel`` and
-``log_envelope_shape`` take an array of times, for the subordination
-integrands; ``kernel``, ``stable_envelope`` and ``classical_solution`` are
-their one-point views.  The reaction factor e^t is added by
-``classical_solution`` and by the subordination integral, not here.
+``log_envelope_shape`` take an array of times and one radius or one per
+time, elementwise, for the subordination integrands; ``kernel``,
+``stable_envelope`` and ``classical_solution`` are their one-point views.
+The reaction factor e^t is added by ``classical_solution`` and by the
+subordination integral, not here.
 """
 
 from __future__ import annotations
@@ -48,12 +49,12 @@ def _check_dim(d) -> None:
 
 
 def _log_gaussian(t, r: float, d: int):
-    """log of e^{-r^2/4t} / (4 pi t)^{d/2}, for a float or an array t."""
+    """log of e^{-r^2/4t} / (4 pi t)^{d/2}, for floats or arrays t and r."""
     return -r * r / (4.0 * t) - 0.5 * d * np.log(4.0 * math.pi * t)
 
 
 def _log_cauchy(t, r: float, d: int):
-    """log of c_d t / (r^2 + t^2)^{(d+1)/2}, for a float or an array t."""
+    """log of c_d t / (r^2 + t^2)^{(d+1)/2}, for floats or arrays t and r."""
     log_cd = math.lgamma(0.5 * (d + 1)) - 0.5 * (d + 1) * math.log(math.pi)
     # r^2 + t^2 in log form to survive large radii.
     big, small = np.maximum(r, t), np.minimum(r, t)
@@ -61,9 +62,9 @@ def _log_cauchy(t, r: float, d: int):
     return log_cd + np.log(t) - 0.5 * (d + 1) * log_quad
 
 
-def log_envelope_shape(rho: float, t, r: float, d: int):
+def log_envelope_shape(rho: float, t, r, d: int):
     """log of the stable-envelope shape t / (r^2 + t^{1/rho})^{(d+2 rho)/2},
-    for a float or an array t."""
+    for floats or arrays t and r."""
     ts = t ** (1.0 / rho)
     big, small = np.maximum(r * r, ts), np.minimum(r * r, ts)
     log_quad = np.log(big) + np.log1p(small / big)
@@ -155,9 +156,10 @@ def exact_kernel(rho: float, d: int) -> bool:
     return rho in (0.5, 1.0) or (rho > 1.0 and d == 1)
 
 
-def log_kernel(rho: float, d: int, s: np.ndarray, r: float) -> tuple[np.ndarray, np.ndarray]:
-    """Signed log of the exact kernel K_s(r) at every s of an array, as the
-    arrays (sign, log|.|); Unsupported off the ``exact_kernel`` table.  The
+def log_kernel(rho: float, d: int, s: np.ndarray, r) -> tuple[np.ndarray, np.ndarray]:
+    """Signed log of the exact kernel K_s(r) at every s of an array, for one
+    r or an array of one r per s, as the arrays (sign, log|.|); Unsupported
+    off the ``exact_kernel`` table.  The
     rho > 1 kernel may vanish at its zero crossings (sign 0), and the
     kernels of all the s share one batch of cosine transforms."""
     if not exact_kernel(rho, d):

@@ -197,18 +197,20 @@ def _owner_log_sum(owner, sign, log_abs, n: int) -> tuple[np.ndarray, np.ndarray
 def panel_integral_log(
     f: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]], edges, tol: float
 ) -> LogValue:
-    """The one-integral call of ``panel_integrals_log``."""
-    return panel_integrals_log(f, [edges], tol)[0]
+    """The one-integral call of ``panel_integrals_log``, for an integrand
+    ``f(nodes)`` of the nodes alone."""
+    return panel_integrals_log(lambda nodes, owner: f(nodes), [edges], tol)[0]
 
 
 def panel_integrals_log(
-    f: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]], edge_lists, tol: float
+    f: Callable[[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]], edge_lists, tol: float
 ) -> list[LogValue]:
     """Signed logs of the integrals of f over [edges[0], edges[-1]], one for
     each ``edges`` of ``edge_lists``.
 
-    ``f`` takes a float array of nodes and returns the arrays (sign, log|f|),
-    sign 0 (with any log) where f vanishes.  Globally adaptive bisection (as
+    ``f(nodes, owner)`` takes a float array of nodes and the index of the
+    integral of each node in ``edge_lists``, and returns the arrays
+    (sign, log|f|), sign 0 (with any log) where f vanishes.  Globally adaptive bisection (as
     in QUADPACK) on the Gauss-Kronrod pair K31 / G15, applied to each
     integral on its own from the panels between its ``edges``: each panel
     is evaluated once, at its 31 Kronrod nodes, and K31 - G15 on the same
@@ -235,7 +237,7 @@ def panel_integrals_log(
     done: list[LogValue | None] = [None] * n
     while True:
         half = 0.5 * (b - a)
-        sign, log_abs = f(kronrod_panels(a, b)[0].ravel())
+        sign, log_abs = f(kronrod_panels(a, b)[0].ravel(), np.repeat(owner, k))
         sign = np.asarray(sign, dtype=float).reshape(-1, k)
         log_abs = np.where(sign == 0.0, -math.inf, np.asarray(log_abs).reshape(-1, k))
         with np.errstate(divide="ignore"):
@@ -274,4 +276,4 @@ def panel_integrals_log(
         mid = 0.5 * (split[:, _A] + split[:, _B])
         a = np.column_stack([split[:, _A], mid]).ravel()
         b = np.column_stack([mid, split[:, _B]]).ravel()
-        owner = np.repeat(split[:, _OWNER], 2)
+        owner = np.repeat(split[:, _OWNER].astype(int), 2)

@@ -26,7 +26,7 @@ import numpy as np
 from .errors import DomainError, NonConvergence, QuadratureFailure, Unsupported
 from .kernels import (FracParams, _check_dim, _check_point, exact_kernel, log_envelope_shape,
                       log_kernel)
-from .logvalue import LogValue, panel_integral_log
+from .logvalue import LogValue, panel_integrals_log
 from .specfun import log_wright_array
 
 # The scalar views of the evaluators above; the integrands below take arrays
@@ -66,84 +66,107 @@ _WINDOW_TOL = 1e-3
 
 
 def _integrate_log(
-    fn: Callable[[np.ndarray, float], tuple[np.ndarray, np.ndarray]], t: float, spec: QuadratureSpec
-) -> LogValue:
-    """integral_0^inf fn(s) ds in log space for a log-unimodal |fn|.
+    fn: Callable[[np.ndarray, np.ndarray, float], tuple[np.ndarray, np.ndarray]],
+    ts, spec: QuadratureSpec,
+) -> list[LogValue]:
+    """integral_0^inf fn_j(s) ds in log space for each t_j of ts, each
+    |fn_j| log-unimodal with its peak near s = t_j.
 
-    ``fn(s, tol)`` takes an array of s and a relative tolerance and returns
-    the arrays (sign, log|fn|).  Works in w = log s: the extra +w Jacobian
-    term removes any integrable endpoint blow-up at s = 0 and makes the
-    magnitude profile h(w) a clean single bump.  Every call of fn is an
-    array call: each 25-point bracketing grid and each block of
-    ``_WALK_BLOCK`` tail-walk steps at ``_WINDOW_TOL`` (or rel_tol / 4 if
-    looser), and each panel round of ``panel_integral_log`` at rel_tol / 4.
+    ``fn(s, owner, tol)`` takes an array of s, the index j of the integral
+    of each s and a relative tolerance, and returns the arrays
+    (sign, log|fn_j(s)|).  Works in w = log s: the extra +w Jacobian term
+    removes any integrable endpoint blow-up at s = 0 and makes the
+    magnitude profile h(w) a clean single bump.  The integrals move through
+    each phase together, and every call of fn covers every integral still
+    in it: one call per bracketing round (a 25-point grid each) and per
+    block of ``_WALK_BLOCK`` steps of both tail walks, at ``_WINDOW_TOL``
+    (or rel_tol / 4 if looser), and one per panel round of
+    ``panel_integrals_log`` at rel_tol / 4.  Each integral takes the
+    decisions it would take alone, so its value does not depend on the
+    others as long as fn's value at a node does not depend on the other
+    nodes.
     """
     panel_tol = spec.rel_tol / 4.0
     window_tol = max(_WINDOW_TOL, panel_tol)
 
-    def f(w: np.ndarray, tol: float = panel_tol) -> tuple[np.ndarray, np.ndarray]:
-        sign, log_abs = fn(np.exp(w), tol)
+    def f(w: np.ndarray, owner: np.ndarray, tol: float = panel_tol):
+        sign, log_abs = fn(np.exp(w), owner, tol)
         return sign, log_abs + w
 
-    # Coarse bracket around s in [t/4, 4t], expanded while the max sits on
-    # an edge (the peak migrates right with t but starts near s ~ t).
-    w_lo, w_hi = math.log(t / 4.0), math.log(4.0 * t)
+    # Coarse brackets around s in [t/4, 4t], each expanded while its max sits
+    # on an edge (the peak migrates right with t but starts near s ~ t).
+    # The logs are taken one t at a time, as a one-point call takes them.
+    bounds = {j: (math.log(t / 4.0), math.log(4.0 * t)) for j, t in enumerate(ts)}
+    peaks = {}
     for _ in range(80):
-        grid = np.linspace(w_lo, w_hi, 25)
-        vals = f(grid, window_tol)[1]
-        i = int(np.argmax(vals))
-        if not math.isfinite(vals[i]):
-            raise QuadratureFailure("integrand magnitude is nowhere finite")
-        if i == 0:
-            w_lo -= (w_hi - w_lo)
-        elif i == len(grid) - 1:
-            w_hi += (w_hi - w_lo)
-        else:
+        if not bounds:
             break
-    else:
+        grids = np.array([np.linspace(lo, hi, 25) for lo, hi in bounds.values()])
+        vals = f(grids.ravel(), np.repeat(list(bounds), 25), window_tol)[1].reshape(grids.shape)
+        for (j, (lo, hi)), grid, v in zip(list(bounds.items()), grids, vals):
+            i = int(np.argmax(v))
+            if not math.isfinite(v[i]):
+                raise QuadratureFailure("integrand magnitude is nowhere finite")
+            if i == 0:
+                bounds[j] = (lo - (hi - lo), hi)
+            elif i == len(grid) - 1:
+                bounds[j] = (lo, hi + (hi - lo))
+            else:
+                # The grid maximum is at most the peak, so a cut below it
+                # can only widen the window.
+                peaks[j] = (grid[i], v[i] + spec.tail_cut_log)
+                del bounds[j]
+    if bounds:
         raise QuadratureFailure("peak bracketing did not terminate")
 
-    # The grid maximum is at most the peak, so a cut below it can only widen
-    # the window.
-    cut = vals[i] + spec.tail_cut_log
-
-    def walk(step: float) -> float:
-        # Require a few consecutive sub-cut values so a narrow zero crossing
-        # of a sign-changing kernel is not mistaken for the tail.
-        below = 0
-        for k in range(1, 401, _WALK_BLOCK):
-            ws = grid[i] + step * np.arange(k, k + _WALK_BLOCK)
-            for w, sub in zip(ws.tolist(), (f(ws, window_tol)[1] < cut).tolist()):
-                below = below + 1 if sub else 0
-                if below >= 3:
-                    return w
+    # Walk out from each peak both ways until three consecutive values are
+    # below the cut, so a narrow zero crossing of a sign-changing kernel is
+    # not mistaken for the tail; ``walks`` counts them for each walk on.
+    walks, ends = {(j, step): 0 for j in range(len(ts)) for step in (-0.5, 0.5)}, {}
+    for k in range(1, 401, _WALK_BLOCK):
+        if not walks:
+            break
+        ws = np.array([peaks[j][0] + step * np.arange(k, k + _WALK_BLOCK) for j, step in walks])
+        vals = f(ws.ravel(), np.repeat([j for j, _ in walks], _WALK_BLOCK), window_tol)[1]
+        subs = vals.reshape(ws.shape) < np.array([peaks[j][1] for j, _ in walks])[:, None]
+        for walk, w_row, sub_row in zip(list(walks), ws.tolist(), subs.tolist()):
+            for w, sub in zip(w_row, sub_row):
+                walks[walk] = walks[walk] + 1 if sub else 0
+                if walks[walk] >= 3:
+                    ends[walk] = w
+                    del walks[walk]
+                    break
+    if walks:
         raise QuadratureFailure("tail truncation walked too far")
 
-    lo, hi = walk(-0.5), walk(+0.5)
-    n = max(8, int(math.ceil((hi - lo) / 2.0)))
-    return panel_integral_log(f, np.linspace(lo, hi, n + 1), panel_tol)
+    spans = [(ends[j, -0.5], ends[j, 0.5]) for j in range(len(ts))]
+    edge_lists = [np.linspace(lo, hi, max(8, math.ceil((hi - lo) / 2.0)) + 1) for lo, hi in spans]
+    return panel_integrals_log(f, edge_lists, panel_tol) if edge_lists else []
 
 
 def _subordinated(
-    bare_kernel: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]],
-    alpha: float,
-    t: float,
-    spec: QuadratureSpec,
-) -> LogValue:
-    """t^{-a} * integral_0^inf e^s K(s) W_{-a,1-a}(-t^{-a} s) ds in log space.
+    bare_kernel: Callable[[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]],
+    alpha: float, ts, rs, spec: QuadratureSpec,
+) -> list[LogValue]:
+    """t^{-a} * integral_0^inf e^s K(s, r) W_{-a,1-a}(-t^{-a} s) ds in log
+    space at each (t, r) of ts, rs, integrated together (``_integrate_log``).
 
-    ``bare_kernel`` maps an array of s to the arrays (sign, log|K|) of the
-    bare kernel; the reaction factor e^s is added here.  The Wright factor
-    is evaluated only where K is nonzero, and raises NonConvergence where
-    its estimate misses the tolerance of the call.
+    ``bare_kernel`` maps an array of s and an array of r, one per s, to the
+    arrays (sign, log|K|) of the bare kernel; the reaction factor e^s is
+    added here.  The Wright factor is evaluated only where K is nonzero,
+    and raises NonConvergence where its estimate misses the tolerance of
+    the call.
     """
-    ta = t ** alpha
+    ts, rs = [float(t) for t in ts], np.asarray(rs, dtype=float)
+    # t^a one t at a time: numpy's vector pow may differ from libm's by an
+    # ulp, and a one-point call would then not match its sample of a batch.
+    ta = np.array([t ** alpha for t in ts])
 
-    def integrand(s: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
-        sign, log_abs = bare_kernel(s)
+    def integrand(s: np.ndarray, owner: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
+        sign, log_abs = bare_kernel(s, rs[owner])
         log_abs = s + log_abs  # the reaction factor e^s
         live = np.flatnonzero(sign != 0.0)
-        x = s[live] / ta
+        x = s[live] / ta[owner[live]]
         w_sign, w_log, est, _ = log_wright_array(alpha, 1.0 - alpha, x, tol)
         if np.any(est > tol):
             k = int(np.argmax(est > tol))
@@ -155,36 +178,47 @@ def _subordinated(
         log_abs[sign == 0.0] = -math.inf
         return sign, log_abs
 
-    total = _integrate_log(integrand, t, spec)
-    return LogValue(total.sign, total.log_abs - alpha * math.log(t))
+    totals = _integrate_log(integrand, ts, spec)
+    return [LogValue(v.sign, v.log_abs - alpha * math.log(t)) for v, t in zip(totals, ts)]
 
 
-def _reject_divergent_origin(rho: float, d: int, r: float) -> None:
-    """Near s = 0 the integrand is about s^{-d/(2 rho)} / Gamma(1 - alpha),
-    so u(t, 0) is infinite when d >= 2 rho."""
-    if r == 0.0 and d >= 2.0 * rho:
-        raise DomainError(
-            f"u(t, 0) diverges for d = {d} >= 2 rho = {2.0 * rho}: the kernel's"
-            " center is not integrable against the subordination weight")
+def _check_points(rho: float, d: int, ts, rs) -> None:
+    """DomainError unless each (t, r) is a point where u is finite: near
+    s = 0 the integrand is about s^{-d/(2 rho)} / Gamma(1 - alpha), so
+    u(t, 0) is infinite when d >= 2 rho."""
+    for t, r in zip(ts, rs):
+        _check_point(t, r)
+        if r == 0.0 and d >= 2.0 * rho:
+            raise DomainError(
+                f"u(t, 0) diverges for d = {d} >= 2 rho = {2.0 * rho}: the kernel's"
+                " center is not integrable against the subordination weight")
 
 
-def subordinate(
-    params: FracParams, t: float, r: float, spec: QuadratureSpec = DEFAULT_SPEC
-) -> LogValue:
-    """Signed log of u_{alpha,rho}(t, r) through the subordination integral.
+def subordinate_points(
+    params: FracParams, ts, rs, spec: QuadratureSpec = DEFAULT_SPEC
+) -> list[LogValue]:
+    """Signed logs of u_{alpha,rho}(t, r) through the subordination integral
+    at each (t, r) of ts, rs, integrated together.
 
     Requires an exact classical kernel (``kernels.exact_kernel``); for other
-    rho in (0,1) use subordinate_envelope.  Raises DomainError at r = 0 when
-    d >= 2 rho, where u(t, 0) diverges.
+    rho in (0,1) use subordinate_envelope_points.  Raises DomainError at
+    r = 0 when d >= 2 rho, where u(t, 0) diverges.
     """
     rho, d = params.rho, params.dim
     if not 0.0 < params.alpha < 1.0:
         raise Unsupported("subordination integral is for alpha in (0,1)")
     if not exact_kernel(rho, d):
         raise Unsupported(f"no exact kernel for rho = {rho} in dimension {d}")
-    _check_point(t, r)
-    _reject_divergent_origin(rho, d, r)
-    return _subordinated(lambda s: log_kernel(rho, d, s, r), params.alpha, t, spec)
+    _check_points(rho, d, ts, rs)
+    return _subordinated(lambda s, r: log_kernel(rho, d, s, r), params.alpha, ts, rs, spec)
+
+
+def subordinate(
+    params: FracParams, t: float, r: float, spec: QuadratureSpec = DEFAULT_SPEC
+) -> LogValue:
+    """Signed log of u_{alpha,rho}(t, r): the one-point view of
+    ``subordinate_points``."""
+    return subordinate_points(params, [t], [r], spec)[0]
 
 
 def total_mass(
@@ -194,23 +228,19 @@ def total_mass(
     if not 0.0 < alpha < 1.0:
         raise Unsupported("total_mass is for alpha in (0,1)")
     _check_point(t, 0.0)
-    return _subordinated(lambda s: (np.ones(s.size), np.zeros(s.size)), alpha, t, spec)
+    return _subordinated(
+        lambda s, r: (np.ones(s.size), np.zeros(s.size)), alpha, [t], [0.0], spec)[0]
 
 
-def subordinate_envelope(
-    alpha: float,
-    rho: float,
-    d: int,
-    t: float,
-    r: float,
-    spec: QuadratureSpec = DEFAULT_SPEC,
-) -> LogValue:
-    """Subordination of the stable-envelope shape, for rho in (0,1) without
-    an exact kernel.
+def subordinate_envelope_points(
+    alpha: float, rho: float, d: int, ts, rs, spec: QuadratureSpec = DEFAULT_SPEC
+) -> list[LogValue]:
+    """Subordination of the stable-envelope shape at each (t, r) of ts, rs,
+    integrated together, for rho in (0,1) without an exact kernel.
 
     The stable kernel lies within constant factors of the shape
     t / (r^2 + t^{1/rho})^{(d+2 rho)/2}, so u lies within the same factors
-    of this value.  Raises DomainError at r = 0 when d >= 2 rho, where it
+    of these values.  Raises DomainError at r = 0 when d >= 2 rho, where it
     diverges.
     """
     if not 0.0 < alpha < 1.0:
@@ -218,7 +248,13 @@ def subordinate_envelope(
     if not 0.0 < rho < 1.0:
         raise Unsupported(f"envelope route requires rho in (0,1), got {rho}")
     _check_dim(d)
-    _check_point(t, r)
-    _reject_divergent_origin(rho, d, r)
+    _check_points(rho, d, ts, rs)
     return _subordinated(
-        lambda s: (np.ones(s.size), log_envelope_shape(rho, s, r, d)), alpha, t, spec)
+        lambda s, r: (np.ones(s.size), log_envelope_shape(rho, s, r, d)), alpha, ts, rs, spec)
+
+
+def subordinate_envelope(
+    alpha: float, rho: float, d: int, t: float, r: float, spec: QuadratureSpec = DEFAULT_SPEC
+) -> LogValue:
+    """The one-point view of ``subordinate_envelope_points``."""
+    return subordinate_envelope_points(alpha, rho, d, [t], [r], spec)[0]

@@ -116,7 +116,7 @@ class TestBlockedSeries:
             return exact(alpha, beta, z)
 
         monkeypatch.setattr(fourier1d, "log_mittag_leffler_array", counting)
-        got = _point_log_u(FracParams(0.5, 1.0, 1), 0.361, 0.346, Method.FOURIER1D)
+        (got,) = _point_log_u(FracParams(0.5, 1.0, 1), [0.361], [0.346], Method.FOURIER1D)
         assert got.sign == 1
         assert len(calls) <= 100
 

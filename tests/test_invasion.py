@@ -4,7 +4,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 from pytest import approx, mark, raises
 
-from fracfront.errors import DomainError, InsufficientData, Unsupported
+from fracfront.errors import DomainError, InsufficientData, QuadratureFailure, Unsupported
 from fracfront.invasion import (
     ExperimentConfig,
     Method,
@@ -22,6 +22,7 @@ from fracfront.invasion import (
 )
 from fracfront.kernels import FracParams, kernel, stable_envelope
 from fracfront.logvalue import LogValue
+from fracfront.subordination import subordinate
 
 
 class TestThresholds:
@@ -174,12 +175,43 @@ class TestTrajectory:
 
     def test_other_failures_stay_per_sample(self):
         # theta(10) = e^50 - 1 is past the cosine transform's panel guard: a
-        # QuadratureFailure in that sample, not an aborted sweep.
+        # QuadratureFailure in that sample, not an aborted sweep.  The
+        # samples are integrated together; when that fails, each is taken
+        # again on its own.
+        params = FracParams(0.5, 1.5, 1)
         profile = SpeedProfile(ProfileKind.EXPONENTIAL, 5.0, 1.0)
-        first, last = trajectory(
-            FracParams(0.5, 1.5, 1), profile, [0.1, 10.0], Method.SUBORDINATION)
-        assert first.failure is None and first.log_u.sign == 1
+        ts = [0.1, 0.2, 10.0]
+        samples = trajectory(params, profile, ts, Method.SUBORDINATION)
+        for s in samples[:2]:
+            assert s.failure is None and s.log_u.sign == 1
+            assert s.log_u == subordinate(params, s.t, s.theta)  # bit for bit
+        last = samples[2]
+        with raises(QuadratureFailure) as alone:
+            subordinate(params, 10.0, last.theta)
         assert last.log_u is None and "did not terminate" in last.failure
+        assert last.failure == str(alone.value)
+
+
+def _higher_dimension_cells():
+    """The power cells of C7 (rho = 1) and the exponential cells at half of
+    exp_lower and 1.5 exp_upper (rho = 1/2), in d = 2 and 3 at alpha 1/2."""
+    cells = []
+    for d in (2, 3):
+        report = thresholds(0.5, 0.5, d)
+        cells += [(1.0, d, "power", m, beta)
+                  for m, beta in ((1.0, 0.5), (1.0, 1.5), (1.0, 1.0), (20.0, 1.0))]
+        cells += [(0.5, d, "exponential", 0.5 * report.exp_lower, 1.0),
+                  (0.5, d, "exponential", 1.5 * report.exp_upper, 1.0)]
+    return cells
+
+
+@mark.parametrize("rho, d, kind, m, beta", _higher_dimension_cells())
+def test_verdict_in_higher_dimension(rho, d, kind, m, beta):
+    # The paper's dichotomies hold in any dimension.
+    report = run_experiment(ExperimentConfig(
+        params=FracParams(0.5, rho, d), profile=SpeedProfile(ProfileKind(kind), m, beta)))
+    assert report.predicted in ("diverging", "vanishing")
+    assert report.agreement is True, (report.predicted, report.classification)
 
 
 class TestExperimentConfig:
@@ -291,7 +323,7 @@ class TestAlphaOne:
     def test_route_is_continuous_at_alpha_one(self, method, rho):
         # The envelope route at rho = 1/2 gives the envelope shape, not the
         # Cauchy kernel: the two differ by the factor pi.
-        near, at = (_point_log_u(FracParams(alpha, rho, 1), 2.0, 3.0, method)
+        near, at = (_point_log_u(FracParams(alpha, rho, 1), [2.0], [3.0], method)[0]
                     for alpha in (0.999, 1.0))
         assert near.sign == at.sign == 1
         assert abs(near.log_abs - at.log_abs) <= 0.01

@@ -238,6 +238,20 @@ class TestExactKernelTable:
                 kernel(rho, d, 2.0, 0.5)
 
 
+    @mark.parametrize("rho, d", [(1.0, 1), (1.0, 3), (0.5, 1), (0.5, 2), (1.5, 1)])
+    def test_radius_per_node_equals_scalar_radius(self, rho, d):
+        # One r per s gives each s what a call with that r alone gives, bit
+        # for bit, as the batched subordination integrands rely on.
+        s = np.geomspace(1e-3, 1e3, 9)
+        rs = [0.0, 0.3, 1.0, 5.0, 40.0, 300.0]
+        sign, log_abs = log_kernel(rho, d, np.tile(s, len(rs)), np.repeat(rs, s.size))
+        for k, r in enumerate(rs):
+            alone = log_kernel(rho, d, s, r)
+            part = slice(k * s.size, (k + 1) * s.size)
+            assert sign[part].tolist() == alone[0].tolist(), r
+            assert log_abs[part].tolist() == alone[1].tolist(), r
+
+
 class TestClassicalSolution:
     def test_gaussian_case_exact(self):
         lv = classical_solution(FracParams(1.0, 1.0, 1), 1.0, 0.0)

@@ -192,7 +192,7 @@ class TestSeveralIntegrals:
     def test_each_integral_equals_its_one_integral_call(self):
         f, edges = self._mixed()
         for tol in (1e-6, 1e-12):
-            together = panel_integrals_log(f, edges, tol)
+            together = panel_integrals_log(lambda x, owner: f(x), edges, tol)
             for one, got in zip(edges, together):
                 assert panel_integral_log(f, one, tol) == got  # bit for bit
 
@@ -206,11 +206,11 @@ class TestSeveralIntegrals:
             rounds.append(sizes)
         sizes = []
 
-        def steps(x):
+        def steps(x, owner):
             sizes.append(x.size)
             # Integral i lies on [i, i + 1] with its jump at i + jumps[i].
-            i = np.floor(x)
-            return np.ones(x.size), np.where(x - i < np.take(jumps, i.astype(int)), 0.0, math.log(2.0))
+            assert np.array_equal(owner, np.floor(x))
+            return np.ones(x.size), np.where(x - owner < np.take(jumps, owner), 0.0, math.log(2.0))
 
         panel_integrals_log(steps, [[i, i + 1.0] for i in range(3)], 1e-12)
         # As many calls as the longest integral takes rounds, each holding
@@ -219,7 +219,7 @@ class TestSeveralIntegrals:
         assert sizes == [sum(r[j] for r in rounds if j < len(r)) for j in range(len(sizes))]
 
     def test_exhausted_budget_names_its_interval(self):
-        def f(x):
+        def f(x, owner):
             # Smooth on [0, 1], about 1.6e5 periods on [2, 3].
             return np.ones(x.size), np.where(x < 1.5, x, np.log(2.0 + np.sin(1e6 * x)))
 

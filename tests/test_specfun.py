@@ -428,6 +428,25 @@ class TestArrayEvaluators:
             alone = specfun.log_mittag_leffler_array(alpha, beta, np.array([z]))
             assert [a[0] for a in alone] == [w[k] for w in whole], z
 
+    @mark.parametrize("nu, mu", [(0.5, 0.5), (0.5, 0.0), (0.3, 0.7), (0.6, 0.4), (0.85, 0.15)])
+    @mark.parametrize("tol", [1e-3, 2.5e-7])
+    def test_log_wright_array_nodes_are_independent(self, nu, mu, tol):
+        # Every branch in one call (x = 0, the nu = 1/2 closed forms, the
+        # contour at squeeze classes j = 0..3, the tail past Y = 1e5 and the
+        # exact zero past Y = 1e300) gives each node what a call with that
+        # node alone gives.
+        ys = np.array([0.01, 1.0, 10.0, 40.0, 150.0, 600.0, 2e5, 1e7, 1e302])
+        xs = np.concatenate([[0.0], (ys / (1.0 - nu)) ** (1.0 - nu) / nu ** nu])
+        whole = specfun.log_wright_array(nu, mu, xs, tol)
+        if nu != 0.5:
+            classes = np.ceil(0.5 * np.log2(ys[ys <= 1e5]) - 2.0).clip(0)
+            assert set(classes.tolist()) == {0, 1, 2, 3}
+            assert set(whole[3].tolist()) == {0, 1, 2}
+            assert whole[0][-1] == 0.0 and whole[2][-1] == 1e-14  # past Y = 1e300
+        for k, x in enumerate(xs):
+            alone = specfun.log_wright_array(nu, mu, np.array([x]), tol)
+            assert [a[0] for a in alone] == [w[k] for w in whole], x
+
     def test_log_ml_array_out_of_range_raises(self):
         # log E leaves double range: an infinite log, reported as past it.
         _, log_abs, _, regime = specfun.log_mittag_leffler_array(0.05, 1.0, np.array([1.0, 1e20]))

@@ -8,6 +8,7 @@ from pytest import approx, mark, raises
 from fracfront import subordination
 from fracfront.errors import DomainError, NonConvergence, Unsupported
 from fracfront.fourier1d import solution_series
+from fracfront.invasion import Method, ProfileKind, SpeedProfile, theta, trajectory
 from fracfront.kernels import FracParams, classical_solution
 from fracfront.logvalue import LogValue
 from fracfront.specfun import log_mittag_leffler
@@ -233,13 +234,36 @@ class TestWorkCounts:
 
         monkeypatch.setattr(subordination, "log_wright_array", counting)
         subordinate(FracParams(0.6, 1.0, 1), 2.0, 1.5)
-        # One 25-point bracketing grid, one 16-step block per tail walk, and
-        # one panel round: 8 panels of 31 Kronrod nodes.  A per-node loop
-        # over the panel nodes would make 248 more calls, and a one-node
-        # peak search or walk would add size-1 calls.
+        # One 25-point bracketing grid, one call for the first 16-step block
+        # of both tail walks, and one panel round: 8 panels of 31 Kronrod
+        # nodes.  A per-node loop over the panel nodes would make 248 more
+        # calls, and a one-node peak search or walk would add size-1 calls.
         assert min(sizes) > 1
-        assert sorted(sizes, reverse=True) == [248, 25, 16, 16]
+        assert sorted(sizes, reverse=True) == [248, 32, 25]
         assert sum(sizes) == 305
+
+    def test_trajectory_integrates_its_samples_together(self, monkeypatch):
+        exact = subordination.log_wright_array
+        sizes = []
+
+        def counting(nu, mu, x, tol):
+            sizes.append(x.size)
+            return exact(nu, mu, x, tol)
+
+        monkeypatch.setattr(subordination, "log_wright_array", counting)
+        params, ts = FracParams(0.6, 1.0, 1), [2.0, 4.0, 8.0, 16.0]
+        profile = SpeedProfile(ProfileKind.POWER, 0.75, 1.0)
+        alone = []
+        for t in ts:
+            sizes.clear()
+            alone.append((subordinate(params, t, theta(profile, t)), len(sizes), sum(sizes)))
+        sizes.clear()
+        samples = trajectory(params, profile, ts, Method.SUBORDINATION)
+        # Each phase is one call across the samples still in it: fewer calls
+        # than the samples make alone, the same nodes, the same values.
+        assert len(sizes) < sum(calls for _, calls, _ in alone)
+        assert sum(sizes) == sum(nodes for _, _, nodes in alone)
+        assert [s.log_u for s in samples] == [value for value, _, _ in alone]  # bit for bit
 
 
 class TestSubordinateEnvelope:
