@@ -184,7 +184,8 @@ def trajectory(
     samples = []
     for t, x in zip(ts, xs):
         try:
-            samples.append(TrajectorySample(t, x, _point_log_u(params, [t], [x], method)[0], method))
+            (lv,) = _point_log_u(params, [t], [x], method)
+            samples.append(TrajectorySample(t, x, lv, method))
         except Unsupported:
             raise
         except FracFrontError as exc:

@@ -6,9 +6,11 @@ pairs instead of raw floats, and every integral of them runs on the one
 adaptive panel quadrature ``panel_integrals_log`` below, several integrals of
 one integrand at a time: Gauss-Kronrod K31 / G15 panels, whose nodes and
 weights are computed at import.  Its integrands take an array of nodes and
-return the arrays (sign, log|value|), so each round of panels is one call,
-and ``log_sum`` adds such arrays without leaving log space.  ``kronrod_panels`` lays out the same K31 rule on given
-panels, for it and for the fixed (non-adaptive) rules elsewhere.
+the index of each node's integral, and return the arrays (sign, log|value|),
+so each round of panels is one call across the integrals, and ``log_sum``
+adds such arrays without leaving log space.  ``kronrod_panels`` lays out
+the same K31 rule on given panels, for it and for the fixed (non-adaptive)
+rules elsewhere.
 """
 
 from __future__ import annotations
@@ -210,11 +212,11 @@ def panel_integrals_log(
 
     ``f(nodes, owner)`` takes a float array of nodes and the index of the
     integral of each node in ``edge_lists``, and returns the arrays
-    (sign, log|f|), sign 0 (with any log) where f vanishes.  Globally adaptive bisection (as
-    in QUADPACK) on the Gauss-Kronrod pair K31 / G15, applied to each
-    integral on its own from the panels between its ``edges``: each panel
-    is evaluated once, at its 31 Kronrod nodes, and K31 - G15 on the same
-    nodes is its error estimate.  An integral returns the sum of its K31
+    (sign, log|f|), sign 0 (with any log) where f vanishes.  Globally
+    adaptive bisection (as in QUADPACK) on the Gauss-Kronrod pair
+    K31 / G15, applied to each integral on its own from the panels between
+    its ``edges``: each panel is evaluated once, at its 31 Kronrod nodes,
+    and K31 - G15 on the same nodes is its error estimate.  An integral returns the sum of its K31
     sums once the sum of its |K31 - G15| is at most tol * |its total| (or
     every one is zero), so that errors of opposite sign do not cancel;
     otherwise it bisects each of its panels whose |K31 - G15| exceeds its

@@ -7,12 +7,14 @@ exp(-const * (s t^{-a})^{1/(1-a)}) decay, so the peak migrates to s of order
 t and the values leave double range long before the experiment horizons.
 Everything here is therefore computed as (sign, log|.|) pairs: the integral
 is taken in w = log s (which also flattens the s -> 0 endpoint) over a window
-found around the peak, where ``logvalue.panel_integral_log`` (Gauss-Kronrod
-K31 / G15 panels, bisected where needed) integrates it.  The integrands
-take arrays of s: the bare kernel (``kernels.log_kernel``, the envelope
+found around the peak, where ``logvalue.panel_integrals_log`` (Gauss-Kronrod
+K31 / G15 panels, bisected where needed) integrates it.  The (t, r) points
+of a call, say a trajectory's samples, go through each step of that in
+one integrand call: the bare kernel (``kernels.log_kernel``, the envelope
 shape or the unit kernel of ``total_mass``), the reaction factor e^s and
-the Wright factor (``specfun.log_wright_array``) are evaluated once per
-panel round, not once per node.
+the Wright factor (``specfun.log_wright_array``) take the step's nodes of
+every point as arrays.  Each point's value is that of a one-point call,
+such as ``subordinate``, ``subordinate_envelope`` and ``total_mass``.
 """
 
 from __future__ import annotations
@@ -72,24 +74,22 @@ def _integrate_log(
     """integral_0^inf fn_j(s) ds in log space for each t_j of ts, each
     |fn_j| log-unimodal with its peak near s = t_j.
 
-    ``fn(s, owner, tol)`` takes an array of s, the index j of the integral
-    of each s and a relative tolerance, and returns the arrays
+    ``fn(s, owner, tol)`` takes an array of s, the index j of each s's
+    integral and a relative tolerance, and returns the arrays
     (sign, log|fn_j(s)|).  Works in w = log s: the extra +w Jacobian term
     removes any integrable endpoint blow-up at s = 0 and makes the
-    magnitude profile h(w) a clean single bump.  The integrals move through
-    each phase together, and every call of fn covers every integral still
-    in it: one call per bracketing round (a 25-point grid each) and per
-    block of ``_WALK_BLOCK`` steps of both tail walks, at ``_WINDOW_TOL``
-    (or rel_tol / 4 if looser), and one per panel round of
-    ``panel_integrals_log`` at rel_tol / 4.  Each integral takes the
-    decisions it would take alone, so its value does not depend on the
-    others as long as fn's value at a node does not depend on the other
-    nodes.
+    magnitude profile h(w) a clean single bump.  Each call of fn covers
+    every integral still in its phase: each bracketing round (a 25-point
+    grid each) and each block of ``_WALK_BLOCK`` steps of both tail walks
+    at ``_WINDOW_TOL`` (or rel_tol / 4 if looser), and each panel round of
+    ``panel_integrals_log`` at rel_tol / 4.  An integral's decisions, and
+    so its value, are those of a call of its own.
     """
     panel_tol = spec.rel_tol / 4.0
     window_tol = max(_WINDOW_TOL, panel_tol)
 
-    def f(w: np.ndarray, owner: np.ndarray, tol: float = panel_tol):
+    def f(w: np.ndarray, owner: np.ndarray,
+          tol: float = panel_tol) -> tuple[np.ndarray, np.ndarray]:
         sign, log_abs = fn(np.exp(w), owner, tol)
         return sign, log_abs + w
 
@@ -149,9 +149,9 @@ def _subordinated(
     alpha: float, ts, rs, spec: QuadratureSpec,
 ) -> list[LogValue]:
     """t^{-a} * integral_0^inf e^s K(s, r) W_{-a,1-a}(-t^{-a} s) ds in log
-    space at each (t, r) of ts, rs, integrated together (``_integrate_log``).
+    space at each (t, r) of ts, rs, integrated together.
 
-    ``bare_kernel`` maps an array of s and an array of r, one per s, to the
+    ``bare_kernel`` maps an array of s and one of r, one per s, to the
     arrays (sign, log|K|) of the bare kernel; the reaction factor e^s is
     added here.  The Wright factor is evaluated only where K is nonzero,
     and raises NonConvergence where its estimate misses the tolerance of
