@@ -211,10 +211,11 @@ def _cmd_kernel(args) -> int:
 
 def _cmd_solution(args) -> int:
     from .invasion import Method, _point_log_u
+    from .subordination import _one
 
     params = _point_params(args.alpha, args)
     method = Method(args.method)
-    lv = _point_log_u(params, [args.t], [args.r], method)[0]
+    lv = _one(_point_log_u(params, [args.t], [args.r], method))
     if method is Method.ENVELOPE:
         _print_logvalue("envelope", lv)
         return 0

@@ -115,18 +115,17 @@ def thresholds(alpha: float, rho: float, d: int) -> ThresholdReport:
     )
 
 
-def _point_log_u(params: FracParams, ts, xs, method: Method) -> list[LogValue]:
-    """Signed logs of u(t, x) by ``method`` at each (t, x) of ts, xs: the
-    one table of routes.
+def _point_log_u(params: FracParams, ts, xs, method: Method) -> list[LogValue | FracFrontError]:
+    """Signed log of u(t, x) by ``method`` at each (t, x) of ts, xs, or the
+    point's error: the one table of routes.
 
     A route that cannot compute (params, method) raises Unsupported here,
     before any integral: subordination needs an exact kernel
     (``kernels.exact_kernel``), fourier1d needs d = 1 and rho >= 1, and the
     envelope route rho in (0,1).  Below alpha = 1 the subordination and
-    envelope routes integrate all the points together, and a failure at
-    any point raises for all of them; fourier1d takes them one at a time.
-    At alpha = 1 the envelope route gives e^t times the envelope shape it
-    subordinates below 1, and the other routes the classical solution.
+    envelope routes integrate the points together.  At alpha = 1 the
+    envelope route gives e^t times the envelope shape it subordinates below
+    1, and the other routes the classical solution.
     """
     rho, d = params.rho, params.dim
     if method is Method.SUBORDINATION and not exact_kernel(rho, d):
@@ -141,18 +140,21 @@ def _point_log_u(params: FracParams, ts, xs, method: Method) -> list[LogValue]:
         return subordinate_envelope_points(params.alpha, rho, d, ts, xs)
     values = []
     for t, x in zip(ts, xs):
-        if params.alpha == 1.0 and method is Method.ENVELOPE:
-            values.append(LogValue(1, t + stable_envelope(rho, t, x, d).log_abs))
-        elif params.alpha == 1.0:
-            values.append(classical_solution(params, t, x))
-        elif x == 0.0:
-            values.append(_log_solution_at_origin(params.alpha, rho, t))
-        else:
-            # Absolute series tolerance pinned a fixed number of nats below
-            # the total-mass scale, which dominates every a_k.
-            scale = log_mittag_leffler(params.alpha, t ** params.alpha).log_abs
-            tol = math.exp(min(scale - 22.0, 700.0))
-            values.append(_solution_series_log(params.alpha, rho, t, x, tol)[0])
+        try:
+            if params.alpha == 1.0 and method is Method.ENVELOPE:
+                values.append(LogValue(1, t + stable_envelope(rho, t, x, d).log_abs))
+            elif params.alpha == 1.0:
+                values.append(classical_solution(params, t, x))
+            elif x == 0.0:
+                values.append(_log_solution_at_origin(params.alpha, rho, t))
+            else:
+                # Absolute series tolerance pinned a fixed number of nats
+                # below the total-mass scale, which dominates every a_k.
+                scale = log_mittag_leffler(params.alpha, t ** params.alpha).log_abs
+                tol = math.exp(min(scale - 22.0, 700.0))
+                values.append(_solution_series_log(params.alpha, rho, t, x, tol)[0])
+        except FracFrontError as exc:
+            values.append(exc)
     return values
 
 
@@ -166,31 +168,15 @@ def trajectory(
     ``_point_log_u`` call.
 
     Per-point failures are recorded in the sample rather than aborting the
-    sweep: when that call fails, each point is computed again on its own,
-    so a failure lands on its own sample.  Unsupported, a route that cannot
-    compute the cell, aborts it.
+    sweep; Unsupported, a route that cannot compute the cell, aborts it.
     """
     ts = [float(t) for t in t_grid]
     if any(b <= a for a, b in zip(ts, ts[1:])):
         raise DomainError("t_grid must be strictly increasing")
     xs = [theta(profile, t) for t in ts]
-    try:
-        values = _point_log_u(params, ts, xs, method)
-        return [TrajectorySample(t, x, lv, method) for t, x, lv in zip(ts, xs, values)]
-    except Unsupported:
-        raise
-    except FracFrontError:
-        pass  # some point failed: take each on its own, to record which
-    samples = []
-    for t, x in zip(ts, xs):
-        try:
-            (lv,) = _point_log_u(params, [t], [x], method)
-            samples.append(TrajectorySample(t, x, lv, method))
-        except Unsupported:
-            raise
-        except FracFrontError as exc:
-            samples.append(TrajectorySample(t, x, None, method, failure=str(exc)))
-    return samples
+    return [TrajectorySample(t, x, None, method, failure=str(v)) if isinstance(v, FracFrontError)
+            else TrajectorySample(t, x, v, method)
+            for t, x, v in zip(ts, xs, _point_log_u(params, ts, xs, method))]
 
 
 # The trailing share of the samples whose slope decides the verdict, and the

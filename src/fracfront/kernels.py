@@ -6,11 +6,10 @@ in one dimension the (sign-changing) cosine transform of exp(-s^{2 rho}).
 For rho in (0,1) otherwise only the constant-free shape
 t / (r^2 + t^{1/rho})^{(d+2 rho)/2} of the stable kernel is available (the
 kernel lies within constant factors of it).  ``log_kernel`` and
-``log_envelope_shape`` take an array of times and one radius or one per
-time, elementwise, for the subordination integrands; ``kernel``,
-``stable_envelope`` and ``classical_solution`` are their one-point views.
-The reaction factor e^t is added by ``classical_solution`` and by the
-subordination integral, not here.
+``log_envelope_shape`` take arrays of times and radii, for the subordination
+integrands; ``kernel``, ``stable_envelope`` and ``classical_solution`` are
+their one-point views.  The reaction factor e^t is added by
+``classical_solution`` and by the subordination integral, not here.
 """
 
 from __future__ import annotations

@@ -5,12 +5,10 @@ so everything downstream of the kernels is carried as (sign, log|value|)
 pairs instead of raw floats, and every integral of them runs on the one
 adaptive panel quadrature ``panel_integrals_log`` below, several integrals of
 one integrand at a time: Gauss-Kronrod K31 / G15 panels, whose nodes and
-weights are computed at import.  Its integrands take an array of nodes and
-the index of each node's integral, and return the arrays (sign, log|value|),
-so each round of panels is one call across the integrals, and ``log_sum``
-adds such arrays without leaving log space.  ``kronrod_panels`` lays out
-the same K31 rule on given panels, for it and for the fixed (non-adaptive)
-rules elsewhere.
+weights are computed at import.  Its integrands take the nodes of a round
+across the integrals, and ``log_sum`` adds (sign, log|value|) arrays without
+leaving log space.  ``kronrod_panels`` lays out the same K31 rule on given
+panels, for it and for the fixed (non-adaptive) rules elsewhere.
 """
 
 from __future__ import annotations
@@ -21,7 +19,7 @@ from typing import Callable, Iterable
 
 import numpy as np
 
-from .errors import QuadratureFailure
+from .errors import FracFrontError, QuadratureFailure
 
 # The panel budget of ``panel_integral_log``.
 MAX_PANELS = 4096
@@ -204,19 +202,44 @@ def panel_integral_log(
     return panel_integrals_log(lambda nodes, owner: f(nodes), [edges], tol)[0]
 
 
+def call_by_owner(f, nodes: np.ndarray, owner: np.ndarray, failed: dict | None):
+    """f(nodes, owner); with a dict ``failed``, an owner whose nodes alone
+    make f raise a FracFrontError gets it in failed[owner] and zeros, and
+    the others the values of the one call."""
+    try:
+        return f(nodes, owner)
+    except FracFrontError as exc:
+        if failed is None:
+            raise
+        error = exc
+    sign, log_abs = np.zeros(nodes.size), np.full(nodes.size, -math.inf)
+    owners = np.unique(owner).tolist()
+    if len(owners) == 1:
+        failed[owners[0]] = error
+        return sign, log_abs
+    for j in owners:  # each on its own, to find which failed
+        mine = owner == j
+        try:
+            sign[mine], log_abs[mine] = f(nodes[mine], owner[mine])
+        except FracFrontError as exc:
+            failed[j] = exc
+    return sign, log_abs
+
+
 def panel_integrals_log(
-    f: Callable[[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]], edge_lists, tol: float
-) -> list[LogValue]:
+    f: Callable[[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]], edge_lists, tol: float,
+    failed: dict | None = None,
+) -> list[LogValue | None]:
     """Signed logs of the integrals of f over [edges[0], edges[-1]], one for
     each ``edges`` of ``edge_lists``.
 
-    ``f(nodes, owner)`` takes a float array of nodes and the index of the
-    integral of each node in ``edge_lists``, and returns the arrays
-    (sign, log|f|), sign 0 (with any log) where f vanishes.  Globally
-    adaptive bisection (as in QUADPACK) on the Gauss-Kronrod pair
-    K31 / G15, applied to each integral on its own from the panels between
-    its ``edges``: each panel is evaluated once, at its 31 Kronrod nodes,
-    and K31 - G15 on the same nodes is its error estimate.  An integral returns the sum of its K31
+    ``f(nodes, owner)`` takes a float array of nodes and the index in
+    ``edge_lists`` of each node's integral, and returns the arrays
+    (sign, log|f|), sign 0 (with any log) where f vanishes.  Globally adaptive
+    bisection (as in QUADPACK) on the Gauss-Kronrod pair K31 / G15, applied to
+    each integral on its own from the panels between its ``edges``: each panel
+    is evaluated once, at its 31 Kronrod nodes, and K31 - G15 on the same
+    nodes is its error estimate.  An integral returns the sum of its K31
     sums once the sum of its |K31 - G15| is at most tol * |its total| (or
     every one is zero), so that errors of opposite sign do not cancel;
     otherwise it bisects each of its panels whose |K31 - G15| exceeds its
@@ -227,7 +250,9 @@ def panel_integrals_log(
     integral is a QuadratureFailure naming its interval.  Sums stay in log
     space, so f may exceed double range.  An integral's value does not
     depend on the others of the call, as long as f's values at a node do
-    not depend on the other nodes.
+    not depend on the other nodes.  With a dict ``failed``, an integral that
+    fails (past MAX_PANELS, or by f as in ``call_by_owner``) gets entry None
+    and its error in failed[i], and the others go on.
     """
     edge_lists = [np.asarray(edges, dtype=float) for edges in edge_lists]
     n = len(edge_lists)
@@ -237,9 +262,10 @@ def panel_integrals_log(
     log_tol, k = math.log(tol), len(KRONROD_NODES)
     kept = np.empty((0, _OWNER + 1))
     done: list[LogValue | None] = [None] * n
-    while True:
+    while a.size:
         half = 0.5 * (b - a)
-        sign, log_abs = f(kronrod_panels(a, b)[0].ravel(), np.repeat(owner, k))
+        nodes = kronrod_panels(a, b)[0].ravel()
+        sign, log_abs = call_by_owner(f, nodes, np.repeat(owner, k), failed)
         sign = np.asarray(sign, dtype=float).reshape(-1, k)
         log_abs = np.where(sign == 0.0, -math.inf, np.asarray(log_abs).reshape(-1, k))
         with np.errstate(divide="ignore"):
@@ -249,6 +275,8 @@ def panel_integrals_log(
         diff = _log_add(kronrod[0], kronrod[1], -gauss[0], gauss[1])
         # In the column order of _A .. _OWNER.
         kept = np.concatenate([kept, np.column_stack([a, b, *kronrod, diff[1], owner])])
+        if failed:
+            kept = kept[~np.isin(kept[:, _OWNER], list(failed))]
         owner = kept[:, _OWNER].astype(int)
         total = _owner_log_sum(owner, kept[:, _SIGN], kept[:, _LOG], n)
         err = _owner_log_sum(owner, np.ones(len(kept)), kept[:, _ERR_LOG], n)
@@ -269,13 +297,17 @@ def panel_integrals_log(
         split[0] = True
         split[1:] |= owner[1:] != owner[:-1]
         over = np.flatnonzero(count + np.bincount(owner[split], minlength=n) > MAX_PANELS)
-        if over.size:
-            i = over[0]
-            raise QuadratureFailure(
+        for i in over.tolist():
+            exc = QuadratureFailure(
                 f"integral over [{edge_lists[i][0]:.6g}, {edge_lists[i][-1]:.6g}] did not converge"
                 f" in {MAX_PANELS} panels (log(error / total) {err[1][i] - total[1][i]:.3g})")
-        split, kept = kept[split], kept[~split]
+            if failed is None:
+                raise exc
+            failed[i] = exc
+        going = ~np.isin(owner, over)
+        split, kept = kept[split & going], kept[~split & going]
         mid = 0.5 * (split[:, _A] + split[:, _B])
         a = np.column_stack([split[:, _A], mid]).ravel()
         b = np.column_stack([mid, split[:, _B]]).ravel()
         owner = np.repeat(split[:, _OWNER].astype(int), 2)
+    return done

@@ -8,13 +8,12 @@ t and the values leave double range long before the experiment horizons.
 Everything here is therefore computed as (sign, log|.|) pairs: the integral
 is taken in w = log s (which also flattens the s -> 0 endpoint) over a window
 found around the peak, where ``logvalue.panel_integrals_log`` (Gauss-Kronrod
-K31 / G15 panels, bisected where needed) integrates it.  The (t, r) points
-of a call, say a trajectory's samples, go through each step of that in
-one integrand call: the bare kernel (``kernels.log_kernel``, the envelope
-shape or the unit kernel of ``total_mass``), the reaction factor e^s and
-the Wright factor (``specfun.log_wright_array``) take the step's nodes of
-every point as arrays.  Each point's value is that of a one-point call,
-such as ``subordinate``, ``subordinate_envelope`` and ``total_mass``.
+K31 / G15 panels, bisected where needed) integrates it.  The integrands
+take the s of every (t, r) point of a call as one array: the bare kernel
+(``kernels.log_kernel``, the envelope shape or the unit kernel of
+``total_mass``), the reaction factor e^s and the Wright factor
+(``specfun.log_wright_array``) are evaluated once per step across the
+points, and each point gets the value, or the error, of a call of its own.
 """
 
 from __future__ import annotations
@@ -25,10 +24,10 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import DomainError, NonConvergence, QuadratureFailure, Unsupported
+from .errors import DomainError, FracFrontError, NonConvergence, QuadratureFailure, Unsupported
 from .kernels import (FracParams, _check_dim, _check_point, exact_kernel, log_envelope_shape,
                       log_kernel)
-from .logvalue import LogValue, panel_integrals_log
+from .logvalue import LogValue, call_by_owner, panel_integrals_log
 from .specfun import log_wright_array
 
 # The scalar views of the evaluators above; the integrands below take arrays
@@ -69,10 +68,11 @@ _WINDOW_TOL = 1e-3
 
 def _integrate_log(
     fn: Callable[[np.ndarray, np.ndarray, float], tuple[np.ndarray, np.ndarray]],
-    ts, spec: QuadratureSpec,
-) -> list[LogValue]:
+    ts, spec: QuadratureSpec, failed: dict,
+) -> list[LogValue | FracFrontError]:
     """integral_0^inf fn_j(s) ds in log space for each t_j of ts, each
-    |fn_j| log-unimodal with its peak near s = t_j.
+    |fn_j| log-unimodal with its peak near s = t_j, or the integral's
+    error: those of ``failed`` are not taken, and each failure joins them.
 
     ``fn(s, owner, tol)`` takes an array of s, the index j of each s's
     integral and a relative tolerance, and returns the arrays
@@ -82,8 +82,8 @@ def _integrate_log(
     every integral still in its phase: each bracketing round (a 25-point
     grid each) and each block of ``_WALK_BLOCK`` steps of both tail walks
     at ``_WINDOW_TOL`` (or rel_tol / 4 if looser), and each panel round of
-    ``panel_integrals_log`` at rel_tol / 4.  An integral's decisions, and
-    so its value, are those of a call of its own.
+    ``panel_integrals_log`` at rel_tol / 4.  An integral's decisions, value
+    and error are those of a call of its own.
     """
     panel_tol = spec.rel_tol / 4.0
     window_tol = max(_WINDOW_TOL, panel_tol)
@@ -93,21 +93,26 @@ def _integrate_log(
         sign, log_abs = fn(np.exp(w), owner, tol)
         return sign, log_abs + w
 
+    def f_window(w: np.ndarray, owner: np.ndarray) -> np.ndarray:
+        return call_by_owner(lambda w, o: f(w, o, window_tol), w, owner, failed)[1]
+
     # Coarse brackets around s in [t/4, 4t], each expanded while its max sits
     # on an edge (the peak migrates right with t but starts near s ~ t).
     # The logs are taken one t at a time, as a one-point call takes them.
-    bounds = {j: (math.log(t / 4.0), math.log(4.0 * t)) for j, t in enumerate(ts)}
+    bounds = {j: (math.log(t / 4.0), math.log(4.0 * t))
+              for j, t in enumerate(ts) if j not in failed}
     peaks = {}
     for _ in range(80):
         if not bounds:
             break
         grids = np.array([np.linspace(lo, hi, 25) for lo, hi in bounds.values()])
-        vals = f(grids.ravel(), np.repeat(list(bounds), 25), window_tol)[1].reshape(grids.shape)
+        vals = f_window(grids.ravel(), np.repeat(list(bounds), 25)).reshape(grids.shape)
         for (j, (lo, hi)), grid, v in zip(list(bounds.items()), grids, vals):
             i = int(np.argmax(v))
-            if not math.isfinite(v[i]):
-                raise QuadratureFailure("integrand magnitude is nowhere finite")
-            if i == 0:
+            if j in failed or not math.isfinite(v[i]):
+                failed.setdefault(j, QuadratureFailure("integrand magnitude is nowhere finite"))
+                del bounds[j]
+            elif i == 0:
                 bounds[j] = (lo - (hi - lo), hi)
             elif i == len(grid) - 1:
                 bounds[j] = (lo, hi + (hi - lo))
@@ -116,41 +121,48 @@ def _integrate_log(
                 # can only widen the window.
                 peaks[j] = (grid[i], v[i] + spec.tail_cut_log)
                 del bounds[j]
-    if bounds:
-        raise QuadratureFailure("peak bracketing did not terminate")
+    for j in bounds:
+        failed[j] = QuadratureFailure("peak bracketing did not terminate")
 
     # Walk out from each peak both ways until three consecutive values are
     # below the cut, so a narrow zero crossing of a sign-changing kernel is
     # not mistaken for the tail.  ``walks`` maps each walk still going to
     # its count of consecutive values below the cut.
-    walks, ends = {(j, step): 0 for j in range(len(ts)) for step in (-0.5, 0.5)}, {}
+    walks, ends = {(j, step): 0 for j in sorted(peaks) for step in (-0.5, 0.5)}, {}
     for k in range(1, 401, _WALK_BLOCK):
         if not walks:
             break
         ws = np.array([peaks[j][0] + step * np.arange(k, k + _WALK_BLOCK) for j, step in walks])
-        vals = f(ws.ravel(), np.repeat([j for j, _ in walks], _WALK_BLOCK), window_tol)[1]
+        vals = f_window(ws.ravel(), np.repeat([j for j, _ in walks], _WALK_BLOCK))
         subs = vals.reshape(ws.shape) < np.array([peaks[j][1] for j, _ in walks])[:, None]
         for walk, w_row, sub_row in zip(list(walks), ws.tolist(), subs.tolist()):
             for w, sub in zip(w_row, sub_row):
                 walks[walk] = walks[walk] + 1 if sub else 0
-                if walks[walk] >= 3:
+                if walks[walk] >= 3 or walk[0] in failed:  # a failed one just stops
                     ends[walk] = w
                     del walks[walk]
                     break
-    if walks:
-        raise QuadratureFailure("tail truncation walked too far")
+    for j, _ in walks:
+        failed.setdefault(j, QuadratureFailure("tail truncation walked too far"))
 
-    spans = [(ends[j, -0.5], ends[j, 0.5]) for j in range(len(ts))]
+    live = [j for j in sorted(peaks) if j not in failed]
+    spans = [(ends[j, -0.5], ends[j, 0.5]) for j in live]
     edge_lists = [np.linspace(lo, hi, max(8, math.ceil((hi - lo) / 2.0)) + 1) for lo, hi in spans]
-    return panel_integrals_log(f, edge_lists, panel_tol) if edge_lists else []
+    panel_failed, owners = {}, np.array(live, dtype=int)
+    values = panel_integrals_log(lambda w, o: f(w, owners[o]), edge_lists, panel_tol,
+                                 panel_failed) if live else []
+    failed.update((live[i], exc) for i, exc in panel_failed.items())
+    values = dict(zip(live, values))
+    return [failed[j] if j in failed else values[j] for j in range(len(ts))]
 
 
 def _subordinated(
     bare_kernel: Callable[[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]],
-    alpha: float, ts, rs, spec: QuadratureSpec,
-) -> list[LogValue]:
+    alpha: float, ts, rs, spec: QuadratureSpec, failed: dict,
+) -> list[LogValue | FracFrontError]:
     """t^{-a} * integral_0^inf e^s K(s, r) W_{-a,1-a}(-t^{-a} s) ds in log
-    space at each (t, r) of ts, rs, integrated together.
+    space at each (t, r) of ts, rs, integrated together, or the point's
+    error, as ``_integrate_log`` with ``failed``.
 
     ``bare_kernel`` maps an array of s and one of r, one per s, to the
     arrays (sign, log|K|) of the bare kernel; the reaction factor e^s is
@@ -161,7 +173,7 @@ def _subordinated(
     ts, rs = [float(t) for t in ts], np.asarray(rs, dtype=float)
     # t^a one t at a time: numpy's vector pow may differ from libm's by an
     # ulp, and a one-point call would then not match its sample of a batch.
-    ta = np.array([t ** alpha for t in ts])
+    ta = np.array([1.0 if j in failed else t ** alpha for j, t in enumerate(ts)])
 
     def integrand(s: np.ndarray, owner: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
         sign, log_abs = bare_kernel(s, rs[owner])
@@ -179,39 +191,57 @@ def _subordinated(
         log_abs[sign == 0.0] = -math.inf
         return sign, log_abs
 
-    totals = _integrate_log(integrand, ts, spec)
-    return [LogValue(v.sign, v.log_abs - alpha * math.log(t)) for v, t in zip(totals, ts)]
+    totals = _integrate_log(integrand, ts, spec, failed)
+    return [v if isinstance(v, FracFrontError) else
+            LogValue(v.sign, v.log_abs - alpha * math.log(t)) for v, t in zip(totals, ts)]
 
 
-def _check_points(rho: float, d: int, ts, rs) -> None:
-    """DomainError unless each (t, r) is a point where u is finite: near
+def _check_points(rho: float, d: int, ts, rs) -> dict:
+    """The DomainError of each (t, r) where u is not finite, by index: near
     s = 0 the integrand is about s^{-d/(2 rho)} / Gamma(1 - alpha), so
-    u(t, 0) is infinite when d >= 2 rho."""
-    for t, r in zip(ts, rs):
-        _check_point(t, r)
-        if r == 0.0 and d >= 2.0 * rho:
-            raise DomainError(
-                f"u(t, 0) diverges for d = {d} >= 2 rho = {2.0 * rho}: the kernel's"
-                " center is not integrable against the subordination weight")
+    u(t, 0) is infinite when d >= 2 rho.  Raises DomainError unless ts and
+    rs have one entry each per point."""
+    if len(ts) != len(rs):
+        raise DomainError(f"{len(ts)} times against {len(rs)} radii")
+    errors = {}
+    for j, (t, r) in enumerate(zip(ts, rs)):
+        try:
+            _check_point(t, r)
+            if r == 0.0 and d >= 2.0 * rho:
+                raise DomainError(
+                    f"u(t, 0) diverges for d = {d} >= 2 rho = {2.0 * rho}: the kernel's"
+                    " center is not integrable against the subordination weight")
+        except DomainError as exc:
+            errors[j] = exc
+    return errors
+
+
+def _one(values: list):
+    """The value of a one-point call, raising its error."""
+    (value,) = values
+    if isinstance(value, FracFrontError):
+        raise value
+    return value
 
 
 def subordinate_points(
     params: FracParams, ts, rs, spec: QuadratureSpec = DEFAULT_SPEC
-) -> list[LogValue]:
+) -> list[LogValue | FracFrontError]:
     """Signed logs of u_{alpha,rho}(t, r) through the subordination integral
-    at each (t, r) of ts, rs, integrated together.
+    at each (t, r) of ts, rs, integrated together; at a point that fails,
+    the error a call of its own raises (DomainError at r = 0 when
+    d >= 2 rho, where u(t, 0) diverges).
 
     Requires an exact classical kernel (``kernels.exact_kernel``); for other
-    rho in (0,1) use subordinate_envelope_points.  Raises DomainError at
-    r = 0 when d >= 2 rho, where u(t, 0) diverges.
+    rho in (0,1) use subordinate_envelope_points.
     """
     rho, d = params.rho, params.dim
     if not 0.0 < params.alpha < 1.0:
         raise Unsupported("subordination integral is for alpha in (0,1)")
     if not exact_kernel(rho, d):
         raise Unsupported(f"no exact kernel for rho = {rho} in dimension {d}")
-    _check_points(rho, d, ts, rs)
-    return _subordinated(lambda s, r: log_kernel(rho, d, s, r), params.alpha, ts, rs, spec)
+    return _subordinated(lambda s, r: log_kernel(rho, d, s, r), params.alpha, ts, rs, spec,
+                         _check_points(rho, d, ts, rs))
 
 
 def subordinate(
@@ -219,7 +249,7 @@ def subordinate(
 ) -> LogValue:
     """Signed log of u_{alpha,rho}(t, r): the one-point view of
     ``subordinate_points``."""
-    return subordinate_points(params, [t], [r], spec)[0]
+    return _one(subordinate_points(params, [t], [r], spec))
 
 
 def total_mass(
@@ -229,33 +259,31 @@ def total_mass(
     if not 0.0 < alpha < 1.0:
         raise Unsupported("total_mass is for alpha in (0,1)")
     _check_point(t, 0.0)
-    return _subordinated(
-        lambda s, r: (np.ones(s.size), np.zeros(s.size)), alpha, [t], [0.0], spec)[0]
+    return _one(_subordinated(
+        lambda s, r: (np.ones(s.size), np.zeros(s.size)), alpha, [t], [0.0], spec, {}))
 
 
 def subordinate_envelope_points(
     alpha: float, rho: float, d: int, ts, rs, spec: QuadratureSpec = DEFAULT_SPEC
-) -> list[LogValue]:
+) -> list[LogValue | FracFrontError]:
     """Subordination of the stable-envelope shape at each (t, r) of ts, rs,
-    integrated together, for rho in (0,1) without an exact kernel.
+    as ``subordinate_points``, for rho in (0,1) without an exact kernel.
 
     The stable kernel lies within constant factors of the shape
     t / (r^2 + t^{1/rho})^{(d+2 rho)/2}, so u lies within the same factors
-    of these values.  Raises DomainError at r = 0 when d >= 2 rho, where it
-    diverges.
+    of these values.
     """
     if not 0.0 < alpha < 1.0:
         raise Unsupported("subordination integral is for alpha in (0,1)")
     if not 0.0 < rho < 1.0:
         raise Unsupported(f"envelope route requires rho in (0,1), got {rho}")
     _check_dim(d)
-    _check_points(rho, d, ts, rs)
-    return _subordinated(
-        lambda s, r: (np.ones(s.size), log_envelope_shape(rho, s, r, d)), alpha, ts, rs, spec)
+    return _subordinated(lambda s, r: (np.ones(s.size), log_envelope_shape(rho, s, r, d)),
+                         alpha, ts, rs, spec, _check_points(rho, d, ts, rs))
 
 
 def subordinate_envelope(
     alpha: float, rho: float, d: int, t: float, r: float, spec: QuadratureSpec = DEFAULT_SPEC
 ) -> LogValue:
     """The one-point view of ``subordinate_envelope_points``."""
-    return subordinate_envelope_points(alpha, rho, d, [t], [r], spec)[0]
+    return _one(subordinate_envelope_points(alpha, rho, d, [t], [r], spec))

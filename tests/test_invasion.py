@@ -4,7 +4,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 from pytest import approx, mark, raises
 
-from fracfront.errors import DomainError, InsufficientData, QuadratureFailure, Unsupported
+from fracfront import invasion
+from fracfront.errors import (DomainError, InsufficientData, NonConvergence, QuadratureFailure,
+                              Unsupported)
 from fracfront.invasion import (
     ExperimentConfig,
     Method,
@@ -176,8 +178,7 @@ class TestTrajectory:
     def test_other_failures_stay_per_sample(self):
         # theta(10) = e^50 - 1 is past the cosine transform's panel guard: a
         # QuadratureFailure in that sample, not an aborted sweep.  The
-        # samples are integrated together; when that fails, each is taken
-        # again on its own.
+        # samples are integrated together, and that one drops out.
         params = FracParams(0.5, 1.5, 1)
         profile = SpeedProfile(ProfileKind.EXPONENTIAL, 5.0, 1.0)
         ts = [0.1, 0.2, 10.0]
@@ -190,6 +191,23 @@ class TestTrajectory:
             subordinate(params, 10.0, last.theta)
         assert last.log_u is None and "did not terminate" in last.failure
         assert last.failure == str(alone.value)
+
+    def test_fourier_failure_takes_each_sample_once(self, monkeypatch):
+        series = invasion._solution_series_log
+        calls = []
+
+        def failing_at_two(alpha, rho, t, x, tol):
+            calls.append(t)
+            if t == 2.0:
+                raise NonConvergence("made to fail")
+            return series(alpha, rho, t, x, tol)
+
+        monkeypatch.setattr(invasion, "_solution_series_log", failing_at_two)
+        ts = [1.0, 2.0, 3.0]
+        samples = trajectory(FracParams(0.5, 1.0, 1), SpeedProfile(ProfileKind.POWER, 1.0, 1.0),
+                             ts, Method.FOURIER1D)
+        assert calls == ts
+        assert [s.failure for s in samples] == [None, "made to fail", None]
 
 
 def _higher_dimension_cells():

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from fracfront.errors import QuadratureFailure
+from fracfront.errors import NonConvergence, QuadratureFailure
 from fracfront.logvalue import (
     GAUSS_WEIGHTS,
     KRONROD_NODES,
@@ -225,6 +225,27 @@ class TestSeveralIntegrals:
 
         with pytest.raises(QuadratureFailure, match=rf"\[2, 3\].*{MAX_PANELS} panels"):
             panel_integrals_log(f, [[0.0, 1.0], [2.0, 3.0]], 1e-12)
+        # With a dict of failures, that integral drops out and the other goes on.
+        failed = {}
+        got = panel_integrals_log(f, [[0.0, 1.0], [2.0, 3.0]], 1e-12, failed)
+        assert got == [panel_integral_log(lambda x: f(x, None), [0.0, 1.0], 1e-12), None]
+        assert list(failed) == [1] and isinstance(failed[1], QuadratureFailure)
+
+    def test_integral_whose_nodes_raise_leaves_the_others(self):
+        f, edges = self._mixed()
+
+        def g(x, owner):
+            if np.any(owner == 2):
+                raise NonConvergence("integral 2")
+            return f(x)
+
+        with pytest.raises(NonConvergence, match="integral 2"):
+            panel_integrals_log(g, edges, 1e-9)
+        failed = {}
+        got = panel_integrals_log(g, edges, 1e-9, failed)
+        want = panel_integrals_log(lambda x, owner: f(x), edges, 1e-9)
+        assert list(failed) == [2] and str(failed[2]) == "integral 2" and got[2] is None
+        assert got[:2] + got[3:] == want[:2] + want[3:]  # bit for bit
 
 
 class TestKronrodRule:

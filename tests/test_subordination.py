@@ -3,10 +3,12 @@ import math
 import random
 import warnings
 
+import numpy as np
+
 from pytest import approx, mark, raises
 
 from fracfront import subordination
-from fracfront.errors import DomainError, NonConvergence, Unsupported
+from fracfront.errors import DomainError, FracFrontError, NonConvergence, QuadratureFailure, Unsupported
 from fracfront.fourier1d import solution_series
 from fracfront.invasion import Method, ProfileKind, SpeedProfile, theta, trajectory
 from fracfront.kernels import FracParams, classical_solution
@@ -264,6 +266,64 @@ class TestWorkCounts:
         assert len(sizes) < sum(calls for _, calls, _ in alone)
         assert sum(sizes) == sum(nodes for _, _, nodes in alone)
         assert [s.log_u for s in samples] == [value for value, _, _ in alone]  # bit for bit
+
+
+    def test_failing_sample_is_not_computed_again(self, monkeypatch):
+        exact, kernel = subordination.log_wright_array, subordination.log_kernel
+        params, ts = FracParams(0.6, 1.0, 1), [2.0, 4.0, 8.0]
+        profile = SpeedProfile(ProfileKind.POWER, 0.75, 1.0)
+        sizes, bad_r = [], theta(profile, 4.0)
+
+        def counting(nu, mu, x, tol):
+            sizes.append(x.size)
+            return exact(nu, mu, x, tol)
+
+        def failing_in_panels(rho, d, s, r):
+            # More than a bracketing grid (25) or a walk block (32) of the
+            # sample at t = 4: its first panel round.
+            if np.sum(r == bad_r) > 32:
+                raise NonConvergence("made to fail")
+            return kernel(rho, d, s, r)
+
+        monkeypatch.setattr(subordination, "log_wright_array", counting)
+        monkeypatch.setattr(subordination, "log_kernel", failing_in_panels)
+        alone = 0
+        for t in ts:
+            sizes.clear()
+            try:
+                subordinate(params, t, theta(profile, t))
+            except NonConvergence:
+                assert t == 4.0
+            alone += sum(sizes)
+        sizes.clear()
+        samples = trajectory(params, profile, ts, Method.SUBORDINATION)
+        # The sample fails in the last phase and drops out of the batch;
+        # no node is evaluated twice.
+        assert [s.failure for s in samples] == [None, "made to fail", None]
+        assert sum(sizes) == alone
+
+
+class TestPoints:
+    """``subordinate_points`` integrates its points together; each point
+    gives the value, or the error, of a one-point call."""
+
+    def test_failing_points_leave_the_others(self):
+        params = FracParams(0.5, 1.5, 1)
+        ts, rs = [0.1, 0.0, 10.0, 1.0], [0.5, 1.0, math.exp(50.0), 2.0]
+        got = subordination.subordinate_points(params, ts, rs)
+        assert [type(v) for v in got] == [LogValue, DomainError, QuadratureFailure, LogValue]
+        for t, r, v in zip(ts, rs, got):
+            try:
+                assert v == subordinate(params, t, r)  # bit for bit
+            except FracFrontError as exc:
+                assert type(v) is type(exc) and str(v) == str(exc)
+
+    def test_lengths_must_match(self):
+        for ts, rs in (([1.0, 2.0], [1.0]), ([1.0], [1.0, 2.0])):
+            with raises(DomainError, match="times against"):
+                subordination.subordinate_points(FracParams(0.5, 1.0, 1), ts, rs)
+            with raises(DomainError, match="times against"):
+                subordination.subordinate_envelope_points(0.5, 0.7, 1, ts, rs)
 
 
 class TestSubordinateEnvelope:
