@@ -197,15 +197,14 @@ def _owner_log_sum(owner, sign, log_abs, n: int) -> tuple[np.ndarray, np.ndarray
 def panel_integral_log(
     f: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]], edges, tol: float
 ) -> LogValue:
-    """The one-integral call of ``panel_integrals_log``, for an integrand
-    ``f(nodes)`` of the nodes alone."""
+    """The one-integral call of ``panel_integrals_log``, for an f(nodes)."""
     return panel_integrals_log(lambda nodes, owner: f(nodes), [edges], tol)[0]
 
 
 def call_by_owner(f, nodes: np.ndarray, owner: np.ndarray, failed: dict | None):
-    """f(nodes, owner); with a dict ``failed``, an owner whose nodes alone
-    make f raise a FracFrontError gets it in failed[owner] and zeros, and
-    the others the values of the one call."""
+    """f(nodes, owner); if that raises a FracFrontError and ``failed`` is a
+    dict, each owner's nodes are taken on their own, and an owner whose call
+    raises gets zeros and its error in failed[owner]."""
     try:
         return f(nodes, owner)
     except FracFrontError as exc:
@@ -214,12 +213,11 @@ def call_by_owner(f, nodes: np.ndarray, owner: np.ndarray, failed: dict | None):
         error = exc
     sign, log_abs = np.zeros(nodes.size), np.full(nodes.size, -math.inf)
     owners = np.unique(owner).tolist()
-    if len(owners) == 1:
-        failed[owners[0]] = error
-        return sign, log_abs
-    for j in owners:  # each on its own, to find which failed
+    for j in owners:
         mine = owner == j
         try:
+            if len(owners) == 1:
+                raise error  # its call alone was the one that raised
             sign[mine], log_abs[mine] = f(nodes[mine], owner[mine])
         except FracFrontError as exc:
             failed[j] = exc
@@ -233,11 +231,11 @@ def panel_integrals_log(
     """Signed logs of the integrals of f over [edges[0], edges[-1]], one for
     each ``edges`` of ``edge_lists``.
 
-    ``f(nodes, owner)`` takes a float array of nodes and the index in
-    ``edge_lists`` of each node's integral, and returns the arrays
-    (sign, log|f|), sign 0 (with any log) where f vanishes.  Globally adaptive
-    bisection (as in QUADPACK) on the Gauss-Kronrod pair K31 / G15, applied to
-    each integral on its own from the panels between its ``edges``: each panel
+    ``f(nodes, owner)`` takes a float array of nodes and the index of each
+    one's integral, and returns the arrays (sign, log|f|), sign 0 (with any
+    log) where f vanishes.  Globally adaptive bisection (as in QUADPACK) on
+    the Gauss-Kronrod pair K31 / G15, applied to each integral on its own
+    from the panels between its ``edges``: each panel
     is evaluated once, at its 31 Kronrod nodes, and K31 - G15 on the same
     nodes is its error estimate.  An integral returns the sum of its K31
     sums once the sum of its |K31 - G15| is at most tol * |its total| (or
@@ -250,14 +248,14 @@ def panel_integrals_log(
     integral is a QuadratureFailure naming its interval.  Sums stay in log
     space, so f may exceed double range.  An integral's value does not
     depend on the others of the call, as long as f's values at a node do
-    not depend on the other nodes.  With a dict ``failed``, an integral that
-    fails (past MAX_PANELS, or by f as in ``call_by_owner``) gets entry None
+    not depend on the other nodes.  With a dict ``failed``, an integral i
+    that fails (past MAX_PANELS, or in f as in ``call_by_owner``) gets None
     and its error in failed[i], and the others go on.
     """
     edge_lists = [np.asarray(edges, dtype=float) for edges in edge_lists]
     n = len(edge_lists)
-    a = np.concatenate([edges[:-1] for edges in edge_lists])
-    b = np.concatenate([edges[1:] for edges in edge_lists])
+    a = np.concatenate([[], *(edges[:-1] for edges in edge_lists)])
+    b = np.concatenate([[], *(edges[1:] for edges in edge_lists)])
     owner = np.repeat(np.arange(n), [len(edges) - 1 for edges in edge_lists])
     log_tol, k = math.log(tol), len(KRONROD_NODES)
     kept = np.empty((0, _OWNER + 1))

@@ -9,11 +9,10 @@ Everything here is therefore computed as (sign, log|.|) pairs: the integral
 is taken in w = log s (which also flattens the s -> 0 endpoint) over a window
 found around the peak, where ``logvalue.panel_integrals_log`` (Gauss-Kronrod
 K31 / G15 panels, bisected where needed) integrates it.  The integrands
-take the s of every (t, r) point of a call as one array: the bare kernel
+take the s of all the (t, r) points of a call as one array: the bare kernel
 (``kernels.log_kernel``, the envelope shape or the unit kernel of
 ``total_mass``), the reaction factor e^s and the Wright factor
-(``specfun.log_wright_array``) are evaluated once per step across the
-points, and each point gets the value, or the error, of a call of its own.
+(``specfun.log_wright_array``) are evaluated once per step, not per point.
 """
 
 from __future__ import annotations
@@ -70,20 +69,19 @@ def _integrate_log(
     fn: Callable[[np.ndarray, np.ndarray, float], tuple[np.ndarray, np.ndarray]],
     ts, spec: QuadratureSpec, failed: dict,
 ) -> list[LogValue | FracFrontError]:
-    """integral_0^inf fn_j(s) ds in log space for each t_j of ts, each
-    |fn_j| log-unimodal with its peak near s = t_j, or the integral's
-    error: those of ``failed`` are not taken, and each failure joins them.
+    """integral_0^inf fn_j(s) ds in log space for each t_j of ts, |fn_j|
+    log-unimodal with its peak near t_j, or the error of each j in ``failed``.
 
-    ``fn(s, owner, tol)`` takes an array of s, the index j of each s's
-    integral and a relative tolerance, and returns the arrays
-    (sign, log|fn_j(s)|).  Works in w = log s: the extra +w Jacobian term
-    removes any integrable endpoint blow-up at s = 0 and makes the
-    magnitude profile h(w) a clean single bump.  Each call of fn covers
-    every integral still in its phase: each bracketing round (a 25-point
-    grid each) and each block of ``_WALK_BLOCK`` steps of both tail walks
-    at ``_WINDOW_TOL`` (or rel_tol / 4 if looser), and each panel round of
-    ``panel_integrals_log`` at rel_tol / 4.  An integral's decisions, value
-    and error are those of a call of its own.
+    ``fn(s, owner, tol)`` takes an array of s, the j of each s and a relative
+    tolerance and returns the arrays (sign, log|fn_j|).  Works in w = log s:
+    the extra +w Jacobian term removes any integrable endpoint blow-up at
+    s = 0 and makes the magnitude profile h(w) a clean single bump.  Each
+    call of fn covers every j still in its phase: each round of 25-point
+    bracketing grids and each block of ``_WALK_BLOCK`` steps of both tail
+    walks at ``_WINDOW_TOL`` (or rel_tol / 4 if looser), and each panel round
+    of ``panel_integrals_log`` at rel_tol / 4.  A j that fails joins
+    ``failed``; each j's decisions, value and error are those of a call of
+    its own.
     """
     panel_tol = spec.rel_tol / 4.0
     window_tol = max(_WINDOW_TOL, panel_tol)
@@ -111,23 +109,20 @@ def _integrate_log(
             i = int(np.argmax(v))
             if j in failed or not math.isfinite(v[i]):
                 failed.setdefault(j, QuadratureFailure("integrand magnitude is nowhere finite"))
-                del bounds[j]
-            elif i == 0:
-                bounds[j] = (lo - (hi - lo), hi)
-            elif i == len(grid) - 1:
-                bounds[j] = (lo, hi + (hi - lo))
+            elif i in (0, len(grid) - 1):
+                bounds[j] = (lo - (hi - lo), hi) if i == 0 else (lo, hi + (hi - lo))
+                continue
             else:
                 # The grid maximum is at most the peak, so a cut below it
                 # can only widen the window.
                 peaks[j] = (grid[i], v[i] + spec.tail_cut_log)
-                del bounds[j]
-    for j in bounds:
-        failed[j] = QuadratureFailure("peak bracketing did not terminate")
+            del bounds[j]
+    failed.update((j, QuadratureFailure("peak bracketing did not terminate")) for j in bounds)
 
     # Walk out from each peak both ways until three consecutive values are
     # below the cut, so a narrow zero crossing of a sign-changing kernel is
     # not mistaken for the tail.  ``walks`` maps each walk still going to
-    # its count of consecutive values below the cut.
+    # its count of consecutive values below the cut; a failed sample's stop.
     walks, ends = {(j, step): 0 for j in sorted(peaks) for step in (-0.5, 0.5)}, {}
     for k in range(1, 401, _WALK_BLOCK):
         if not walks:
@@ -138,22 +133,19 @@ def _integrate_log(
         for walk, w_row, sub_row in zip(list(walks), ws.tolist(), subs.tolist()):
             for w, sub in zip(w_row, sub_row):
                 walks[walk] = walks[walk] + 1 if sub else 0
-                if walks[walk] >= 3 or walk[0] in failed:  # a failed one just stops
+                if walks[walk] >= 3 or walk[0] in failed:
                     ends[walk] = w
                     del walks[walk]
                     break
-    for j, _ in walks:
-        failed.setdefault(j, QuadratureFailure("tail truncation walked too far"))
+    failed.update((j, QuadratureFailure("tail truncation walked too far")) for j, _ in walks)
 
-    live = [j for j in sorted(peaks) if j not in failed]
-    spans = [(ends[j, -0.5], ends[j, 0.5]) for j in live]
-    edge_lists = [np.linspace(lo, hi, max(8, math.ceil((hi - lo) / 2.0)) + 1) for lo, hi in spans]
-    panel_failed, owners = {}, np.array(live, dtype=int)
-    values = panel_integrals_log(lambda w, o: f(w, owners[o]), edge_lists, panel_tol,
-                                 panel_failed) if live else []
-    failed.update((live[i], exc) for i, exc in panel_failed.items())
-    values = dict(zip(live, values))
-    return [failed[j] if j in failed else values[j] for j in range(len(ts))]
+    # Panels between each sample's walk ends; a failed sample gets none.
+    edge_lists = [[0.0] if j in failed else
+                  np.linspace(ends[j, -0.5], ends[j, 0.5],
+                              max(8, math.ceil((ends[j, 0.5] - ends[j, -0.5]) / 2.0)) + 1)
+                  for j in range(len(ts))]
+    values = panel_integrals_log(f, edge_lists, panel_tol, failed)
+    return [failed.get(j, v) for j, v in enumerate(values)]
 
 
 def _subordinated(
@@ -161,14 +153,12 @@ def _subordinated(
     alpha: float, ts, rs, spec: QuadratureSpec, failed: dict,
 ) -> list[LogValue | FracFrontError]:
     """t^{-a} * integral_0^inf e^s K(s, r) W_{-a,1-a}(-t^{-a} s) ds in log
-    space at each (t, r) of ts, rs, integrated together, or the point's
-    error, as ``_integrate_log`` with ``failed``.
+    space at each (t, r) of ts, rs, or its error, as ``_integrate_log``.
 
-    ``bare_kernel`` maps an array of s and one of r, one per s, to the
-    arrays (sign, log|K|) of the bare kernel; the reaction factor e^s is
-    added here.  The Wright factor is evaluated only where K is nonzero,
-    and raises NonConvergence where its estimate misses the tolerance of
-    the call.
+    ``bare_kernel`` maps arrays of s and r to the arrays (sign, log|K|) of
+    the bare kernel; the reaction factor e^s is added here.  The Wright
+    factor is evaluated only where K is nonzero, and raises NonConvergence
+    where its estimate misses the tolerance of the call.
     """
     ts, rs = [float(t) for t in ts], np.asarray(rs, dtype=float)
     # t^a one t at a time: numpy's vector pow may differ from libm's by an
@@ -196,21 +186,25 @@ def _subordinated(
             LogValue(v.sign, v.log_abs - alpha * math.log(t)) for v, t in zip(totals, ts)]
 
 
+def _reject_divergent_origin(rho: float, d: int, r: float) -> None:
+    """Near s = 0 the integrand is about s^{-d/(2 rho)} / Gamma(1 - alpha),
+    so u(t, 0) is infinite when d >= 2 rho."""
+    if r == 0.0 and d >= 2.0 * rho:
+        raise DomainError(
+            f"u(t, 0) diverges for d = {d} >= 2 rho = {2.0 * rho}: the kernel's"
+            " center is not integrable against the subordination weight")
+
+
 def _check_points(rho: float, d: int, ts, rs) -> dict:
-    """The DomainError of each (t, r) where u is not finite, by index: near
-    s = 0 the integrand is about s^{-d/(2 rho)} / Gamma(1 - alpha), so
-    u(t, 0) is infinite when d >= 2 rho.  Raises DomainError unless ts and
-    rs have one entry each per point."""
+    """The DomainError of each (t, r) of ts, rs that a one-point call
+    raises, by index; a DomainError unless there is one r per t."""
     if len(ts) != len(rs):
         raise DomainError(f"{len(ts)} times against {len(rs)} radii")
     errors = {}
     for j, (t, r) in enumerate(zip(ts, rs)):
         try:
             _check_point(t, r)
-            if r == 0.0 and d >= 2.0 * rho:
-                raise DomainError(
-                    f"u(t, 0) diverges for d = {d} >= 2 rho = {2.0 * rho}: the kernel's"
-                    " center is not integrable against the subordination weight")
+            _reject_divergent_origin(rho, d, r)
         except DomainError as exc:
             errors[j] = exc
     return errors

@@ -325,6 +325,10 @@ class TestPoints:
             with raises(DomainError, match="times against"):
                 subordination.subordinate_envelope_points(0.5, 0.7, 1, ts, rs)
 
+    def test_no_points_give_no_values(self):
+        assert subordination.subordinate_points(FracParams(0.5, 1.0, 1), [], []) == []
+        assert subordination.subordinate_envelope_points(0.5, 0.7, 1, [], []) == []
+
 
 class TestSubordinateEnvelope:
     def test_positivity(self):
