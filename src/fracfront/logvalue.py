@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import FracFrontError, QuadratureFailure
 
-# The panel budget of ``panel_integral_log``.
+# The panel budget of ``panel_integrals_log``, per integral.
 MAX_PANELS = 4096
 
 
@@ -85,7 +85,7 @@ def _gauss_kronrod(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return nodes, 1.0 / christoffel, np.polynomial.legendre.leggauss(n)[1]
 
 
-# The Kronrod pair K31 / G15 of ``panel_integral_log``: G15 uses the nodes
+# The Kronrod pair K31 / G15 of ``panel_integrals_log``: G15 uses the nodes
 # KRONROD_NODES[1::2].  K31 alone is the rule of the fixed quadratures.
 KRONROD_NODES, KRONROD_WEIGHTS, GAUSS_WEIGHTS = _gauss_kronrod(15)
 
@@ -302,8 +302,10 @@ def panel_integrals_log(
             if failed is None:
                 raise exc
             failed[i] = exc
-        going = ~np.isin(owner, over)
-        split, kept = kept[split & going], kept[~split & going]
+        if over.size:  # an integral past its budget splits no more
+            going = ~np.isin(owner, over)
+            split, kept = split[going], kept[going]
+        split, kept = kept[split], kept[~split]
         mid = 0.5 * (split[:, _A] + split[:, _B])
         a = np.column_stack([split[:, _A], mid]).ravel()
         b = np.column_stack([mid, split[:, _B]]).ravel()
