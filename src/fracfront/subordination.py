@@ -122,7 +122,8 @@ def _integrate_log(
     # Walk out from each peak both ways until three consecutive values are
     # below the cut, so a narrow zero crossing of a sign-changing kernel is
     # not mistaken for the tail.  ``walks`` maps each walk still going to
-    # its count of consecutive values below the cut; a failed sample's stop.
+    # its count of consecutive values below the cut; a failed sample's walks
+    # stop.
     walks, ends = {(j, step): 0 for j in sorted(peaks) for step in (-0.5, 0.5)}, {}
     for k in range(1, 401, _WALK_BLOCK):
         if not walks:

@@ -297,8 +297,9 @@ class TestWorkCounts:
             alone += sum(sizes)
         sizes.clear()
         samples = trajectory(params, profile, ts, Method.SUBORDINATION)
-        # The sample fails in the last phase and drops out of the batch;
-        # no node is evaluated twice.
+        # The sample fails in the last phase and drops out of the batch.
+        # The kernel raises before the Wright factor, so no Wright node of
+        # the batch is evaluated twice.
         assert [s.failure for s in samples] == [None, "made to fail", None]
         assert sum(sizes) == alone
 
