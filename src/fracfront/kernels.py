@@ -55,19 +55,17 @@ def _log_gaussian(t, r: float, d: int):
 def _log_cauchy(t, r: float, d: int):
     """log of c_d t / (r^2 + t^2)^{(d+1)/2}, for floats or arrays t and r."""
     log_cd = math.lgamma(0.5 * (d + 1)) - 0.5 * (d + 1) * math.log(math.pi)
-    # r^2 + t^2 in log form to survive large radii.
-    big, small = np.maximum(r, t), np.minimum(r, t)
-    log_quad = 2.0 * np.log(big) + np.log1p((small / big) ** 2)
-    return log_cd + np.log(t) - 0.5 * (d + 1) * log_quad
+    return log_cd + log_envelope_shape(0.5, t, r, d)
 
 
 def log_envelope_shape(rho: float, t, r, d: int):
     """log of the stable-envelope shape t / (r^2 + t^{1/rho})^{(d+2 rho)/2},
     for floats or arrays t and r."""
-    ts = t ** (1.0 / rho)
-    big, small = np.maximum(r * r, ts), np.minimum(r * r, ts)
-    log_quad = np.log(big) + np.log1p(small / big)
-    return np.log(t) - 0.5 * (d + 2.0 * rho) * log_quad
+    # r^2 + t^{1/rho} in log form, from 2 log r and log t / rho, to survive
+    # large radii; log 0 = -inf at r = 0.
+    with np.errstate(divide="ignore"):
+        log_quad = np.logaddexp(2.0 * np.log(r), np.log(t) / rho)
+        return np.log(t) - 0.5 * (d + 2.0 * rho) * log_quad
 
 
 def _check_point(t: float, r: float) -> None:

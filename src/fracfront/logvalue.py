@@ -194,13 +194,6 @@ def _owner_log_sum(owner, sign, log_abs, n: int) -> tuple[np.ndarray, np.ndarray
         return np.sign(net), np.where(net == 0.0, -math.inf, shift + np.log(np.abs(net)))
 
 
-def panel_integral_log(
-    f: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]], edges, tol: float
-) -> LogValue:
-    """The one-integral call of ``panel_integrals_log``, for an f(nodes)."""
-    return panel_integrals_log(lambda nodes, owner: f(nodes), [edges], tol)[0]
-
-
 def call_by_owner(f, nodes: np.ndarray, owner: np.ndarray, failed: dict | None):
     """f(nodes, owner); if that raises a FracFrontError and ``failed`` is a
     dict, each owner's nodes are taken on their own, and an owner whose call

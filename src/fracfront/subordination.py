@@ -41,7 +41,7 @@ class QuadratureSpec:
     bounds the sum of the panels' |K31 - G15| relative to the integral and
     the relative error of the Wright factor at each panel node; the
     window ends where the integrand falls below e^{tail_cut_log} times the
-    largest value on the bracketing grid."""
+    largest value its tail walks have shown so far."""
 
     rel_tol: float = 1e-6
     tail_cut_log: float = -40.0
@@ -70,18 +70,17 @@ def _integrate_log(
     ts, spec: QuadratureSpec, failed: dict,
 ) -> list[LogValue | FracFrontError]:
     """integral_0^inf fn_j(s) ds in log space for each t_j of ts, |fn_j|
-    log-unimodal with its peak near t_j, or the error of each j in ``failed``.
+    log-unimodal, or the error of each j in ``failed``.
 
     ``fn(s, owner, tol)`` takes an array of s, the j of each s and a relative
     tolerance and returns the arrays (sign, log|fn_j|).  Works in w = log s:
     the extra +w Jacobian term removes any integrable endpoint blow-up at
     s = 0 and makes the magnitude profile h(w) a clean single bump.  Each
-    call of fn covers every j still in its phase: each round of 25-point
-    bracketing grids and each block of ``_WALK_BLOCK`` steps of both tail
-    walks at ``_WINDOW_TOL`` (or rel_tol / 4 if looser), and each panel round
-    of ``panel_integrals_log`` at rel_tol / 4.  A j that fails joins
-    ``failed``; each j's decisions, value and error are those of a call of
-    its own.
+    call of fn covers every j still in its phase: each block of
+    ``_WALK_BLOCK`` steps of both tail walks at ``_WINDOW_TOL`` (or
+    rel_tol / 4 if looser), and each panel round of ``panel_integrals_log``
+    at rel_tol / 4.  A j that fails joins ``failed``; each j's decisions,
+    value and error are those of a call of its own.
     """
     panel_tol = spec.rel_tol / 4.0
     window_tol = max(_WINDOW_TOL, panel_tol)
@@ -91,53 +90,40 @@ def _integrate_log(
         sign, log_abs = fn(np.exp(w), owner, tol)
         return sign, log_abs + w
 
-    def f_window(w: np.ndarray, owner: np.ndarray) -> np.ndarray:
-        return call_by_owner(lambda w, o: f(w, o, window_tol), w, owner, failed)[1]
-
-    # Coarse brackets around s in [t/4, 4t], each expanded while its max sits
-    # on an edge (the peak migrates right with t but starts near s ~ t).
-    # The logs are taken one t at a time, as a one-point call takes them.
-    bounds = {j: (math.log(t / 4.0), math.log(4.0 * t))
-              for j, t in enumerate(ts) if j not in failed}
-    peaks = {}
-    for _ in range(80):
-        if not bounds:
-            break
-        grids = np.array([np.linspace(lo, hi, 25) for lo, hi in bounds.values()])
-        vals = f_window(grids.ravel(), np.repeat(list(bounds), 25)).reshape(grids.shape)
-        for (j, (lo, hi)), grid, v in zip(list(bounds.items()), grids, vals):
-            i = int(np.argmax(v))
-            if j in failed or not math.isfinite(v[i]):
-                failed.setdefault(j, QuadratureFailure("integrand magnitude is nowhere finite"))
-            elif i in (0, len(grid) - 1):
-                bounds[j] = (lo - (hi - lo), hi) if i == 0 else (lo, hi + (hi - lo))
-                continue
-            else:
-                # The grid maximum is at most the peak, so a cut below it
-                # can only widen the window.
-                peaks[j] = (grid[i], v[i] + spec.tail_cut_log)
-            del bounds[j]
-    failed.update((j, QuadratureFailure("peak bracketing did not terminate")) for j in bounds)
-
-    # Walk out from each peak both ways until three consecutive values are
-    # below the cut, so a narrow zero crossing of a sign-changing kernel is
-    # not mistaken for the tail.  ``walks`` maps each walk still going to
-    # its count of consecutive values below the cut; a failed sample's walks
-    # stop.
-    walks, ends = {(j, step): 0 for j in sorted(peaks) for step in (-0.5, 0.5)}, {}
-    for k in range(1, 401, _WALK_BLOCK):
+    # Walk out from w = log t both ways in steps of 0.5, log t itself first
+    # (the peak starts near s ~ t and migrates right with t; near alpha = 1
+    # it is a cliff at s ~ t narrower than a step), until three consecutive
+    # values are below the cut, so a narrow zero crossing of a sign-changing
+    # kernel is not mistaken for the tail.  The cut lies tail_cut_log below
+    # the largest value the sample has shown so far, node by node in order
+    # of distance from log t: it only grows, so a walk that has stopped
+    # stays past the final cut, and a walk climbing a steep flank is never
+    # below it.  ``walks`` maps each walk still going to its count of
+    # consecutive values below the cut; a failed sample's walks stop.  The
+    # logs are taken one t at a time, as a one-point call takes them.
+    starts = {j: math.log(t) for j, t in enumerate(ts) if j not in failed}
+    top = dict.fromkeys(starts, -math.inf)
+    walks, ends = {(j, step): 0 for j in starts for step in (-0.5, 0.5)}, {}
+    for k in range(0, 400, _WALK_BLOCK):
         if not walks:
             break
-        ws = np.array([peaks[j][0] + step * np.arange(k, k + _WALK_BLOCK) for j, step in walks])
-        vals = f_window(ws.ravel(), np.repeat([j for j, _ in walks], _WALK_BLOCK))
-        subs = vals.reshape(ws.shape) < np.array([peaks[j][1] for j, _ in walks])[:, None]
-        for walk, w_row, sub_row in zip(list(walks), ws.tolist(), subs.tolist()):
-            for w, sub in zip(w_row, sub_row):
-                walks[walk] = walks[walk] + 1 if sub else 0
-                if walks[walk] >= 3 or walk[0] in failed:
-                    ends[walk] = w
-                    del walks[walk]
-                    break
+        block = list(walks)
+        ws = np.array([starts[j] + step * (k + (step > 0) + np.arange(_WALK_BLOCK))
+                       for j, step in block])
+        vals = call_by_owner(lambda w, o: f(w, o, window_tol), ws.ravel(),
+                             np.repeat([j for j, _ in block], _WALK_BLOCK), failed)[1]
+        for w_col, v_col in zip(ws.T.tolist(), vals.reshape(ws.shape).T.tolist()):
+            for walk, w, v in zip(block, w_col, v_col):
+                if walk in walks:
+                    j = walk[0]
+                    top[j] = max(top[j], v)
+                    walks[walk] = walks[walk] + 1 if v < top[j] + spec.tail_cut_log else 0
+                    if walks[walk] >= 3:
+                        ends[walk] = w
+                        del walks[walk]
+        failed.update((j, QuadratureFailure("integrand magnitude is nowhere finite"))
+                      for j, _ in block if j not in failed and not math.isfinite(top[j]))
+        walks = {walk: n for walk, n in walks.items() if walk[0] not in failed}
     failed.update((j, QuadratureFailure("tail truncation walked too far")) for j, _ in walks)
 
     # Panels between each sample's walk ends; a failed sample gets none.

@@ -171,6 +171,14 @@ class TestKernelAndThresholds:
         assert proc.stdout.startswith("envelope sign=+1 log_abs=")
         assert len(proc.stdout.splitlines()) == 1
 
+    def test_stable_kernel_past_squared_radius_overflow(self):
+        # r^2 leaves double range at r = 1e160; the envelope does not.
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert main(["kernel", "--rho", "0.7", "--dim", "1", "--t", "2", "--r", "1e160"]) == 0
+        log_abs = float(out.getvalue().split("log_abs=")[1])
+        assert log_abs == approx(math.log(2.0) - 2.4 * math.log(1e160), abs=1e-6)
+
     def test_higher_order_kernel_past_segment_guard(self):
         err = io.StringIO()
         with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):

@@ -110,6 +110,16 @@ class TestStableEnvelope:
             assert shape.sign == true.sign == 1
             assert shape.log_abs + math.log(0.31) <= true.log_abs <= shape.log_abs + math.log(0.33)
 
+    @mark.parametrize("r", [1e160, 1e300])
+    def test_radius_past_squared_overflow(self, r):
+        # r^2 leaves double range past r ~ 1.3e154; the shape stays finite.
+        for rho, t, d in ((0.7, 2.0, 1), (0.3, 0.5, 3)):
+            with mp.workdps(30):
+                want = float(mp.log(t) - (d + 2 * mp.mpf(rho)) / 2
+                             * mp.log(mp.mpf(r) ** 2 + mp.mpf(t) ** (1 / mp.mpf(rho))))
+            got = stable_envelope(rho, t, r, d)
+            assert got.sign == 1 and got.log_abs == approx(want, rel=1e-14, abs=0)
+
     def test_rejects_rho_outside_unit_interval(self):
         # No evaluator for this rho: the error type of the exact-kernel table.
         with raises(Unsupported):

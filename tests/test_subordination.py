@@ -3,6 +3,7 @@ import math
 import random
 import warnings
 
+import mpmath as mp
 import numpy as np
 
 from pytest import approx, mark, raises
@@ -187,6 +188,113 @@ def _near_classical_points():
     return [(a,) + tr for tr in grid for a in (0.99, 0.999, 0.9999)]
 
 
+def _alpha_half_log_u(rho, d, t, r):
+    """log u at alpha = 1/2 from closed forms alone, at 30 digits.
+
+    W_{-1/2,1/2}(-z) = e^{-z^2/4} / sqrt(pi) (Mainardi, Mura & Pagnini, Int.
+    J. Differ. Equ. 2010), so u = (pi t)^{-1/2} int_0^inf e^{s - s^2/(4t)}
+    K_s(r) ds with the Gaussian (rho = 1) or Cauchy (rho = 1/2) kernel.
+    Breakpoints 1/4 apart on [0, 200]: with breakpoints only around the
+    peak, mpmath.quad is off by 1e-3 at (t, r) = (4, 80).  Halving the
+    spacing and reaching 300 moves no value by more than 1e-18.
+    """
+    with mp.workdps(30):
+        t, r, half = mp.mpf(t), mp.mpf(r), mp.mpf(d + 1) / 2
+        if rho == 1.0:
+            kern = lambda s: (4 * mp.pi * s) ** (-mp.mpf(d) / 2) * mp.exp(-r * r / (4 * s))
+        else:
+            kern = lambda s: mp.gamma(half) / mp.pi ** half * s / (r * r + s * s) ** half
+        edges = [mp.mpf(k) / 4 for k in range(801)] + [mp.inf]
+        u = mp.quad(lambda s: mp.exp(s - s * s / (4 * t)) * kern(s), edges) / mp.sqrt(mp.pi * t)
+        return float(mp.log(u))
+
+
+# _alpha_half_log_u at each (t, r) by (rho, d), cached: about 1 s a point.
+_ALPHA_HALF_LOG_U = {
+    (0.5, 1): [
+        (0.1, 0.05, "0.49002208299366369323"),
+        (0.1, 0.2, "-0.20080388017123975045"),
+        (1.0, 0.5, "-0.23403641501091840272"),
+        (1.0, 2.0, "-1.09121742441101090114"),
+        (5.0, 2.5, "2.25042708537962517803"),
+        (5.0, 10.0, "1.49592384543117867695"),
+        (20.0, 10.0, "15.8172601517075071987"),
+        (20.0, 40.0, "15.1533690351472611000"),
+    ],
+    (0.5, 2): [
+        (0.1, 0.05, "1.72015271119506008233"),
+        (0.1, 0.2, "0.10167306230510388196"),
+        (1.0, 0.5, "-1.22373946487063751788"),
+        (1.0, 2.0, "-2.87094995925813084260"),
+        (5.0, 2.5, "-0.57501860468549681446"),
+        (5.0, 10.0, "-1.84443209428944208061"),
+        (20.0, 10.0, "11.4502556848641452380"),
+        (20.0, 40.0, "10.4271595518776999591"),
+    ],
+    (0.5, 3): [
+        (0.1, 0.05, "3.62934744670370117365"),
+        (0.1, 0.2, "0.80254775044684019322"),
+        (1.0, 0.5, "-1.67809846918345782408"),
+        (1.0, 2.0, "-4.35577911085446759574"),
+        (5.0, 2.5, "-3.00947501866651562074"),
+        (5.0, 10.0, "-4.92362787739930653410"),
+        (20.0, 10.0, "7.35138107950380666391"),
+        (20.0, 40.0, "5.94843081246091625798"),
+    ],
+    (1.0, 1): [
+        (0.1, 0.0, "-0.07628187159233796678"),
+        (0.1, 0.05, "-0.12507781516548133854"),
+        (0.1, 0.2, "-0.27905583062861694189"),
+        (1.0, 0.0, "0.18862276676441370370"),
+        (1.0, 0.5, "0.04581089599941169526"),
+        (1.0, 2.0, "-0.63541118913066537531"),
+        (5.0, 0.0, "3.32724515328310330116"),
+        (5.0, 2.5, "3.12918435263168885430"),
+        (5.0, 10.0, "0.77547502322591504472"),
+        (20.0, 0.0, "17.5930970051053313049"),
+        (20.0, 10.0, "16.9482107544970884322"),
+        (20.0, 40.0, "8.24427825297299303857"),
+        (4.0, 80.0, "-80.4126366514968202473"),
+    ],
+    (1.0, 2): [
+        (0.1, 0.05, "-0.04491090359192843637"),
+        (0.1, 0.2, "-0.57946247756399040303"),
+        (1.0, 0.5, "-1.25082964681304824647"),
+        (1.0, 2.0, "-2.23456472634902150320"),
+        (5.0, 2.5, "0.77813214731665718035"),
+        (5.0, 10.0, "-1.69971116922524847224"),
+        (20.0, 10.0, "13.8458194690482070853"),
+        (20.0, 40.0, "5.05789797139273574559"),
+    ],
+    (1.0, 3): [
+        (0.1, 0.05, "1.02165088035141713389"),
+        (0.1, 0.2, "-0.44633265836120091363"),
+        (1.0, 0.5, "-2.19396141419098822277"),
+        (1.0, 2.0, "-3.74834163605164047910"),
+        (5.0, 2.5, "-1.52588815628545627292"),
+        (5.0, 10.0, "-4.15942810591979717235"),
+        (20.0, 10.0, "10.7501556391443530817"),
+        (20.0, 40.0, "1.87507688353434456375"),
+    ],
+}
+
+
+class TestClosedFormOracle:
+    """Against an oracle that shares no code with specfun or logvalue: the
+    window walk must find every peak, also one far from log t."""
+
+    @mark.parametrize("rho,d,t,r,want", [(rho, d, *row) for (rho, d), rows
+                                         in _ALPHA_HALF_LOG_U.items() for row in rows])
+    def test_agrees_at_default_spec(self, rho, d, t, r, want):
+        got = subordinate(FracParams(0.5, rho, d), t, r)
+        assert got.sign == 1 and abs(got.log_abs - float(want)) <= 1e-6
+
+    def test_cached_value_is_the_oracle(self):
+        # The far peak: at log t + 1.89 in w, past s = 4t.
+        assert _alpha_half_log_u(1.0, 1, 4.0, 80.0) == approx(
+            float(_ALPHA_HALF_LOG_U[1.0, 1][-1][2]), rel=1e-15)
+
+
 class TestNearClassicalAlpha:
     # Near alpha = 1 the Wright density is a cliff about ln(1e5) (1 - alpha)
     # wide in w = log s; the adaptive panels must find it without help.
@@ -207,7 +315,7 @@ class TestWrightFactorEstimate:
 
         def one_loose_node(nu, mu, x, tol):
             sign, log_abs, est, regime = exact(nu, mu, x, tol)
-            if x.size > 25:  # a panel round, past the 25-point bracketing grid
+            if x.size > 32:  # a panel round, past the walk block
                 est = est.copy()
                 est[x.size // 2] = 1e-3
             return sign, log_abs, est, regime
@@ -236,13 +344,13 @@ class TestWorkCounts:
 
         monkeypatch.setattr(subordination, "log_wright_array", counting)
         subordinate(FracParams(0.6, 1.0, 1), 2.0, 1.5)
-        # One 25-point bracketing grid, one call for the first 16-step block
-        # of both tail walks, and one panel round: 8 panels of 31 Kronrod
-        # nodes.  A per-node loop over the panel nodes would make 248 more
-        # calls, and a one-node peak search or walk would add size-1 calls.
+        # One call for the first 16-step block of both tail walks from
+        # w = log t, and one panel round: 8 panels of 31 Kronrod nodes.  A
+        # per-node loop over the panel nodes would make 248 more calls, and
+        # a one-node peak search or walk would add size-1 calls.
         assert min(sizes) > 1
-        assert sorted(sizes, reverse=True) == [248, 32, 25]
-        assert sum(sizes) == 305
+        assert sorted(sizes, reverse=True) == [248, 32]
+        assert sum(sizes) == 280
 
     def test_trajectory_integrates_its_samples_together(self, monkeypatch):
         exact = subordination.log_wright_array
@@ -279,8 +387,8 @@ class TestWorkCounts:
             return exact(nu, mu, x, tol)
 
         def failing_in_panels(rho, d, s, r):
-            # More than a bracketing grid (25) or a walk block (32) of the
-            # sample at t = 4: its first panel round.
+            # More than a walk block (32) of the sample at t = 4: its first
+            # panel round.
             if np.sum(r == bad_r) > 32:
                 raise NonConvergence("made to fail")
             return kernel(rho, d, s, r)
@@ -344,6 +452,15 @@ class TestSubordinateEnvelope:
         exact = subordinate(FracParams(0.5, 0.5, 1), 1.0, 2.0)
         shape = subordinate_envelope(0.5, 0.5, 1, 1.0, 2.0)
         assert shape.log_abs + math.log(0.31) <= exact.log_abs <= shape.log_abs + math.log(0.33)
+
+    def test_radius_past_squared_overflow(self):
+        # Far out the shape is s / r^{d + 2 rho}, so log u + (d + 2 rho) log r
+        # no longer depends on r, also where r^2 leaves double range.
+        want = subordinate_envelope(0.5, 0.7, 1, 5.0, 1e100).log_abs + 2.4 * math.log(1e100)
+        for r in (1e160, 1e300):
+            got = subordinate_envelope(0.5, 0.7, 1, 5.0, r)
+            assert got.sign == 1
+            assert got.log_abs + 2.4 * math.log(r) == approx(want, rel=0, abs=1e-9)
 
     def test_rejects_rho_at_least_one(self):
         with raises(Unsupported):
