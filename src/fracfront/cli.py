@@ -268,11 +268,16 @@ def _cmd_invade(args) -> int:
 
 def _cmd_thresholds(args) -> int:
     from .invasion import thresholds
+    from .kernels import FracParams
+    from .specfun import gamma_alpha
 
-    if not 0.0 < args.alpha < 1.0:
-        raise _UsageError("require 0 < alpha < 1")
-    if args.rho <= 0.0 or args.dim < 1:
-        raise _UsageError("require rho > 0 and dim >= 1")
+    # Their DomainError is a usage error; that of m_alpha inside thresholds,
+    # a threshold past integer range, is a computation failure.
+    try:
+        FracParams(args.alpha, args.rho, args.dim)
+        gamma_alpha(args.alpha)
+    except DomainError as exc:
+        raise _UsageError(str(exc)) from exc
     rep = thresholds(args.alpha, args.rho, args.dim)
     for name, value in dataclasses.asdict(rep).items():
         print(f"{name}={value if isinstance(value, int) else _fmt(value)}")

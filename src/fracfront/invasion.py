@@ -18,13 +18,16 @@ from enum import Enum
 import numpy as np
 
 from .errors import DomainError, FracFrontError, InsufficientData, Unsupported
-from .fourier1d import _log_solution_at_origin, _solution_series_log
+from .fourier1d import _solution_series_points
 from .kernels import FracParams, classical_solution, exact_kernel, stable_envelope
 from .logvalue import LogValue
-from .specfun import gamma_alpha, log_mittag_leffler, m_alpha
-# _point_log_u calls the batched views; perfbench/child.py looks up the others.
-from .subordination import (subordinate, subordinate_envelope,  # noqa: F401
-                            subordinate_envelope_points, subordinate_points)
+from .specfun import _log_mittag_leffler_points, gamma_alpha, m_alpha
+from .subordination import subordinate_envelope_points, subordinate_points
+# _point_log_u calls the batched functions above, not these one-point views;
+# perfbench/child.py looks them up here.
+from .fourier1d import _solution_series_log  # noqa: E402,F401
+from .specfun import log_mittag_leffler  # noqa: E402,F401
+from .subordination import subordinate, subordinate_envelope  # noqa: E402,F401
 
 
 class ProfileKind(Enum):
@@ -115,6 +118,27 @@ def thresholds(alpha: float, rho: float, d: int) -> ThresholdReport:
     )
 
 
+def _fourier_log_u(alpha: float, rho: float, ts, xs) -> list[LogValue | FracFrontError]:
+    """Signed log of u(t, x) by the Fourier series at each (t, x) of ts, xs,
+    or the point's error, the series summed together.
+
+    The absolute series tolerance of a point x > 0 is pinned a fixed number
+    of nats below its total-mass scale E_a(t^a), which dominates every a_k;
+    the scales are one Mittag-Leffler call, their t^a formed one t at a time
+    (a point at x = 0 takes the integral at the origin and no tolerance).
+    """
+    series = [j for j, x in enumerate(xs) if x != 0.0]
+    scales = dict(zip(series, _log_mittag_leffler_points(alpha, [ts[j] ** alpha for j in series])))
+    values: list = [scales.get(j) for j in range(len(ts))]
+    keep = [j for j, v in enumerate(values) if not isinstance(v, FracFrontError)]
+    tols = [0.0 if values[j] is None else math.exp(min(values[j].log_abs - 22.0, 700.0))
+            for j in keep]
+    sums = _solution_series_points(alpha, rho, [ts[j] for j in keep], [xs[j] for j in keep], tols)
+    for j, v in zip(keep, sums):
+        values[j] = v if isinstance(v, FracFrontError) else v[0]
+    return values
+
+
 def _point_log_u(params: FracParams, ts, xs, method: Method) -> list[LogValue | FracFrontError]:
     """Signed log of u(t, x) by ``method`` at each (t, x) of ts, xs, or the
     point's error: the one table of routes.
@@ -122,10 +146,10 @@ def _point_log_u(params: FracParams, ts, xs, method: Method) -> list[LogValue | 
     A route that cannot compute (params, method) raises Unsupported here,
     before any integral: subordination needs an exact kernel
     (``kernels.exact_kernel``), fourier1d needs d = 1 and rho >= 1, and the
-    envelope route rho in (0,1).  Below alpha = 1 the subordination and
-    envelope routes integrate the points together.  At alpha = 1 the
-    envelope route gives e^t times the envelope shape it subordinates below
-    1, and the other routes the classical solution.
+    envelope route rho in (0,1).  Below alpha = 1 every route integrates
+    the points together.  At alpha = 1 the envelope route gives e^t times
+    the envelope shape it subordinates below 1, and the other routes the
+    classical solution, one point at a time.
     """
     rho, d = params.rho, params.dim
     if method is Method.SUBORDINATION and not exact_kernel(rho, d):
@@ -138,21 +162,15 @@ def _point_log_u(params: FracParams, ts, xs, method: Method) -> list[LogValue | 
         return subordinate_points(params, ts, xs)
     if params.alpha < 1.0 and method is Method.ENVELOPE:
         return subordinate_envelope_points(params.alpha, rho, d, ts, xs)
+    if params.alpha < 1.0:
+        return _fourier_log_u(params.alpha, rho, ts, xs)
     values = []
     for t, x in zip(ts, xs):
         try:
-            if params.alpha == 1.0 and method is Method.ENVELOPE:
+            if method is Method.ENVELOPE:
                 values.append(LogValue(1, t + stable_envelope(rho, t, x, d).log_abs))
-            elif params.alpha == 1.0:
-                values.append(classical_solution(params, t, x))
-            elif x == 0.0:
-                values.append(_log_solution_at_origin(params.alpha, rho, t))
             else:
-                # Absolute series tolerance pinned a fixed number of nats
-                # below the total-mass scale, which dominates every a_k.
-                scale = log_mittag_leffler(params.alpha, t ** params.alpha).log_abs
-                tol = math.exp(min(scale - 22.0, 700.0))
-                values.append(_solution_series_log(params.alpha, rho, t, x, tol)[0])
+                values.append(classical_solution(params, t, x))
         except FracFrontError as exc:
             values.append(exc)
     return values

@@ -243,7 +243,9 @@ def panel_integrals_log(
     depend on the others of the call, as long as f's values at a node do
     not depend on the other nodes.  With a dict ``failed``, an integral i
     that fails (past MAX_PANELS, or in f as in ``call_by_owner``) gets None
-    and its error in failed[i], and the others go on.
+    and its error in failed[i], and the others go on; f may also put the
+    errors of its integrals in ``failed`` itself and return, and those
+    integrals drop out after its call.
     """
     edge_lists = [np.asarray(edges, dtype=float) for edges in edge_lists]
     n = len(edge_lists)

@@ -36,7 +36,7 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import DomainError, NonConvergence
+from .errors import DomainError, FracFrontError, NonConvergence
 from .logvalue import LogValue, kronrod_panels
 
 _EPS = 2.0 ** -52
@@ -641,15 +641,33 @@ def mittag_leffler_deriv(alpha: float, z: float) -> EvalResult:
                       inner.regime)
 
 
+def _log_mittag_leffler_points(alpha: float, zs) -> list[LogValue | FracFrontError]:
+    """log E_a(z) at each finite z of zs from one ``log_mittag_leffler_array``
+    call at b = 1, or the error a ``log_mittag_leffler`` call at that z
+    raises: DomainError where z is not finite or log E_a(z) itself leaves
+    double range."""
+    zs = [float(z) for z in zs]
+    finite = [j for j, z in enumerate(zs) if math.isfinite(z)]
+    sign, log_abs, _, _ = log_mittag_leffler_array(alpha, 1.0, np.array([zs[j] for j in finite]))
+    values: list[LogValue | FracFrontError] = [
+        DomainError(f"the Mittag-Leffler evaluator requires finite z, got {z}") for z in zs]
+    for j, s, v in zip(finite, sign.tolist(), log_abs.tolist()):
+        if v == math.inf:
+            values[j] = DomainError(f"log E_{alpha}(z) exceeds double range at z = {zs[j]}")
+        elif s != 1.0:  # numerically impossible for a in (0,1]; keep honest
+            values[j] = NonConvergence(f"non-positive Mittag-Leffler value at z = {zs[j]}")
+        else:
+            values[j] = LogValue(1, v)
+    return values
+
+
 def log_mittag_leffler(alpha: float, z: float) -> LogValue:
-    """log E_a(z) for finite z, the log view of ``log_mittag_leffler_array``
-    at b = 1; DomainError where log E_a(z) itself leaves double range."""
-    sign, log_abs, _, _ = log_mittag_leffler_array(alpha, 1.0, np.array([float(z)]))
-    if log_abs[0] == math.inf:
-        raise DomainError(f"log E_{alpha}(z) exceeds double range at z = {z}")
-    if sign[0] != 1.0:  # numerically impossible for a in (0,1]; keep honest
-        raise NonConvergence(f"non-positive Mittag-Leffler value at z = {z}")
-    return LogValue(1, float(log_abs[0]))
+    """log E_a(z) for finite z: the one-point view of
+    ``_log_mittag_leffler_points``."""
+    (value,) = _log_mittag_leffler_points(alpha, [z])
+    if isinstance(value, FracFrontError):
+        raise value
+    return value
 
 
 # ---------------------------------------------------------------------------

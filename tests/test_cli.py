@@ -199,6 +199,17 @@ class TestKernelAndThresholds:
         assert "computation failed" in proc.stderr
         assert "Traceback" not in proc.stderr
 
+    def test_thresholds_usage_errors(self):
+        # The checks of FracParams and gamma_alpha, as usage errors.
+        for (alpha, rho, dim), message in ((("1", "1", "1"), "alpha must be in (0,1)"),
+                                           (("0.5", "-1", "1"), "rho must be positive"),
+                                           (("0.5", "1", "0"), "dim must be >= 1")):
+            argv = ["thresholds", "--alpha", alpha, "--rho", rho, "--dim", dim]
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+                assert main(argv) == 1, argv
+            assert f"usage error: {message}" in err.getvalue()
+
     def test_thresholds_frozen_values(self):
         proc = run_cli("thresholds", "--alpha", "0.5", "--rho", "1", "--dim", "1")
         assert proc.returncode == 0

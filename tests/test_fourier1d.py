@@ -15,9 +15,10 @@ from fracfront.fourier1d import (
     solution_series,
     theorem17_comparator,
 )
-from fracfront.invasion import Method, _point_log_u
+from fracfront.invasion import Method, ProfileKind, SpeedProfile, _point_log_u, theta, trajectory
 from fracfront.kernels import FracParams, classical_solution
 from fracfront.logvalue import LogValue, signed_log_sum
+from fracfront.specfun import log_mittag_leffler
 from fracfront.subordination import QuadratureSpec, subordinate
 
 
@@ -136,6 +137,60 @@ class TestBlockedSeries:
             a_coefficient(3, 0.5, 1.5, 1.0, 2.0)
         with raises(NonConvergence):
             solution_at_origin(0.5, 1.5, 1.0)
+
+
+class TestSeriesPoints:
+    """``_solution_series_points`` sums the series of its points together;
+    each point gives the value of a one-point call."""
+
+    @mark.parametrize("rho", [1.0, 2.0])
+    def test_trajectory_sums_its_samples_together(self, monkeypatch, rho):
+        exact, sizes = fourier1d.log_mittag_leffler_array, []
+
+        def counting(alpha, beta, z):
+            sizes.append(z.size)
+            return exact(alpha, beta, z)
+
+        monkeypatch.setattr(fourier1d, "log_mittag_leffler_array", counting)
+        params, ts = FracParams(0.6, rho, 1), [2.0, 4.0, 8.0, 16.0]
+        profile = SpeedProfile(ProfileKind.POWER, 1.0, 0.5)
+        alone = []
+        for t in ts:
+            # The tolerance rule of the fourier1d route.
+            tol = math.exp(log_mittag_leffler(0.6, t ** 0.6).log_abs - 22.0)
+            sizes.clear()
+            alone.append((_solution_series_log(0.6, rho, t, theta(profile, t), tol)[0],
+                          len(sizes), sum(sizes)))
+        sizes.clear()
+        alone.append((_solution_series_log(0.6, rho, 3.0, 0.0, 0.0)[0], len(sizes), sum(sizes)))
+        sizes.clear()
+        samples = trajectory(params, profile, ts, Method.FOURIER1D)
+        calls, nodes = len(sizes), sum(sizes)
+        sizes.clear()
+        with_origin = _point_log_u(params, ts + [3.0], [s.theta for s in samples] + [0.0],
+                                   Method.FOURIER1D)
+        # Each step is one call per panel round across the points still
+        # going: fewer calls than the points make alone, the same nodes,
+        # the same values.
+        assert calls < sum(n for _, n, _ in alone[:4])
+        assert nodes == sum(n for _, _, n in alone[:4])
+        assert [s.log_u for s in samples] == [v for v, _, _ in alone[:4]]  # bit for bit
+        assert len(sizes) < sum(n for _, n, _ in alone)
+        assert sum(sizes) == sum(n for _, _, n in alone)
+        assert with_origin == [v for v, _, _ in alone]
+
+    def test_points_take_the_one_point_errors(self):
+        ts, xs = [1.0, 0.0, 1.0, 1.0], [2.0, 1.0, -1.0, 0.0]
+        got = fourier1d._solution_series_points(0.5, 1.5, ts, xs, [1e-8] * 4)
+        assert [type(v) for v in got] == [tuple, DomainError, DomainError, tuple]
+        for t, x, v in zip(ts, xs, got):
+            try:
+                assert v == _solution_series_log(0.5, 1.5, t, x, 1e-8)
+            except DomainError as exc:
+                assert str(v) == str(exc)
+        with raises(DomainError, match="tolerances"):
+            fourier1d._solution_series_points(0.5, 1.5, [1.0], [1.0], [])
+        assert fourier1d._solution_series_points(0.5, 1.5, [], [], []) == []
 
 
 class TestSolutionAtOrigin:

@@ -1,12 +1,13 @@
 import math
 
+import numpy as np
 from hypothesis import given
 from hypothesis import strategies as st
 from pytest import approx, mark, raises
 
-from fracfront import invasion
-from fracfront.errors import (DomainError, InsufficientData, NonConvergence, QuadratureFailure,
-                              Unsupported)
+from fracfront import fourier1d
+from fracfront.errors import (DomainError, FracFrontError, InsufficientData, NonConvergence,
+                              QuadratureFailure, Unsupported)
 from fracfront.invasion import (
     ExperimentConfig,
     Method,
@@ -193,21 +194,36 @@ class TestTrajectory:
         assert last.failure == str(alone.value)
 
     def test_fourier_failure_takes_each_sample_once(self, monkeypatch):
-        series = invasion._solution_series_log
-        calls = []
+        # One node of the sample at t = 3, next to z = 3^a in its first
+        # panel round, misses its estimate; the other samples' z stay
+        # below 2^a.  The samples are summed together, and that one drops
+        # out with the error of a call of its own.
+        exact, sizes = fourier1d.log_mittag_leffler_array, []
+        bad_z = 3.0 ** 0.5
 
-        def failing_at_two(alpha, rho, t, x, tol):
-            calls.append(t)
-            if t == 2.0:
-                raise NonConvergence("made to fail")
-            return series(alpha, rho, t, x, tol)
+        def one_loose_sample(alpha, beta, z):
+            sizes.append(z.size)
+            sign, log_abs, est, regime = exact(alpha, beta, z)
+            return sign, log_abs, np.where(abs(z - bad_z) < 1e-3, 1e-3, est), regime
 
-        monkeypatch.setattr(invasion, "_solution_series_log", failing_at_two)
-        ts = [1.0, 2.0, 3.0]
-        samples = trajectory(FracParams(0.5, 1.0, 1), SpeedProfile(ProfileKind.POWER, 1.0, 1.0),
-                             ts, Method.FOURIER1D)
-        assert calls == ts
-        assert [s.failure for s in samples] == [None, "made to fail", None]
+        monkeypatch.setattr(fourier1d, "log_mittag_leffler_array", one_loose_sample)
+        params, ts = FracParams(0.5, 2.0, 1), [1.0, 2.0, 3.0]
+        profile = SpeedProfile(ProfileKind.POWER, 1.0, 1.0)
+        alone = []
+        for t in ts:
+            try:
+                alone.append(_point_log_u(params, [t], [theta(profile, t)], Method.FOURIER1D)[0])
+            except FracFrontError as exc:
+                alone.append(exc)
+        alone_nodes = sum(sizes)
+        sizes.clear()
+        samples = trajectory(params, profile, ts, Method.FOURIER1D)
+        assert [s.log_u for s in samples[:2]] == alone[:2]  # bit for bit
+        assert isinstance(alone[2], NonConvergence) and "estimate 0.001" in str(alone[2])
+        assert samples[2].log_u is None and samples[2].failure == str(alone[2])
+        # The failing sample leaves the batch at its first round; no node of
+        # the batch is evaluated twice.
+        assert sum(sizes) == alone_nodes
 
 
 def _higher_dimension_cells():

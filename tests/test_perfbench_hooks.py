@@ -2,15 +2,19 @@
 
 perfbench/child.py rebinds module attributes of fracfront from outside to
 trace calls between layers, reads the cache statistics of two
-lru_cache'd build functions, and maps the regime of each traced
-Mittag-Leffler result; a deleted or renamed name, or a regime it cannot map,
-should fail here, not in a benchmark run.
+lru_cache'd build functions, maps the regime of each traced
+Mittag-Leffler result, and computes the cross-route check through the
+package's one-point calls; a deleted or renamed name, a changed signature,
+or a regime it cannot map should fail here, not in a benchmark run.
 """
 
+import importlib.util
 import json
 import pathlib
 import subprocess
 import sys
+
+import fracfront
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 
@@ -63,3 +67,16 @@ def test_child_tracer_maps_every_ml_regime():
     assert (counts["ml.regime.taylor"], counts["ml.regime.bridge"],
             counts["ml.regime.asym_pos"]) == (2, 1, 1)
     assert counts["ml.terms"] == 1  # the one term at z = 0
+
+
+def test_child_cross_check_runs_both_routes():
+    spec = importlib.util.spec_from_file_location("perfbench_child", ROOT / "perfbench" / "child.py")
+    child = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(child)
+    point = {"alpha": 0.5, "rho": 2.0, "t": 2.0, "x": 1.0}
+    values = child._run_cross(fracfront, [{**point, "route": "fourier1d"},
+                                          {**point, "route": "subordination"}])["values"]
+    # The two routes agree within the benchmark's cross-route tolerance.
+    (fourier_sign, fourier_log), (sub_sign, sub_log) = values
+    assert fourier_sign == sub_sign == 1
+    assert abs(fourier_log - sub_log) <= 1e-3

@@ -188,16 +188,18 @@ def _near_classical_points():
     return [(a,) + tr for tr in grid for a in (0.99, 0.999, 0.9999)]
 
 
-def _alpha_half_log_u(rho, d, t, r):
-    """log u at alpha = 1/2 from closed forms alone, at 30 digits.
+def _closed_form_log_u(alpha, rho, d, t, r):
+    """log u at alpha = 1/2 or 1/3 from closed forms alone, at 30 digits.
 
-    W_{-1/2,1/2}(-z) = e^{-z^2/4} / sqrt(pi) (Mainardi, Mura & Pagnini, Int.
-    J. Differ. Equ. 2010), so u = (pi t)^{-1/2} int_0^inf e^{s - s^2/(4t)}
-    K_s(r) ds with the Gaussian (rho = 1) or Cauchy (rho = 1/2) kernel.
-    Breakpoints 1/4 apart on [0, 200]: with breakpoints at t x {0.01, 0.1,
-    0.5, 1, 2, 4, ..., 64} alone, mpmath.quad is off by 7e-3 in log u at
-    (t, r) = (4, 80).  Halving the spacing and reaching 300 moves no value
-    by more than 1e-18.
+    The Wright factor M_a(z) = W_{-a,1-a}(-z) has a closed form at both
+    (Mainardi, Mura & Pagnini, Int. J. Differ. Equ. 2010): M_{1/2}(z) =
+    e^{-z^2/4} / sqrt(pi) and M_{1/3}(z) = 3^{2/3} Ai(z / 3^{1/3}).  So
+    u = t^{-a} int_0^inf e^s K_s(r) M_a(s / t^a) ds with the Gaussian
+    (rho = 1) or Cauchy (rho = 1/2) kernel.  Breakpoints 1/4 apart on
+    [0, 200]: with breakpoints at t x {0.01, 0.1, 0.5, 1, 2, 4, ..., 64}
+    alone, mpmath.quad is off by 7e-3 in log u at (t, r) = (4, 80) and
+    alpha = 1/2.  Halving the spacing and reaching 300 moves no alpha = 1/2
+    value by more than 1e-18.
     """
     with mp.workdps(30):
         t, r, half = mp.mpf(t), mp.mpf(r), mp.mpf(d + 1) / 2
@@ -205,12 +207,17 @@ def _alpha_half_log_u(rho, d, t, r):
             kern = lambda s: (4 * mp.pi * s) ** (-mp.mpf(d) / 2) * mp.exp(-r * r / (4 * s))
         else:
             kern = lambda s: mp.gamma(half) / mp.pi ** half * s / (r * r + s * s) ** half
+        if alpha == 0.5:
+            ta, wright = mp.sqrt(t), lambda z: mp.exp(-z * z / 4) / mp.sqrt(mp.pi)
+        else:
+            ta, wright = mp.cbrt(t), lambda z: mp.cbrt(9) * mp.airyai(z / mp.cbrt(3))
         edges = [mp.mpf(k) / 4 for k in range(801)] + [mp.inf]
-        u = mp.quad(lambda s: mp.exp(s - s * s / (4 * t)) * kern(s), edges) / mp.sqrt(mp.pi * t)
+        u = mp.quad(lambda s: mp.exp(s) * kern(s) * wright(s / ta), edges) / ta
         return float(mp.log(u))
 
 
-# _alpha_half_log_u at each (t, r) by (rho, d), cached: about 1 s a point.
+# _closed_form_log_u(1/2, rho, d, t, r) at each (t, r) by (rho, d), cached:
+# about 1 s a point.
 _ALPHA_HALF_LOG_U = {
     (0.5, 1): [
         (0.1, 0.05, "0.49002208299366369323"),
@@ -280,6 +287,77 @@ _ALPHA_HALF_LOG_U = {
 }
 
 
+# _closed_form_log_u(1/3, rho, d, t, r) at each (t, r) by (rho, d), cached:
+# 10-70 s a point, the Airy function at 30 digits.
+_ALPHA_THIRD_LOG_U = {
+    (0.5, 1): [
+        (0.1, 0.05, "0.407055095803270717002"),
+        (0.1, 0.2, "-0.186349997399248074667"),
+        (1.0, 0.5, "-0.112621203191919618860"),
+        (1.0, 2.0, "-0.815654319560514285095"),
+        (5.0, 2.5, "2.33995882562950719271"),
+        (5.0, 10.0, "1.83219544280679567495"),
+        (20.0, 10.0, "15.8624416102150795885"),
+        (20.0, 40.0, "15.4848313198848556028"),
+    ],
+    (0.5, 2): [
+        (0.1, 0.05, "1.54613274787839519676"),
+        (0.1, 0.2, "-0.0400364350621033489709"),
+        (1.0, 0.5, "-1.20399651740098144246"),
+        (1.0, 2.0, "-2.74955070318352962248"),
+        (5.0, 2.5, "-0.738893023816131306721"),
+        (5.0, 10.0, "-1.69852047273156234924"),
+        (20.0, 10.0, "11.1295163647806759874"),
+        (20.0, 40.0, "10.5330118072241261803"),
+    ],
+    (0.5, 3): [
+        (0.1, 0.05, "3.45845069036412634984"),
+        (0.1, 0.2, "0.604937514661297621961"),
+        (1.0, 0.5, "-1.65265518535420746441"),
+        (1.0, 2.0, "-4.33003184098759173163"),
+        (5.0, 2.5, "-3.31010430859431199320"),
+        (5.0, 10.0, "-4.93755607190716360985"),
+        (20.0, 10.0, "6.67838415910400966470"),
+        (20.0, 40.0, "5.83827989433153128352"),
+    ],
+    (1.0, 1): [
+        (0.1, 0.0, "-0.0640313472003794004034"),
+        (0.1, 0.05, "-0.106660806495248383772"),
+        (0.1, 0.2, "-0.237160650439310539461"),
+        (1.0, 0.0, "0.403221612940969037845"),
+        (1.0, 0.5, "0.265242505194010185125"),
+        (1.0, 2.0, "-0.292794607913098525467"),
+        (5.0, 0.0, "3.54816426465748911397"),
+        (5.0, 2.5, "3.39979926917361716752"),
+        (5.0, 10.0, "1.73633490227535631940"),
+        (20.0, 0.0, "17.7991735706416648412"),
+        (20.0, 10.0, "17.3628386809817040513"),
+        (20.0, 40.0, "11.4563218271541839542"),
+        (4.0, 80.0, "-51.0420133135182442121"),
+    ],
+    (1.0, 2): [
+        (0.1, 0.05, "-0.155465622182819624493"),
+        (0.1, 0.2, "-0.679260783181482123052"),
+        (1.0, 0.5, "-1.12684567847270662096"),
+        (1.0, 2.0, "-2.04053016403884498939"),
+        (5.0, 2.5, "0.877740555464017407950"),
+        (5.0, 10.0, "-0.922883940733790595147"),
+        (20.0, 10.0, "14.0641397246709398689"),
+        (20.0, 40.0, "8.07524737239520417588"),
+    ],
+    (1.0, 3): [
+        (0.1, 0.05, "0.896913440907071819909"),
+        (0.1, 0.2, "-0.590360030405918308374"),
+        (1.0, 0.5, "-2.07153486038030323270"),
+        (1.0, 2.0, "-3.66278478488973391336"),
+        (5.0, 2.5, "-1.57278248315821621571"),
+        (5.0, 10.0, "-3.55852729062702486592"),
+        (20.0, 10.0, "10.7746955852012651595"),
+        (20.0, 40.0, "4.69946897168499185470"),
+    ],
+}
+
+
 class TestClosedFormOracle:
     """Against an oracle that shares no code with specfun or logvalue: the
     window walk must find every peak, also one far from log t."""
@@ -290,9 +368,15 @@ class TestClosedFormOracle:
         got = subordinate(FracParams(0.5, rho, d), t, r)
         assert got.sign == 1 and abs(got.log_abs - float(want)) <= 1e-6
 
+    @mark.parametrize("rho,d,t,r,want", [(rho, d, *row) for (rho, d), rows
+                                         in _ALPHA_THIRD_LOG_U.items() for row in rows])
+    def test_alpha_third_agrees_at_default_spec(self, rho, d, t, r, want):
+        got = subordinate(FracParams(1.0 / 3.0, rho, d), t, r)
+        assert got.sign == 1 and abs(got.log_abs - float(want)) <= 1e-6
+
     def test_cached_value_is_the_oracle(self):
         # The far peak: at log t + 1.89 in w, past s = 4t.
-        assert _alpha_half_log_u(1.0, 1, 4.0, 80.0) == approx(
+        assert _closed_form_log_u(0.5, 1.0, 1, 4.0, 80.0) == approx(
             float(_ALPHA_HALF_LOG_U[1.0, 1][-1][2]), rel=1e-15)
 
 
