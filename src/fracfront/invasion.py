@@ -25,9 +25,9 @@ from .specfun import _log_mittag_leffler_points, gamma_alpha, m_alpha
 from .subordination import subordinate_envelope_points, subordinate_points
 # _point_log_u calls the batched functions above, not these one-point views;
 # perfbench/child.py looks them up here.
-from .fourier1d import _solution_series_log  # noqa: E402,F401
-from .specfun import log_mittag_leffler  # noqa: E402,F401
-from .subordination import subordinate, subordinate_envelope  # noqa: E402,F401
+from .fourier1d import _solution_series_log  # noqa: F401
+from .specfun import log_mittag_leffler  # noqa: F401
+from .subordination import subordinate, subordinate_envelope  # noqa: F401
 
 
 class ProfileKind(Enum):
@@ -125,9 +125,10 @@ def _fourier_log_u(alpha: float, rho: float, ts, xs) -> list[LogValue | FracFron
     The absolute series tolerance of a point x > 0 is pinned a fixed number
     of nats below its total-mass scale E_a(t^a), which dominates every a_k;
     the scales are one Mittag-Leffler call, their t^a formed one t at a time
-    (a point at x = 0 takes the integral at the origin and no tolerance).
+    (a point at x = 0 takes the integral at the origin and no tolerance, and
+    one at t <= 0 the series' DomainError).
     """
-    series = [j for j, x in enumerate(xs) if x != 0.0]
+    series = [j for j, (t, x) in enumerate(zip(ts, xs)) if x != 0.0 and t > 0.0]
     scales = dict(zip(series, _log_mittag_leffler_points(alpha, [ts[j] ** alpha for j in series])))
     values: list = [scales.get(j) for j in range(len(ts))]
     keep = [j for j, v in enumerate(values) if not isinstance(v, FracFrontError)]

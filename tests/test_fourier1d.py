@@ -188,6 +188,11 @@ class TestSeriesPoints:
                 assert v == _solution_series_log(0.5, 1.5, t, x, 1e-8)
             except DomainError as exc:
                 assert str(v) == str(exc)
+        # The route takes them as they come: t < 0 is a DomainError, not
+        # a complex t^a.
+        got = _point_log_u(FracParams(0.5, 1.5, 1), [-1.0, 1.0], [2.0, 2.0], Method.FOURIER1D)
+        assert str(got[0]) == "t must be positive, got -1.0"
+        assert isinstance(got[1], LogValue) and got[1].sign == 1
         with raises(DomainError, match="tolerances"):
             fourier1d._solution_series_points(0.5, 1.5, [1.0], [1.0], [])
         assert fourier1d._solution_series_points(0.5, 1.5, [], [], []) == []
