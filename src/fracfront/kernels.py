@@ -2,7 +2,10 @@
 
 The one table of exact kernels K_t(r) is ``exact_kernel``: the Gaussian at
 rho = 1 and the Cauchy kernel at rho = 1/2 in any dimension, and for rho > 1
-in one dimension the (sign-changing) cosine transform of exp(-s^{2 rho}).
+in one dimension the (sign-changing) cosine transform F of exp(-s^{2 rho}).
+F has two regimes, chosen per argument y: its Taylor series where the
+series' own rounding estimate meets a fixed bound (small y, away from the
+zeros of F), and K31 panel quadrature everywhere else (``_f_transform``).
 For rho in (0,1) otherwise only the constant-free shape
 t / (r^2 + t^{1/rho})^{(d+2 rho)/2} of the stable kernel is available (the
 kernel lies within constant factors of it).  ``log_kernel`` and
@@ -14,6 +17,7 @@ their one-point views.  The reaction factor e^t is added by
 
 from __future__ import annotations
 
+import functools
 import math
 import numbers
 from dataclasses import dataclass
@@ -22,6 +26,8 @@ import numpy as np
 
 from .errors import DomainError, QuadratureFailure, Unsupported
 from .logvalue import LogValue, kronrod_panels
+
+_EPS = 2.0 ** -52
 
 
 @dataclass(frozen=True)
@@ -85,6 +91,16 @@ def stable_envelope(rho: float, t: float, r: float, d: int) -> LogValue:
     return LogValue(1, float(log_envelope_shape(rho, t, r, d)))
 
 
+# The Taylor series of F is summed to its first _F_SERIES_TERMS terms.  Even
+# at rho = 1, where they fall slowest, like (y^2/4)^k / k!, the first dropped
+# term is below 1e-23 of the sum wherever the rounding part of the estimate
+# meets _F_SERIES_TOL (y <= 3.0 there), so rounding decides the switch.  The
+# series' absolute error is up to about eps sum|terms|, so at 2e-14 it stays
+# within 1e-15 of the quadrature (exact to rounding where 2 rho is an
+# integer) wherever the series is taken.
+_F_SERIES_TERMS = 32
+_F_SERIES_TOL = 2e-14
+
 # Panels per batch of the cosine transform, and rows per (panels x 31)
 # matrix: 62 KB a matrix, whatever the number of y.
 _SEGMENT_CHUNK = 256
@@ -92,7 +108,60 @@ _SEGMENT_CHUNK = 256
 
 def _f_transform(rho: float, ys) -> np.ndarray:
     """F(y) = (1/pi) * integral_0^inf exp(-s^{2 rho}) cos(s y) ds at every y
-    of an array.
+    of an array, for rho >= 1.
+
+    Two regimes, chosen per y, so a y's value does not depend on the other
+    y of the call.  F is entire, and its Taylor series (``_f_series``) is
+    taken wherever its relative estimate, eps * sum|terms| / |sum terms|
+    plus the first dropped term over |sum terms|, is at most _F_SERIES_TOL:
+    y below about 3.0-3.2 for every rho, and from about rho = 2.5 up also
+    from past the first zero of F to y ~ 4.5-5.  Every other y goes to the K31 panel
+    quadrature (``_f_quadrature``).
+    """
+    ys = np.abs(np.asarray(ys, dtype=float))
+    if not np.all(np.isfinite(ys)):
+        raise QuadratureFailure(f"cosine transform did not terminate at y = {ys.max()}")
+    values, est = _f_series(rho, ys)
+    quad = ~(est <= _F_SERIES_TOL)
+    if quad.any():
+        values[quad] = _f_quadrature(rho, ys[quad])
+    return values
+
+
+@functools.lru_cache(maxsize=32)
+def _f_series_coefficients(rho: float) -> np.ndarray:
+    """Gamma((2k+1)/(2 rho)) / ((2k)! 2 pi rho), k = 0.._F_SERIES_TERMS, the
+    magnitudes of the Taylor coefficients of F in y^2."""
+    return np.array([math.gamma((2 * k + 1) / (2.0 * rho)) / math.factorial(2 * k)
+                     for k in range(_F_SERIES_TERMS + 1)]) / (2.0 * math.pi * rho)
+
+
+def _f_series(rho: float, ys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The Taylor series F(y) = (1/(2 pi rho)) sum_k (-1)^k
+    Gamma((2k+1)/(2 rho)) y^{2k} / (2k)! at every y of an array (the
+    convergent series of the symmetric stable densities, at exponent
+    2 rho), as the arrays (sum, relative estimate).
+
+    The signed sum and the sum of the magnitudes are one Horner pass in
+    -y^2 and y^2 over the first _F_SERIES_TERMS terms; the estimate is eps
+    times the magnitudes plus the first dropped term, over |sum|.  Where the
+    terms overflow, or the sum is 0, the estimate is not a number or
+    infinite.
+    """
+    coef = _f_series_coefficients(rho)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        y2 = ys * ys
+        z = np.stack([-y2, y2])
+        acc = np.full(z.shape, coef[-2])
+        for c in coef[-3::-1]:
+            acc *= z
+            acc += c
+        signed, magnitude = acc
+        return signed, (_EPS * magnitude + coef[-1] * y2 ** _F_SERIES_TERMS) / np.abs(signed)
+
+
+def _f_quadrature(rho: float, ys: np.ndarray) -> np.ndarray:
+    """F(y) at every y >= 0 of an array by panel quadrature.
 
     Each y gets n = max(4, ceil(y s_max / pi)) equal panels over [0, s_max],
     at most one half period of the cosine long, so the 31-point Kronrod
@@ -101,9 +170,6 @@ def _f_transform(rho: float, ys) -> np.ndarray:
     _SEGMENT_CHUNK panels, evaluated as (panels x 31) matrices; each F(y) is
     the exactly rounded sum (math.fsum) of its own panels.
     """
-    ys = np.abs(np.asarray(ys, dtype=float))
-    if not np.all(np.isfinite(ys)):
-        raise QuadratureFailure(f"cosine transform did not terminate at y = {ys.max()}")
     # exp(-s^{2 rho}) < 1e-19 beyond this point.
     s_max = 44.0 ** (1.0 / (2.0 * rho))
     # The guard goes on the float panel count, before it is cast: a huge y

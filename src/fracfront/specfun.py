@@ -138,14 +138,14 @@ _TAIL_FIT_YS = (20.0, 32.0, 50.0)
 _TALBOT_MIN_N, _TALBOT_MAX_N = 32, 4096
 
 
-@functools.lru_cache(maxsize=32)
-def _talbot_level(n: int, j: int, nu: float, mu: float) -> np.ndarray:
+@functools.lru_cache(maxsize=64)
+def _talbot_path(n: int, j: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The radius-1 Talbot path s = theta(cot theta + i) at
     theta = u - (1 - e) sin u, e = 2^-j, for the u = k pi/n the n-node
     trapezoid rule in u adds to the n/2-node one (every k < n at n = 32, the
-    odd k above), as the rows (Re s, Im s, Re s^nu, Im s^nu, Re c, Im c),
-    c = log ds/du - mu log s, of the terms of W_{-nu,mu}.  s(0) = 1 and
-    ds/du(0) = i e, the latter with the end weight 1/2."""
+    odd k above), as the arrays (s, log s, log ds/du).  s(0) = 1 and
+    ds/du(0) = i e, the latter with the end weight 1/2.  It does not depend
+    on (nu, mu), so every Wright order shares it."""
     k = np.arange(n) if n == _TALBOT_MIN_N else np.arange(1, n, 2)
     u = k * (math.pi / n)
     squeeze = 1.0 - 2.0 ** -j
@@ -156,8 +156,15 @@ def _talbot_level(n: int, j: int, nu: float, mu: float) -> np.ndarray:
         ds = (cot - theta / np.sin(theta) ** 2 + 1j) * (1.0 - squeeze * np.cos(u))
     if k[0] == 0:
         s[0], ds[0] = 1.0, 0.5j * 2.0 ** -j
-    log_s = np.log(s)
-    s_nu, c = np.exp(nu * log_s), np.log(ds) - mu * log_s
+    return s, np.log(s), np.log(ds)
+
+
+@functools.lru_cache(maxsize=32)
+def _talbot_level(n: int, j: int, nu: float, mu: float) -> np.ndarray:
+    """The terms of W_{-nu,mu} on the path ``_talbot_path(n, j)``, as the
+    rows (Re s, Im s, Re s^nu, Im s^nu, Re c, Im c), c = log ds/du - mu log s."""
+    s, log_s, log_ds = _talbot_path(n, j)
+    s_nu, c = np.exp(nu * log_s), log_ds - mu * log_s
     return np.array([s.real, s.imag, s_nu.real, s_nu.imag, c.real, c.imag])
 
 
@@ -168,7 +175,7 @@ def _wright_talbot(nu: float, mu: float, x: np.ndarray, y: np.ndarray,
 
     (1/2 pi i) int sigma^{-mu} e^{sigma - x sigma^nu} d sigma over
     sigma(theta) = r theta(cot theta + i), by the trapezoid rule in u with
-    theta = u - (1 - e) sin u (``_talbot_level``).  r = nu Y/(1-nu) puts
+    theta = u - (1 - e) sin u (``_talbot_path``).  r = nu Y/(1-nu) puts
     theta = 0 on the real-axis saddle, where the phase is -Y, so e^{-Y}
     factors out and the sum stays O(1) for any Y.  At small Y, r is floored
     at the largest of 1/(1-nu), 1/(2(1-nu)), ... where the real-axis phase

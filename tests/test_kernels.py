@@ -5,6 +5,7 @@ import numpy as np
 from pytest import approx, mark, raises
 from scipy.integrate import quad
 
+from fracfront import kernels
 from fracfront.errors import DomainError, QuadratureFailure, Unsupported
 from fracfront.invasion import thresholds
 from fracfront.kernels import (
@@ -18,7 +19,7 @@ from fracfront.kernels import (
     stable_envelope,
 )
 from fracfront.logvalue import LogValue
-from fracfront.subordination import subordinate_envelope
+from fracfront.subordination import subordinate, subordinate_envelope
 
 
 class TestFracParams:
@@ -184,11 +185,55 @@ class TestHigherOrderKernel:
         )
         assert 2.0 * mass == approx(1.0, abs=1e-5)
 
-    @mark.parametrize("rho, tol", [(1.05, 1e-12), (1.25, 1e-12), (1.5, 1e-15), (2.0, 1e-15),
-                                   (3.0, 1e-15)])
-    def test_transform_matches_mpmath(self, rho, tol):
-        ys = [0.0, 0.4, 1.3, 3.1, 7.5, 17.0, 38.0, 80.0]
+    # Per rho: the first y whose series estimate misses the bound (the
+    # switch to the quadrature) and the first zero of F, to 4 decimals.
+    @mark.parametrize("rho, tol, switch, zero", [
+        (1.05, 1e-12, 3.0524, 4.5022), (1.25, 1e-12, 3.1665, 3.7618),
+        (1.5, 1e-15, 3.2143, 3.5691), (2.0, 1e-15, 3.2315, 3.4535),
+        (3.0, 1e-15, 3.2108, 3.3711)])
+    def test_transform_matches_mpmath(self, rho, tol, switch, zero):
+        near = np.array([switch - 1e-3, switch + 1e-3])
+        assert (kernels._f_series(rho, near)[1] <= kernels._F_SERIES_TOL).tolist() == [True, False]
+        ys = [0.0, 0.4, 1.3, 3.1, 7.5, 17.0, 38.0, 80.0, *near, zero]
         assert np.abs(_f_transform(rho, ys) - _f_reference(rho, ys)).max() <= tol
+
+    @mark.parametrize("rho", [1.5, 2.0, 2.5, 3.0, 5.0])
+    def test_series_agrees_with_quadrature(self, rho):
+        # Wherever the series is taken.  At these rho s^{2 rho} is smooth
+        # at 0 and the quadrature is exact to rounding (at rho 1.05 and
+        # 1.25 it is off by up to 3e-13, as the mpmath test allows).
+        ys = np.linspace(0.0, 8.0, 1601)
+        series, est = kernels._f_series(rho, ys)
+        taken = est <= kernels._F_SERIES_TOL
+        assert taken.sum() > 600
+        quad = kernels._f_quadrature(rho, ys[taken])
+        assert np.abs(series[taken] - quad).max() <= 1e-15
+
+    def test_work_counts_of_one_subordination_call(self, monkeypatch):
+        # Panels of K31 and y per regime of one fixed point: a silent fall
+        # back to the quadrature shows in both.
+        counts = {"panels": 0, "ys": 0, "quadrature": 0}
+        panels, transform, quadrature = (kernels.kronrod_panels, kernels._f_transform,
+                                         kernels._f_quadrature)
+
+        def counting_panels(a, b):
+            counts["panels"] += np.size(a)
+            return panels(a, b)
+
+        def counting_transform(rho, ys):
+            counts["ys"] += np.size(ys)
+            return transform(rho, ys)
+
+        def counting_quadrature(rho, ys):
+            counts["quadrature"] += np.size(ys)
+            return quadrature(rho, ys)
+
+        monkeypatch.setattr(kernels, "kronrod_panels", counting_panels)
+        monkeypatch.setattr(kernels, "_f_transform", counting_transform)
+        monkeypatch.setattr(kernels, "_f_quadrature", counting_quadrature)
+        lv = subordinate(FracParams(0.6, 1.5, 1), 30.0, 2.0)
+        assert lv.sign == 1
+        assert counts == {"panels": 1344, "ys": 358, "quadrature": 98}
 
     @mark.parametrize("y", [1e6, 1e20, 1e300, 1.7e308, math.inf, math.nan])
     def test_segment_guard_at_huge_arguments(self, y):

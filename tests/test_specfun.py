@@ -743,6 +743,38 @@ class TestMappedContour:
             # Evenly spaced nodes took 1024 contour terms at Y = 1e4.
             assert sum(sizes) <= most, (y, sizes)
 
+    def test_shared_path_gives_the_rows_of_a_direct_build(self, monkeypatch):
+        # The path is built once per (n, j) and only the nu, mu rows per
+        # order; the Wright values equal, bit for bit, those from rows built
+        # in one piece as below, over seeded (nu, x) with Y up to 1e5.
+        def direct_level(n, j, nu, mu):
+            k = np.arange(n) if n == specfun._TALBOT_MIN_N else np.arange(1, n, 2)
+            u = k * (math.pi / n)
+            squeeze = 1.0 - 2.0 ** -j
+            theta = u - squeeze * np.sin(u)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                cot = 1.0 / np.tan(theta)
+                s = theta * (cot + 1j)
+                ds = (cot - theta / np.sin(theta) ** 2 + 1j) * (1.0 - squeeze * np.cos(u))
+            if k[0] == 0:
+                s[0], ds[0] = 1.0, 0.5j * 2.0 ** -j
+            log_s = np.log(s)
+            s_nu, c = np.exp(nu * log_s), np.log(ds) - mu * log_s
+            return np.array([s.real, s.imag, s_nu.real, s_nu.imag, c.real, c.imag])
+
+        rng = np.random.default_rng(25)
+        grid = []
+        for nu in rng.uniform(0.05, 0.98, 6):
+            mu = float(rng.uniform(0.0, 1.5))
+            x = np.array([_x_at_saddle(nu, y) for y in 10.0 ** rng.uniform(-4.0, 5.0, 12)])
+            grid.append((float(nu), mu, x))
+        shared = [specfun.log_wright_array(nu, mu, x) for nu, mu, x in grid]
+        monkeypatch.setattr(specfun, "_talbot_level", direct_level)
+        for (nu, mu, x), got in zip(grid, shared):
+            want = specfun.log_wright_array(nu, mu, x)
+            for a, b in zip(got, want):
+                assert a.tobytes() == b.tobytes(), (nu, mu)
+
 
 class TestNoNegativeAxisSeries:
     """No series is summed on the real line: the Wright function takes its
